@@ -111,22 +111,17 @@ def force_halfline_transform(force: ForcePulse, win: MeasurementWindow, omega):
     s_lap = 1.0 / (2.0 * win.t_m) + 1j * omega
     sig, t1 = force.sigma, force.t1
     total = np.zeros_like(omega, dtype=complex)
+    gauss = np.exp(-(t1**2) / (2.0 * sig**2))
     for sign in (+1.0, -1.0):
         a = s_lap - 1j * sign * force.omega_f
         z = (a * sig**2 - t1) / (sig * math.sqrt(2.0))
-        main = np.exp(-(t1**2) / (2.0 * sig**2)) * erfcx(z)
-        # erfcx(z) ~ 2 exp(z^2) for Re z << 0; switch to the stable reflection
-        refl_mask = np.real(z) < -20.0
-        if np.any(refl_mask):
-            zr = z[refl_mask] if z.ndim else z
-            ar = a[refl_mask] if a.ndim else a
-            refl = 2.0 * np.exp(ar**2 * sig**2 / 2.0 - ar * t1) - np.exp(
-                -(t1**2) / (2.0 * sig**2)
-            ) * erfcx(-zr)
-            if z.ndim:
-                main[refl_mask] = refl
-            else:
-                main = refl
+        # erfcx(z) ~ 2 exp(z^2) for Re z << 0, where gauss * erfcx(z) would
+        # form 0 * inf; those entries take the stable reflection instead
+        refl = np.real(z) < -20.0
+        main = np.empty_like(z)
+        main[~refl] = gauss * erfcx(z[~refl])
+        ar = a[refl]
+        main[refl] = 2.0 * np.exp(ar**2 * sig**2 / 2.0 - ar * t1) - gauss * erfcx(-z[refl])
         total = total + main
     out = 0.5 * force.f0 * sig * math.sqrt(math.pi / 2.0) * total
     return out if out.ndim else complex(out)

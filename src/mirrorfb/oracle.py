@@ -10,10 +10,19 @@ white noise advance by their exact Ornstein-Uhlenbeck propagator (a plain
 Euler-Maruyama noise term leaves an O(gamma (1+g) dt) moment bias), while
 the conservative rotation keeps the semi-implicit symplectic-Euler form for
 long-horizon stability.  White-noise intensities come from the steady
-module; the cold-damping feedback force is synthesized spectrally per
-trajectory as band-limited noise with two-sided density d_fb * omega^2,
-since white noise cannot carry the omega^2 spectrum without the loop's own
-band limit.
+module, and only live channels are drawn (cold damping has no position
+noise).  The cold-damping feedback force is band-limited noise with
+two-sided density d_fb * omega^2, since white noise cannot carry the
+omega^2 spectrum without the loop's own band limit; it is synthesized per
+trajectory by drawing only the in-band rfft coefficients of circularly
+filtered white noise, with the law the rfft of white noise has, and
+inverting them.
+
+One chunked stepper drives both the single chain and the paired dt / dt/2
+chains.  Each step of a batch is one matrix product of a stacked (q, p,
+inputs) row; the (q, p) rows of a chunk are stored time-major and reduced
+after it, and the spectrum estimator accumulates the DFT of its kept bins
+chunk by chunk.
 
 Trajectories are independent work units on counter-based (Philox) streams,
 one stream per fixed-size batch, so results are bit-reproducible for a
@@ -31,10 +40,11 @@ from scipy.fft import next_fast_len
 
 from .core import Scheme, SchemeParams
 from .spectra import SpectrumSeries
-from .steady import MomentSet, ThermalModel, noise_strengths, steady_moments
+from .steady import MomentSet, NoiseStrengths, ThermalModel, noise_strengths, steady_moments
 
-_BATCH = 512
-_CHUNK = 2048
+_BATCH = 2048  # trajectories per Philox stream
+_CHUNK = 256  # fine steps of noise drawn, and of (q, p) rows stored, at a time
+_FFT_BLOCK = 1 << 20  # rfft bins per row block of the band-noise synthesis
 _RNG_ALGORITHM = "philox4x64(one jumped stream per trajectory batch)"
 
 
@@ -153,18 +163,287 @@ def _band_noise(
 ) -> np.ndarray:
     """Gaussian noise with two-sided PSD coeff * w^2 inside ``band``.
 
-    Circular spectral synthesis: filter white noise in the frequency domain
-    so that <y(t) y(t')> = int (dw/2pi) S(w) e^{i w (t - t')}.  Returned
-    time-major, shape (n_total, nb).
+    Circular spectral synthesis, <y(t) y(t')> = int (dw/2pi) S(w) e^{i w (t - t')}.
+    Only the in-band coefficients are drawn, with the law the rfft of white
+    unit normals has: independent N(0, n/2) real and imaginary parts, and a
+    real N(0, n) Nyquist bin.  Returned trajectory-major, shape (nb, n_total).
     """
     n_fft = next_fast_len(n_total, real=True)  # truncating a stationary process is harmless
-    xi = rng.standard_normal((n_fft, nb))
-    freqs = 2.0 * math.pi * np.fft.rfftfreq(n_fft, d=dt)
-    h = np.where(
-        (freqs >= band[0]) & (freqs <= band[1]), math.sqrt(coeff) * freqs, 0.0
+    omega = 2.0 * math.pi * np.fft.rfftfreq(n_fft, d=dt)
+    lo = int(np.searchsorted(omega, band[0], side="left"))
+    hi = int(np.searchsorted(omega, band[1], side="right"))
+    gain = np.sqrt(0.5 * n_fft * coeff / dt) * omega[lo:hi]
+    coef = rng.standard_normal((nb, 2 * (hi - lo))).view(np.complex128) * gain
+    if n_fft % 2 == 0 and hi == len(omega) > lo:
+        coef[:, -1] = math.sqrt(2.0) * coef[:, -1].real
+    rows = max(1, _FFT_BLOCK // len(omega))
+    spec = np.zeros((min(rows, nb), len(omega)), dtype=np.complex128)
+    out = np.empty((nb, n_total))
+    for r in range(0, nb, rows):
+        m = min(rows, nb - r)
+        spec[:m, lo:hi] = coef[r : r + m]
+        out[r : r + m] = np.fft.irfft(spec[:m], n=n_fft, axis=1)[:, :n_total]
+    return out
+
+
+def _ou(rate: float, d: float, h: float) -> tuple[float, float]:
+    """Decay factor and noise amplitude of an exact OU sub-step of length h."""
+    if rate > 0:
+        dec = math.exp(-rate * h)
+        return dec, math.sqrt(d * (1.0 - dec * dec) / (2.0 * rate))
+    return 1.0, math.sqrt(d * h)
+
+
+def _step_matrix(
+    s: SchemeParams, ns: NoiseStrengths, h: float, stride: int, live_q: bool, forced: bool
+) -> np.ndarray:
+    """(2, 2 + r) map of a stacked (q, p, inputs) row to the next (q, p).
+
+    One step of length tau = stride * h is
+
+        p' = e^{-g_p tau} p - tau q + i_p,    q' = e^{-a_q tau} q + i_q + tau p'
+
+    with impulses (i_q, i_p) that weight the r inputs: the unit normals of
+    each sub-step's live channels, then the force.  A coarse step (stride 2)
+    composes its two fine sub-steps' noise, which matches its marginal law
+    exactly, so paired chains share random numbers.
+    """
+    a_q = s.gamma_m * s.g if s.scheme is Scheme.STOCHASTIC_COOLING else 0.0
+    g_p = s.damping if s.scheme is Scheme.COLD_DAMPING else s.gamma_m
+    dec_q, amp_q = _ou(a_q, ns.d_q, h)
+    dec_p, amp_p = _ou(g_p, ns.d_p, h)
+    tau = stride * h
+    impulses = []
+    for later in reversed(range(stride)):  # fine sub-steps left in the step
+        if live_q:
+            impulses.append((amp_q * dec_q**later, 0.0))
+        impulses.append((0.0, amp_p * dec_p**later))
+    if forced:
+        impulses.append((0.0, tau))
+    decay_q, decay_p = math.exp(-a_q * tau), math.exp(-g_p * tau)
+    return np.array(
+        [
+            [decay_q - tau * tau, tau * decay_p, *(iq + tau * ip for iq, ip in impulses)],
+            [-tau, decay_p, *(ip for _, ip in impulses)],
+        ]
     )
-    y = np.fft.irfft(np.fft.rfft(xi, axis=0) * h[:, None], n=n_fft, axis=0)
-    return y[:n_total] / math.sqrt(dt)
+
+
+class _Periodogram:
+    """Tapered periodograms of consecutive post-burn-in q segments, kept bins only.
+
+    The DFT of the current segment is accumulated chunk by chunk as a matrix
+    product with the tapered cos/sin rows of the kept bins, so segments are
+    never stored.
+    """
+
+    def __init__(self, bins: np.ndarray, taper: np.ndarray, n_seg: int, norm: float, nb: int):
+        self.bins = bins
+        self.taper = taper
+        self.n_seg = n_seg
+        self.norm = norm
+        self.dft = np.zeros((2 * len(bins), nb))
+        self.power = np.zeros((len(bins), nb))
+
+    def add(self, q: np.ndarray, start: int) -> None:
+        """Fold in post-burn-in q rows, the first at post-burn-in index ``start``."""
+        seg_len = len(self.taper)
+        end = min(len(q), self.n_seg * seg_len - start)
+        i = 0
+        while i < end:
+            pos = (start + i) % seg_len
+            take = min(end - i, seg_len - pos)
+            idx = np.arange(pos, pos + take)
+            angle = (np.outer(self.bins, idx) % seg_len) * (2.0 * math.pi / seg_len)
+            basis = np.concatenate((np.cos(angle), np.sin(angle))) * self.taper[idx]
+            self.dft += basis @ q[i : i + take]
+            if pos + take == seg_len:
+                k = len(self.bins)
+                self.power += self.dft[:k] ** 2 + self.dft[k:] ** 2
+                self.dft[:] = 0.0
+            i += take
+
+    def mean(self) -> np.ndarray:
+        """Per-trajectory mean periodogram, shape (nb, kept bins)."""
+        return (self.power * (self.norm / self.n_seg)).T
+
+
+class _Chain:
+    """A batch of trajectories stepped through one step matrix, chunk by chunk.
+
+    Row k of the time-major buffer holds (q, p) before step k and that step's
+    inputs, so each step is one matmul writing the (q, p) of row k + 1.  The
+    post-burn-in rows of a chunk are reduced after it into the sums of q^2,
+    p^2, qp, q and p.
+    """
+
+    def __init__(
+        self,
+        matrix: np.ndarray,
+        nb: int,
+        capacity: int,
+        burn: int,
+        periodogram: _Periodogram | None = None,
+    ):
+        self.matrix = matrix
+        self.rows = np.zeros((capacity + 1, matrix.shape[1], nb))
+        self.burn = burn
+        self.steps = 0
+        self.sums = np.zeros((5, nb))
+        self.periodogram = periodogram
+
+    def advance(self, noise: np.ndarray, force: np.ndarray | None = None) -> np.ndarray:
+        """Take len(noise) steps with the given (step, channel, traj) noise; return q."""
+        n, c = noise.shape[:2]
+        y = self.rows
+        y[:n, 2 : 2 + c] = noise
+        if force is not None:
+            y[:n, 2 + c] = force
+        m, matmul = self.matrix, np.matmul
+        for k in range(n):
+            matmul(m, y[k], out=y[k + 1, :2])
+
+        first = max(1, self.burn - self.steps + 1)  # row of the first post-burn-in state
+        if first <= n:
+            q, p = y[first : n + 1, 0], y[first : n + 1, 1]
+            sums = self.sums
+            sums[0] += np.einsum("ij,ij->j", q, q)
+            sums[1] += np.einsum("ij,ij->j", p, p)
+            # the staggered update leaves p half a step behind q; pairing q with
+            # the two-point p average removes the O(dt) bias of the cross moment
+            k0 = first - 1 if self.steps > self.burn else first
+            q_old = y[k0:n, 0]
+            sums[2] += 0.5 * (
+                np.einsum("ij,ij->j", q_old, y[k0:n, 1])
+                + np.einsum("ij,ij->j", q_old, y[k0 + 1 : n + 1, 1])
+            )
+            sums[3] += q.sum(axis=0)
+            sums[4] += p.sum(axis=0)
+            if self.periodogram is not None:
+                self.periodogram.add(q, self.steps + first - 1 - self.burn)
+        y[0, :2] = y[n, :2]
+        self.steps += n
+        return y[0, 0]
+
+    def means(self, n_avg: int) -> np.ndarray:
+        """Per-trajectory time averages; the cross moment has one pair fewer."""
+        return self.sums / np.array([n_avg, n_avg, n_avg - 1, n_avg, n_avg])[:, None]
+
+
+def _segment_layout(cfg: SimConfig, dt: float, n_steps: int):
+    """(omegas, bins, taper, n_seg, norm) of the spectrum estimator."""
+    seg_len = n_steps if cfg.seg_time is None else int(round(cfg.seg_time / dt))
+    seg_len = max(min(seg_len, n_steps), 16)
+    n_seg = n_steps // seg_len
+    if n_seg < 1:
+        raise ValueError("n_steps too short for one spectrum segment")
+    freqs = 2.0 * math.pi * np.fft.rfftfreq(seg_len, d=dt)
+    bins = np.flatnonzero((freqs >= cfg.spectrum_band[0]) & (freqs <= cfg.spectrum_band[1]))
+    taper = np.hanning(seg_len) if cfg.window == "hann" else np.ones(seg_len)
+    return freqs[bins], bins, taper, n_seg, dt / float(np.sum(taper**2))
+
+
+def _chain_force(drive, fb, j: int, n: int, stride: int):
+    """Force on a chain taking ``stride`` (1 or 2) fine steps per step, over fine steps j..j+n.
+
+    A coarse step takes the drive at its start and the mean of the feedback
+    noise over its fine sub-steps.
+    """
+    f = None
+    if fb is not None:
+        block = fb[:, j : j + n]
+        if stride == 2:
+            block = 0.5 * (block[:, 0::2] + block[:, 1::2])
+        f = block.T
+    if drive is not None:
+        d = drive[j : j + n : stride, None]
+        f = d if f is None else f + d
+    return f
+
+
+def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleStats]:
+    """Integrate the ensemble; one EnsembleStats per chain (coarse first when paired)."""
+    dt, burn, n_steps = _resolve_config(s, cfg)
+    sub = 2 if paired else 1
+    h = dt / sub
+    n_fine = sub * (burn + n_steps)
+    strides = (2, 1) if paired else (1,)
+
+    ns = noise_strengths(s)
+    live_q = ns.d_q > 0
+    channels = 1 + live_q
+    needs_fb = ns.d_fb_cd > 0
+    band = cfg.fb_band if cfg.fb_band is not None else s.feedback_band()
+    drive = None
+    if force is not None:
+        drive = np.asarray(force(np.arange(n_fine) * h), dtype=float)
+    forced = drive is not None or needs_fb
+    matrices = [_step_matrix(s, ns, h, st, live_q, forced) for st in strides]
+
+    ref = steady_moments(s, ThermalModel.CLASSICAL_DELTA)
+    guard = 1e6 * math.sqrt(max(ref.q2, 1.0))
+
+    layout = None
+    if cfg.estimator == "spectrum" and not paired:
+        omegas, *layout = _segment_layout(cfg, dt, n_steps)
+
+    means: list[list[np.ndarray]] = [[] for _ in strides]
+    spec_rows: list[np.ndarray] = []
+    base = np.random.Philox(key=cfg.seed)
+    for b, start in enumerate(range(0, cfg.n_traj, _BATCH)):
+        nb = min(_BATCH, cfg.n_traj - start)
+        rng = np.random.Generator(base.jumped(b))
+        fb = _band_noise(rng, nb, n_fine, h, band, ns.d_fb_cd) if needs_fb else None
+        pgram = _Periodogram(*layout, nb) if layout is not None else None
+        chains = [
+            _Chain(m, nb, _CHUNK // st, sub // st * burn, pgram)
+            for m, st in zip(matrices, strides)
+        ]
+        for j in range(0, n_fine, _CHUNK):
+            n = min(_CHUNK, n_fine - j)
+            xi = rng.standard_normal((n, channels, nb))  # fine step, live channel, traj
+            peak = 0.0
+            for chain, st in zip(chains, strides):
+                q = chain.advance(
+                    xi.reshape(n // st, st * channels, nb), _chain_force(drive, fb, j, n, st)
+                )
+                peak = max(peak, float(np.max(np.abs(q))))
+            if not math.isfinite(peak) or peak > guard:
+                raise InstabilityError(
+                    f"|Q| reached {peak:.3g} (guard {guard:.3g}) at step {(j + n) // sub} "
+                    f"of {n_fine // sub}; dt = {dt:g}, scheme = {s.scheme.value}, g = {s.g:g}"
+                    + (", paired run" if paired else "")
+                )
+        for chain, st, out in zip(chains, strides, means):
+            out.append(chain.means(sub // st * n_steps))
+        if pgram is not None:
+            spec_rows.append(pgram.mean())
+
+    spectrum = None
+    if layout is not None:
+        rows = np.concatenate(spec_rows, axis=0)
+        spectrum = SpectrumEstimate(
+            omegas=omegas,
+            values=rows.mean(axis=0),
+            errors=rows.std(axis=0, ddof=1) / math.sqrt(rows.shape[0]),
+        )
+
+    stats = []
+    for st, chunks in zip(strides, means):
+        vals = np.concatenate(chunks, axis=1)
+        mu = vals.mean(axis=1)
+        se = vals.std(axis=1, ddof=1) / math.sqrt(vals.shape[1])
+        stats.append(
+            EnsembleStats(
+                q2=float(mu[0]), q2_err=float(se[0]),
+                p2=float(mu[1]), p2_err=float(se[1]),
+                qp=float(mu[2]), qp_err=float(se[2]),
+                mean_q=float(mu[3]), mean_q_err=float(se[3]),
+                mean_p=float(mu[4]), mean_p_err=float(se[4]),
+                seed=cfg.seed, n_traj=cfg.n_traj, dt=st * h, spectrum=spectrum,
+            )
+        )
+    return stats
 
 
 def simulate(s: SchemeParams, cfg: SimConfig, force=None) -> EnsembleStats:
@@ -175,152 +454,8 @@ def simulate(s: SchemeParams, cfg: SimConfig, force=None) -> EnsembleStats:
     independent per-trajectory means.  Raises :class:`InstabilityError` when
     any |Q| exceeds 1e6 standard deviations of the analytic prediction.
     """
-    dt, burn, n_steps = _resolve_config(s, cfg)
-    n_total = burn + n_steps
-    gm = s.gamma_m
-
-    a_q = gm * s.g if s.scheme is Scheme.STOCHASTIC_COOLING else 0.0
-    g_p = gm * (1.0 + s.g) if s.scheme is Scheme.COLD_DAMPING else gm
-
-    ns = noise_strengths(s)
-    # damping + white noise advance as an exact OU substep; plain
-    # Euler-Maruyama noise would leave an O(gamma (1+g) dt) moment bias
-    decay_p = math.exp(-g_p * dt)
-    amp_p = math.sqrt(ns.d_p * (1.0 - decay_p**2) / (2.0 * g_p)) if g_p > 0 else 0.0
-    if a_q > 0:
-        decay_q = math.exp(-a_q * dt)
-        amp_q = math.sqrt(ns.d_q * (1.0 - decay_q**2) / (2.0 * a_q))
-    else:
-        decay_q = 1.0
-        amp_q = math.sqrt(ns.d_q * dt)
-    band = cfg.fb_band if cfg.fb_band is not None else s.feedback_band()
-
-    f_grid = None
-    if force is not None:
-        f_grid = np.asarray(force(np.arange(n_total) * dt), dtype=float)
-
-    ref = steady_moments(s, ThermalModel.CLASSICAL_DELTA)
-    guard = 1e6 * math.sqrt(max(ref.q2, 1.0))
-
-    want_spectrum = cfg.estimator == "spectrum"
-    if want_spectrum:
-        seg_len = n_steps if cfg.seg_time is None else int(round(cfg.seg_time / dt))
-        seg_len = max(min(seg_len, n_steps), 16)
-        n_seg = n_steps // seg_len
-        if n_seg < 1:
-            raise ValueError("n_steps too short for one spectrum segment")
-        freqs = 2.0 * math.pi * np.fft.rfftfreq(seg_len, d=dt)
-        keep = (freqs >= cfg.spectrum_band[0]) & (freqs <= cfg.spectrum_band[1])
-        spec_omegas = freqs[keep]
-        if cfg.window == "hann":
-            taper = np.hanning(seg_len)
-        else:
-            taper = np.ones(seg_len)
-        spec_norm = dt / float(np.sum(taper**2))
-
-    per_traj: dict[str, list[np.ndarray]] = {k: [] for k in ("q2", "p2", "qp", "q", "p")}
-    spec_rows: list[np.ndarray] = []
-
-    needs_fb = s.scheme is Scheme.COLD_DAMPING and s.g > 0
-    batch_size = _BATCH if needs_fb else 4 * _BATCH  # fb storage caps the batch
-    base = np.random.Philox(key=cfg.seed)
-    n_batches = (cfg.n_traj + batch_size - 1) // batch_size
-    for b in range(n_batches):
-        nb = min(batch_size, cfg.n_traj - b * batch_size)
-        rng = np.random.Generator(base.jumped(b))
-
-        fb = None
-        if needs_fb:
-            fb = _band_noise(rng, nb, n_total, dt, band, ns.d_fb_cd)
-
-        q = np.zeros(nb)
-        p = np.zeros(nb)
-        acc = {k: np.zeros(nb) for k in per_traj}
-        if want_spectrum:
-            seg_buf = np.empty((nb, seg_len))
-            spec_acc = np.zeros((nb, int(np.count_nonzero(keep))))
-            seg_pos = 0
-            seg_done = 0
-
-        j = 0
-        while j < n_total:
-            n = min(_CHUNK, n_total - j)
-            xi = rng.standard_normal((2, n, nb))
-            for k in range(n):
-                step = j + k
-                drive = f_grid[step] if f_grid is not None else 0.0
-                fb_k = fb[step] if fb is not None else 0.0
-                p_new = decay_p * p + amp_p * xi[1, k] + dt * (-q + drive + fb_k)
-                q_new = decay_q * q + amp_q * xi[0, k] + dt * p_new
-                if step > burn:
-                    # the staggered update leaves p half a step behind q;
-                    # pairing q with the two-point p average removes the
-                    # O(dt) bias of the cross moment
-                    acc["qp"] += q * (0.5 * (p + p_new))
-                p, q = p_new, q_new
-                if step >= burn:
-                    acc["q2"] += q * q
-                    acc["p2"] += p * p
-                    acc["q"] += q
-                    acc["p"] += p
-                    if want_spectrum:
-                        if seg_done < n_seg:
-                            seg_buf[:, seg_pos] = q
-                            seg_pos += 1
-                            if seg_pos == seg_len:
-                                fq = np.fft.rfft(seg_buf * taper[None, :], axis=1)[:, keep]
-                                spec_acc += (np.abs(fq) ** 2) * spec_norm
-                                seg_pos = 0
-                                seg_done += 1
-            j += n
-            peak = float(np.max(np.abs(q)))
-            if not math.isfinite(peak) or peak > guard:
-                raise InstabilityError(
-                    f"|Q| reached {peak:.3g} (guard {guard:.3g}) at step {j} "
-                    f"of {n_total}; dt = {dt:g}, scheme = {s.scheme.value}, g = {s.g:g}"
-                )
-
-        for key in per_traj:
-            count = n_steps - 1 if key == "qp" else n_steps
-            per_traj[key].append(acc[key] / count)
-        if want_spectrum:
-            spec_rows.append(spec_acc / n_seg)
-
-    def reduce(key: str) -> tuple[float, float]:
-        vals = np.concatenate(per_traj[key])
-        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
-
-    q2, q2_err = reduce("q2")
-    p2, p2_err = reduce("p2")
-    qp, qp_err = reduce("qp")
-    mq, mq_err = reduce("q")
-    mp, mp_err = reduce("p")
-
-    spectrum = None
-    if want_spectrum:
-        rows = np.concatenate(spec_rows, axis=0)
-        spectrum = SpectrumEstimate(
-            omegas=spec_omegas,
-            values=rows.mean(axis=0),
-            errors=rows.std(axis=0, ddof=1) / math.sqrt(rows.shape[0]),
-        )
-
-    return EnsembleStats(
-        q2=q2,
-        q2_err=q2_err,
-        p2=p2,
-        p2_err=p2_err,
-        qp=qp,
-        qp_err=qp_err,
-        mean_q=mq,
-        mean_q_err=mq_err,
-        mean_p=mp,
-        mean_p_err=mp_err,
-        seed=cfg.seed,
-        n_traj=cfg.n_traj,
-        dt=dt,
-        spectrum=spectrum,
-    )
+    (stats,) = _run(s, cfg, force, paired=False)
+    return stats
 
 
 def paired_timestep_stats(
@@ -334,138 +469,8 @@ def paired_timestep_stats(
     being dominated by independent sampling noise.  Returns
     (coarse_stats, fine_stats); the spectrum estimator is not supported here.
     """
-    dt, burn, n_steps = _resolve_config(s, cfg)
-    dt_f = 0.5 * dt
-    n_total = burn + n_steps
-    gm = s.gamma_m
-
-    a_q = gm * s.g if s.scheme is Scheme.STOCHASTIC_COOLING else 0.0
-    g_p = gm * (1.0 + s.g) if s.scheme is Scheme.COLD_DAMPING else gm
-
-    ns = noise_strengths(s)
-
-    def coeffs(step: float):
-        dec_p = math.exp(-g_p * step)
-        amp_p = math.sqrt(ns.d_p * (1.0 - dec_p**2) / (2.0 * g_p)) if g_p > 0 else 0.0
-        if a_q > 0:
-            dec_q = math.exp(-a_q * step)
-            amp_q = math.sqrt(ns.d_q * (1.0 - dec_q**2) / (2.0 * a_q))
-        else:
-            dec_q = 1.0
-            amp_q = math.sqrt(ns.d_q * step)
-        return dec_p, amp_p, dec_q, amp_q
-
-    dec_p_c, amp_p_c, dec_q_c, amp_q_c = coeffs(dt)
-    dec_p_f, amp_p_f, dec_q_f, amp_q_f = coeffs(dt_f)
-    band = cfg.fb_band if cfg.fb_band is not None else s.feedback_band()
-
-    f_coarse = f_fine = None
-    if force is not None:
-        f_coarse = np.asarray(force(np.arange(n_total) * dt), dtype=float)
-        f_fine = np.asarray(force(np.arange(2 * n_total) * dt_f), dtype=float)
-
-    ref = steady_moments(s, ThermalModel.CLASSICAL_DELTA)
-    guard = 1e6 * math.sqrt(max(ref.q2, 1.0))
-
-    needs_fb = s.scheme is Scheme.COLD_DAMPING and s.g > 0
-    batch_size = _BATCH if needs_fb else 4 * _BATCH
-    base = np.random.Philox(key=cfg.seed)
-    n_batches = (cfg.n_traj + batch_size - 1) // batch_size
-
-    acc_names = ("q2", "p2", "qp", "q", "p")
-    per_traj = {chain: {k: [] for k in acc_names} for chain in ("coarse", "fine")}
-
-    for b in range(n_batches):
-        nb = min(batch_size, cfg.n_traj - b * batch_size)
-        rng = np.random.Generator(base.jumped(b))
-
-        fb_f = None
-        if needs_fb:
-            fb_f = _band_noise(rng, nb, 2 * n_total, dt_f, band, ns.d_fb_cd)
-
-        qc = np.zeros(nb)
-        pc = np.zeros(nb)
-        qf = np.zeros(nb)
-        pf = np.zeros(nb)
-        acc = {chain: {k: np.zeros(nb) for k in acc_names} for chain in ("coarse", "fine")}
-
-        j = 0
-        while j < n_total:
-            n = min(_CHUNK, n_total - j)
-            xi = rng.standard_normal((2, n, 2, nb))  # (noise channel, step, substep, traj)
-            for k in range(n):
-                step = j + k
-                xi_p1, xi_p2 = xi[1, k, 0], xi[1, k, 1]
-                xi_q1, xi_q2 = xi[0, k, 0], xi[0, k, 1]
-
-                # two fine sub-steps
-                for half, (xp, xq) in enumerate(((xi_p1, xi_q1), (xi_p2, xi_q2))):
-                    fstep = 2 * step + half
-                    drive = f_fine[fstep] if f_fine is not None else 0.0
-                    fb_k = fb_f[fstep] if fb_f is not None else 0.0
-                    pf_new = dec_p_f * pf + amp_p_f * xp + dt_f * (-qf + drive + fb_k)
-                    qf_new = dec_q_f * qf + amp_q_f * xq + dt_f * pf_new
-                    if fstep > 2 * burn:
-                        acc["fine"]["qp"] += qf * (0.5 * (pf + pf_new))
-                    pf, qf = pf_new, qf_new
-                    if fstep >= 2 * burn:
-                        a = acc["fine"]
-                        a["q2"] += qf * qf
-                        a["p2"] += pf * pf
-                        a["q"] += qf
-                        a["p"] += pf
-
-                # one coarse step from the composed noise
-                eta_p = amp_p_f * (dec_p_f * xi_p1 + xi_p2)
-                eta_q = amp_q_f * (dec_q_f * xi_q1 + xi_q2) if a_q > 0 else amp_q_c * (
-                    (xi_q1 + xi_q2) / math.sqrt(2.0)
-                )
-                drive = f_coarse[step] if f_coarse is not None else 0.0
-                fb_k = (
-                    0.5 * (fb_f[2 * step] + fb_f[2 * step + 1]) if fb_f is not None else 0.0
-                )
-                pc_new = dec_p_c * pc + eta_p + dt * (-qc + drive + fb_k)
-                qc_new = dec_q_c * qc + eta_q + dt * pc_new
-                if step > burn:
-                    acc["coarse"]["qp"] += qc * (0.5 * (pc + pc_new))
-                pc, qc = pc_new, qc_new
-                if step >= burn:
-                    a = acc["coarse"]
-                    a["q2"] += qc * qc
-                    a["p2"] += pc * pc
-                    a["q"] += qc
-                    a["p"] += pc
-            j += n
-            peak = max(float(np.max(np.abs(qc))), float(np.max(np.abs(qf))))
-            if not math.isfinite(peak) or peak > guard:
-                raise InstabilityError(
-                    f"|Q| reached {peak:.3g} (guard {guard:.3g}) in paired run at "
-                    f"step {j} of {n_total}"
-                )
-
-        counts = {"coarse": n_steps, "fine": 2 * n_steps}
-        for chain in ("coarse", "fine"):
-            for key in acc_names:
-                cnt = counts[chain] - 1 if key == "qp" else counts[chain]
-                per_traj[chain][key].append(acc[chain][key] / cnt)
-
-    def build(chain: str, dt_val: float) -> EnsembleStats:
-        def reduce(key: str) -> tuple[float, float]:
-            vals = np.concatenate(per_traj[chain][key])
-            return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
-
-        q2, q2e = reduce("q2")
-        p2, p2e = reduce("p2")
-        qp, qpe = reduce("qp")
-        mq, mqe = reduce("q")
-        mp, mpe = reduce("p")
-        return EnsembleStats(
-            q2=q2, q2_err=q2e, p2=p2, p2_err=p2e, qp=qp, qp_err=qpe,
-            mean_q=mq, mean_q_err=mqe, mean_p=mp, mean_p_err=mpe,
-            seed=cfg.seed, n_traj=cfg.n_traj, dt=dt_val,
-        )
-
-    return build("coarse", dt), build("fine", dt_f)
+    coarse, fine = _run(s, cfg, force, paired=True)
+    return coarse, fine
 
 
 @dataclass(frozen=True)

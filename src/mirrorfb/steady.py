@@ -232,40 +232,30 @@ class PowerOptimum(NamedTuple):
 def optimal_input_power(s: SchemeParams) -> PowerOptimum:
     """Input power minimizing the stationary energy at fixed gain.
 
-    Cold damping admits the closed form zeta_opt = g / sqrt(eta).  For
-    stochastic cooling the energy is minimized numerically (golden section
-    on log zeta, seeded by the same asymptote, which is exact only for
-    Q >> g).  The zeta stored in ``s`` is ignored.
+    In the classical-delta model the energy has the form
+    E(zeta) = alpha / zeta + beta zeta + c (feedback noise falls and
+    back-action grows with power), so zeta_opt = sqrt(alpha / beta) =
+    (g / sqrt(eta)) sqrt(r) with
+
+        r = 1                                      cold damping, narrow band
+        r = (1 + (1 + g) gamma_m varpi / pi) / 2   cold damping, wide band
+        r = (1 + 2 Q^2 + g) / (2 Q^2 + g^2 + g)    stochastic cooling
+
+    where varpi is the wide loop's cutoff.  The zeta stored in ``s`` is
+    ignored.
     """
     if s.g <= 0:
         raise ValueError("optimal_input_power requires a positive feedback gain")
 
-    if s.scheme is Scheme.COLD_DAMPING:
-        zopt = s.g / math.sqrt(s.eta)
-        return PowerOptimum(zopt, steady_energy(replace(s, zeta=zopt)))
-
-    def energy(logz: float) -> float:
-        return steady_energy(replace(s, zeta=math.exp(logz)))
-
-    center = math.log(s.g / math.sqrt(s.eta))
-    lo, hi = center - 35.0, center + 10.0
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = energy(x1), energy(x2)
-    for _ in range(200):
-        if hi - lo < 1e-12:
-            break
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = energy(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = energy(x2)
-    logz = (lo + hi) / 2.0
-    return PowerOptimum(math.exp(logz), energy(logz))
+    g, q = s.g, s.quality
+    if s.scheme is not Scheme.COLD_DAMPING:
+        ratio = (1.0 + 2.0 * q * q + g) / (2.0 * q * q + g * g + g)
+    elif s.wide_band:
+        ratio = (1.0 + (1.0 + g) * s.gamma_m * s.cutoff_reservoir / math.pi) / 2.0
+    else:
+        ratio = 1.0
+    zopt = (g / math.sqrt(s.eta)) * math.sqrt(ratio)
+    return PowerOptimum(zopt, steady_energy(replace(s, zeta=zopt)))
 
 
 class SqueezeOptimum(NamedTuple):

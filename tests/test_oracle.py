@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from mirrorfb.core import Scheme, SchemeParams
 from mirrorfb.nonstat import ForcePulse
@@ -13,14 +14,18 @@ from mirrorfb.oracle import (
     EnsembleStats,
     InstabilityError,
     SimConfig,
+    _CHUNK,
+    _Chain,
+    _Periodogram,
     _band_noise,
+    _step_matrix,
     compare,
     dt_bound,
     paired_timestep_stats,
     simulate,
 )
 from mirrorfb.spectra import SpectrumSeries, position_noise_spectrum
-from mirrorfb.steady import MomentSet, steady_moments
+from mirrorfb.steady import MomentSet, noise_strengths, steady_moments
 
 SC, CD = Scheme.STOCHASTIC_COOLING, Scheme.COLD_DAMPING
 
@@ -80,13 +85,77 @@ def test_error_scaling_with_ensemble_size():
 def test_band_noise_statistics():
     rng = np.random.Generator(np.random.Philox(key=1))
     band, coeff, dt = (0.5, 1.5), 0.04, 0.01
-    y = _band_noise(rng, 256, 40000, dt, band, coeff)
+    n_total = 40000  # already a fast FFT length, so the synthesis is not truncated
+    y = _band_noise(rng, 256, n_total, dt, band, coeff)
+    assert y.shape == (256, n_total)
     var_expect = coeff / math.pi * (band[1] ** 3 - band[0] ** 3) / 3.0
     assert y.var() == pytest.approx(var_expect, rel=0.05)
+    # only in-band bins carry power
+    omega = 2.0 * math.pi * np.fft.rfftfreq(n_total, d=dt)
+    inband = (omega >= band[0]) & (omega <= band[1])
+    power = np.abs(np.fft.rfft(y, axis=1)) ** 2
+    assert power[:, ~inband].sum() <= 1e-20 * power[:, inband].sum()
+    # circular autocovariance is (coeff/pi) int_band w^2 cos(w tau) dw
+    for tau in (0.5, 2.0, 2.5):
+        acov = float(np.mean(y * np.roll(y, -round(tau / dt), axis=1)))
+        expect = coeff / math.pi * quad(lambda w: w * w * math.cos(w * tau), *band)[0]
+        assert acov == pytest.approx(expect, rel=0.05)
     # independent of a fresh white stream
     white = rng.standard_normal(y.shape)
     corr = float(np.mean(y * white)) / math.sqrt(y.var() * white.var())
     assert abs(corr) < 4.0 / math.sqrt(y.size)
+
+
+def _reference_loop(s, dt, stride, xi, force, burn, seg_len, bins):
+    """Plain per-step recurrence on composed OU noise, with running sums."""
+    ns, h = noise_strengths(s), dt / stride
+    a_q, g_p = s.gamma_m * s.g, s.gamma_m  # stochastic cooling
+    dq, dp = math.exp(-a_q * h), math.exp(-g_p * h)
+    amp_q = math.sqrt(ns.d_q * (1.0 - dq * dq) / (2.0 * a_q))
+    amp_p = math.sqrt(ns.d_p * (1.0 - dp * dp) / (2.0 * g_p))
+    q = p = np.zeros(xi.shape[-1])
+    sums, post = np.zeros((5, xi.shape[-1])), []
+    for k in range(len(xi)):
+        eta_q = sum(amp_q * dq ** (stride - 1 - u) * xi[k, u, 0] for u in range(stride))
+        eta_p = sum(amp_p * dp ** (stride - 1 - u) * xi[k, u, 1] for u in range(stride))
+        p_new = dp**stride * p + eta_p + dt * (-q + force[k])
+        q_new = dq**stride * q + eta_q + dt * p_new
+        if k > burn:
+            sums[2] += q * (0.5 * (p + p_new))
+        q, p = q_new, p_new
+        if k >= burn:
+            sums[[0, 1, 3, 4]] += (q * q, p * p, q, p)
+            post.append(q)
+    segs = np.array(post[: len(post) // seg_len * seg_len]).reshape(-1, seg_len, len(q))
+    spec = np.fft.rfft(segs * np.hanning(seg_len)[:, None], axis=1)[:, bins]
+    return q, p, sums, (np.abs(spec) ** 2).sum(axis=0)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_chunked_stepper_matches_plain_loop(stride):
+    # pre-drawn inputs crossing chunk boundaries and, inside a chunk, the
+    # burn-in boundary; the periodogram spans chunks too
+    s = SchemeParams(scheme=SC, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
+    nb, dt = 6, 0.5 * dt_bound(s)
+    cap = _CHUNK // stride
+    n_total, burn, seg_len = 3 * cap + 50, 2 * cap + 30, 64
+    rng = np.random.default_rng(5)
+    xi = rng.standard_normal((n_total, stride, 2, nb))
+    force = 3.0 * rng.standard_normal((n_total, nb))
+    bins = np.arange(3, 12)
+    q, p, sums, power = _reference_loop(s, dt, stride, xi, force, burn, seg_len, bins)
+
+    n_seg = (n_total - burn) // seg_len
+    pgram = _Periodogram(bins, np.hanning(seg_len), n_seg, 1.0, nb)
+    matrix = _step_matrix(s, noise_strengths(s), dt / stride, stride, True, True)
+    chain = _Chain(matrix, nb, cap, burn, pgram)
+    for j in range(0, n_total, cap):
+        chain.advance(xi[j : j + cap].reshape(-1, 2 * stride, nb), force[j : j + cap])
+    for got, want in ((chain.rows[0, 0], q), (chain.rows[0, 1], p), (chain.sums, sums),
+                      (pgram.power, power)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    n_avg = n_total - burn
+    np.testing.assert_allclose(chain.means(n_avg)[2], sums[2] / (n_avg - 1), rtol=1e-12)
 
 
 def test_instability_guard_trips():

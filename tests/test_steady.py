@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -216,6 +217,28 @@ def test_cold_damping_optimum_matches_grid_search():
     z_grid = zg[int(np.argmin(energies))]
     assert opt.zeta_opt == pytest.approx(z_grid, rel=2 * (zg[1] / zg[0] - 1.0))
     assert opt.energy_units <= min(energies) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "scheme, band, g, quality",
+    [
+        (SC, "narrow", 10.0, 50.0),
+        (SC, "narrow", 1e3, 1e2),
+        (CD, "narrow", 10.0, 50.0),
+        (CD, "wide", 10.0, 50.0),
+        (CD, "wide", 2e3, 1e5),
+    ],
+)
+def test_power_optimum_matches_dense_grid(scheme, band, g, quality):
+    s = make(scheme, g=g, quality=quality, cutoff_feedback=band)
+    opt = optimal_input_power(s)
+    center = g / math.sqrt(s.eta)
+    zg = np.geomspace(center / 1e2, center * 1e2, 8001)
+    energies = np.array([steady_energy(replace(s, zeta=float(z))) for z in zg])
+    k = int(np.argmin(energies))
+    assert 0 < k < len(zg) - 1
+    assert opt.zeta_opt == pytest.approx(zg[k], rel=2 * (zg[1] / zg[0] - 1.0))
+    assert opt.energy_units <= energies[k] * (1 + 1e-12)
 
 
 def test_stochastic_cooling_optimum_against_analytic_stationarity():
