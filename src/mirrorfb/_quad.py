@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import warnings
 
-from scipy.integrate import IntegrationWarning, quad
-
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
@@ -39,6 +37,9 @@ def quad_spectrum(
     for x in extra_points:
         if 0.0 < x < upper:
             pts.add(x)
+
+    # local import: scipy.integrate adds ~0.5 s to start-up and only quadrature needs it
+    from scipy.integrate import IntegrationWarning, quad
 
     with warnings.catch_warnings():
         # tolerance is checked explicitly below; QUADPACK's own warning is noise

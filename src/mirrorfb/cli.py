@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 invalid configuration, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -188,6 +189,15 @@ def _emit(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
+def _emit_json(path: str | None, dump) -> None:
+    """Write ``dump()`` as one line; a NaN or inf in it is a numerical failure."""
+    try:
+        text = dump()
+    except ValueError as exc:  # json.dumps(allow_nan=False) met a non-finite value
+        raise FloatingPointError(f"non-finite output: {exc}") from exc
+    _emit(path, text + "\n")
+
+
 def _moments_json(m: steady.MomentSet) -> str:
     return json.dumps(
         {
@@ -196,7 +206,8 @@ def _moments_json(m: steady.MomentSet) -> str:
             "qp": m.qp,
             "energy_units": m.energy_units,
             "thermal_model": m.thermal_model.value,
-        }
+        },
+        allow_nan=False,
     )
 
 
@@ -222,7 +233,7 @@ def _run_steady(cfg: RunConfig) -> None:
     if cfg.sweep is None:
         m = steady.steady_moments(cfg.params)
         if cfg.fmt == "json":
-            _emit(cfg.output_path, _moments_json(m) + "\n")
+            _emit_json(cfg.output_path, lambda: _moments_json(m))
         else:
             rows = [
                 (0.0, m.q2, "q2", _provenance(cfg.params)),
@@ -306,7 +317,7 @@ def _run_cyclic(cfg: RunConfig) -> None:
 def _run_montecarlo(cfg: RunConfig) -> None:
     sim = cfg.sim or SimConfig()
     stats = oracle.simulate(cfg.params, sim)
-    _emit(cfg.output_path, stats.to_json() + "\n")
+    _emit_json(cfg.output_path, stats.to_json)
     if stats.spectrum is not None and cfg.output_path is not None:
         spec_path = Path(cfg.output_path).with_suffix(".spectrum.csv")
         rows = [
@@ -504,6 +515,7 @@ def _run_figure(cfg: RunConfig) -> None:
 # ---------------------------------------------------------------- entry point
 
 
+@functools.cache  # one parser per process; parse_args does not mutate it
 def build_parser() -> _Parser:
     parser = _Parser(prog="mirrorfb", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)

@@ -80,6 +80,9 @@ class SchemeParams:
     def __post_init__(self):
         if not isinstance(self.scheme, Scheme):
             raise ValueError(f"scheme must be a Scheme, got {self.scheme!r}")
+        for name in ("g", "quality", "zeta", "theta", "eta", "cutoff_reservoir"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.g < 0:
             raise ValueError(f"feedback gain must be >= 0, got {self.g}")
         if self.scheme is Scheme.NONE and self.g != 0:

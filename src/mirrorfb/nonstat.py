@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx
 
 from .core import SchemeParams
 from .response import chi_freq
@@ -107,6 +106,9 @@ def force_halfline_transform(force: ForcePulse, win: MeasurementWindow, omega):
     overflow; falls back to the reflected expansion where erfcx itself
     would blow up (force support far inside the window).
     """
+    # local import: scipy.special adds ~0.3 s to start-up and only this transform needs it
+    from scipy.special import erfcx
+
     omega = np.asarray(omega, dtype=complex)
     s_lap = 1.0 / (2.0 * win.t_m) + 1j * omega
     sig, t1 = force.sigma, force.t1

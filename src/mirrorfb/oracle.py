@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .core import Scheme, SchemeParams
 from .spectra import SpectrumSeries
@@ -81,6 +80,10 @@ class SimConfig:
             raise ValueError("n_traj must be >= 2 to estimate standard errors")
         if self.estimator not in ("moments", "spectrum"):
             raise ValueError(f"estimator must be 'moments' or 'spectrum', got {self.estimator!r}")
+        if self.n_steps is not None and self.n_steps < 2:
+            raise ValueError(f"n_steps must be >= 2, got {self.n_steps}")
+        if self.burn_in_steps is not None and self.burn_in_steps < 0:
+            raise ValueError(f"burn_in_steps must be >= 0, got {self.burn_in_steps}")
         if self.dt is not None and self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.window not in ("hann", "boxcar"):
@@ -127,7 +130,8 @@ class EnsembleStats:
                 "seed": self.seed,
                 "n_traj": self.n_traj,
                 "dt": self.dt,
-            }
+            },
+            allow_nan=False,
         )
 
 
@@ -153,6 +157,23 @@ def _resolve_config(s: SchemeParams, cfg: SimConfig) -> tuple[float, int, int]:
     return dt, burn, n_steps
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, as scipy.fft.next_fast_len(n, real=True).
+
+    Written out so the Monte Carlo path imports no SciPy.
+    """
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # smallest p35 * 2^k >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _band_noise(
     rng: np.random.Generator,
     nb: int,
@@ -168,7 +189,7 @@ def _band_noise(
     unit normals has: independent N(0, n/2) real and imaginary parts, and a
     real N(0, n) Nyquist bin.  Returned trajectory-major, shape (nb, n_total).
     """
-    n_fft = next_fast_len(n_total, real=True)  # truncating a stationary process is harmless
+    n_fft = _fast_len(n_total)  # truncating a stationary process is harmless
     omega = 2.0 * math.pi * np.fft.rfftfreq(n_fft, d=dt)
     lo = int(np.searchsorted(omega, band[0], side="left"))
     hi = int(np.searchsorted(omega, band[1], side="right"))

@@ -68,7 +68,7 @@ class MomentSet:
     thermal_model: ThermalModel = ThermalModel.CLASSICAL_DELTA
 
     def __post_init__(self):
-        if self.q2 <= 0 or self.p2 <= 0:
+        if not (self.q2 > 0 and self.p2 > 0):  # also catches NaN
             raise ValueError(f"variances must be positive, got q2={self.q2}, p2={self.p2}")
 
     @property

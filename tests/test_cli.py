@@ -120,6 +120,57 @@ def test_invalid_flag_value_exit_code(capsys):
     assert "invalid configuration" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--g", "nan"), ("--zeta", "inf")])
+def test_non_finite_flag_exit_code(capsys, flag, value):
+    code, out, err = run_cli(capsys, "steady", "--scheme", "cd", flag, value, "--format", "json")
+    assert code == 1
+    assert out == ""
+    assert "must be finite" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--n-steps", "1"), ("--n-steps", "0")])
+def test_montecarlo_too_few_steps_exit_code(capsys, flag, value):
+    code, out, err = run_cli(
+        capsys,
+        "montecarlo", "--scheme", "cd", "--g", "10", "--Q", "50", "--zeta", "10",
+        "--theta", "1e3", flag, value, "--n-traj", "4", "--format", "json",
+    )
+    assert code == 1
+    assert out == ""
+    assert "n_steps must be >= 2" in err
+
+
+def test_non_finite_json_output_is_numerical_failure(capsys, monkeypatch):
+    import mirrorfb.cli as cli_mod
+    from mirrorfb.steady import MomentSet
+
+    monkeypatch.setattr(
+        cli_mod.steady, "steady_moments", lambda *a, **k: MomentSet(1.0, 1.0, math.nan)
+    )
+    code, out, err = run_cli(capsys, "steady", "--scheme", "cd", "--g", "1", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "non-finite output" in err
+
+
+def test_repeated_main_calls_share_no_state(capsys):
+    # build_parser is cached: a failed parse must not leak into later calls
+    code, out, err = run_cli(capsys, "steady", "--scheme", "cd", "--format", "xml")
+    assert (code, out) == (1, "")
+    assert "invalid configuration" in err
+    steady_args = ("steady", "--scheme", "cd", "--g", "0", "--Q", "50", "--zeta", "10",
+                   "--theta", "1e3", "--eta", "0.8")
+    code, out, _ = run_cli(capsys, *steady_args, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["q2"] == pytest.approx(501.25)
+    code, out, _ = run_cli(capsys, *steady_args)
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0] == "omega,value,kind,provenance"
+    assert [line.split(",")[2] for line in lines[1:]] == ["q2", "p2", "qp", "energy"]
+    assert float(lines[1].split(",")[1]) == pytest.approx(501.25)
+
+
 def test_spectrum_subcommand(tmp_path, capsys):
     out = tmp_path / "spec.csv"
     code, _, _ = run_cli(

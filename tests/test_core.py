@@ -100,6 +100,13 @@ def test_invalid_scheme_params():
         SchemeParams(eta=1.2)
 
 
+@pytest.mark.parametrize("field", ["g", "quality", "zeta", "theta", "eta", "cutoff_reservoir"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_scheme_params_rejected(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        SchemeParams(scheme=Scheme.COLD_DAMPING, **{field: value})
+
+
 def test_feedback_band_forms():
     s = SchemeParams(scheme=Scheme.COLD_DAMPING, g=10.0, quality=100.0)
     lo, hi = s.feedback_band()

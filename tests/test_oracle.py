@@ -18,6 +18,7 @@ from mirrorfb.oracle import (
     _Chain,
     _Periodogram,
     _band_noise,
+    _fast_len,
     _step_matrix,
     compare,
     dt_bound,
@@ -59,6 +60,31 @@ def test_dt_bound_enforced():
     assert dt_bound(s) == pytest.approx(min(1.0, 1.0 / s.damping) / 50.0)
     with pytest.raises(ValueError, match="stability bound"):
         simulate(s, SimConfig(dt=1.0, n_traj=4, n_steps=10))
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"n_steps": 1}, {"n_steps": 0}, {"n_steps": -5}, {"burn_in_steps": -1}]
+)
+def test_sim_config_rejects_short_runs(kwargs):
+    with pytest.raises(ValueError):
+        SimConfig(n_traj=4, **kwargs)
+
+
+def test_sim_config_accepts_minimal_run():
+    s = SchemeParams(scheme=CD, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
+    stats = simulate(s, SimConfig(n_traj=4, n_steps=2, burn_in_steps=0))
+    payload = json.loads(stats.to_json())
+    assert all(math.isfinite(payload[k]) for k in ("q2", "p2", "qp", "q2_err", "p2_err", "qp_err"))
+
+
+def test_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+
+    # the band-noise FFT length, hence every drawn coefficient, rests on this
+    for n in range(1, 100_001):
+        assert _fast_len(n) == next_fast_len(n, real=True), n
+    for n in (65_456, 2**20 + 1, 3**13 + 7, 2**40 + 1):
+        assert _fast_len(n) == next_fast_len(n, real=True), n
 
 
 def test_determinism_and_json_wire_format():

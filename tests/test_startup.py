@@ -1,0 +1,40 @@
+"""Start-up contract: the package, the CLI and a Monte Carlo run load no SciPy.
+
+SciPy is imported inside the few functions that need it (QUADPACK
+integrals and the nonstationary erfcx transform), so the common paths
+start without its ~0.6 s import.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+PROBE = """
+import sys, warnings
+warnings.simplefilter("ignore")
+import mirrorfb
+import mirrorfb.cli
+from mirrorfb import Scheme, SchemeParams, SimConfig, simulate
+
+s = SchemeParams(scheme=Scheme.COLD_DAMPING, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
+simulate(s, SimConfig(n_traj=2, n_steps=64, burn_in_steps=16))  # band-noise path
+code = mirrorfb.cli.main(
+    ["steady", "--scheme", "cd", "--g", "10", "--Q", "50", "--zeta", "10", "--format", "json"]
+)
+assert code == 0, code
+print("loaded:" + ",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_common_paths_load_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.rsplit("loaded:", 1)[-1].strip()
+    assert loaded == "", f"scipy modules loaded: {loaded[:300]}"

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from mirrorfb.core import Scheme, SchemeParams
 from mirrorfb.response import chi_freq
 from mirrorfb.steady import (
+    MomentSet,
     ThermalModel,
     brownian_exact,
     min_position_variance,
@@ -31,6 +32,14 @@ def make(scheme, **kw):
 
 
 # ------------------------------------------------------------ noise strengths
+
+
+@pytest.mark.parametrize(
+    "q2, p2", [(0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan)]
+)
+def test_moment_set_rejects_non_positive_or_nan_variances(q2, p2):
+    with pytest.raises(ValueError, match="positive"):
+        MomentSet(q2, p2, 0.0)
 
 
 def test_pure_backaction():
