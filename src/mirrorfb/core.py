@@ -128,7 +128,7 @@ class SchemeParams:
             return (lo, hi)
         if isinstance(cf, (int, float)):
             half = float(cf)
-            if half <= 0:
+            if not half > 0:
                 raise ValueError(f"feedback half-width must be > 0, got {cf}")
             return (max(0.0, 1.0 - half), 1.0 + half)
         raise ValueError(f"unrecognized cutoff_feedback: {cf!r}")

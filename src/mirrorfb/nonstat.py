@@ -43,8 +43,11 @@ class ForcePulse:
     omega_f: float = 1.0
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"force duration sigma must be > 0, got {self.sigma}")
+        for name in ("f0", "t1", "omega_f"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"force {name} must be finite, got {getattr(self, name)}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"force duration sigma must be finite and > 0, got {self.sigma}")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -73,7 +76,7 @@ class MeasurementWindow:
     t_m: float
 
     def __post_init__(self):
-        if self.t_m <= 0:
+        if not self.t_m > 0:
             raise ValueError(f"measurement time must be > 0, got {self.t_m}")
 
     def filter(self, t):
@@ -208,8 +211,8 @@ def cyclic_avg_snr(
     cooling stage is dropped.  The stored t1 of ``force`` is ignored.
     A no-feedback comparator is the same call with g = 0 and t_cool = 0.
     """
-    if t_cool < 0:
-        raise ValueError("cooling time must be >= 0")
+    if not t_cool >= 0:
+        raise ValueError(f"cooling time must be >= 0, got {t_cool}")
     if t_cool > 0.1 * win.t_m:
         warnings.warn(
             f"cyclic averaging assumes t_cool << t_m (got t_cool = {t_cool:.3g}, "

@@ -57,11 +57,10 @@ class SimConfig:
 
     ``dt`` must satisfy dt <= min(1/50, 1/(50 gamma_m (1+g))); leaving it
     None picks half that bound.  ``n_steps`` counts post-burn-in averaging
-    steps.  ``fb_band`` overrides the scheme's feedback band for the
-    synthesized cold-damping force noise.  The spectrum estimator averages
-    tapered periodograms of duration ``seg_time`` (Hann by default; a boxcar
-    leaks the resonance peak into the wings) and keeps bins inside
-    ``spectrum_band``.
+    steps.  The synthesized cold-damping force noise fills the scheme's
+    ``feedback_band()``.  The spectrum estimator averages Hann-tapered
+    periodograms of duration ``seg_time`` (a boxcar would leak the resonance
+    peak into the wings) and keeps bins inside ``spectrum_band``.
     """
 
     dt: float | None = None
@@ -69,11 +68,9 @@ class SimConfig:
     n_traj: int = 1000
     seed: int = 12345
     burn_in_steps: int | None = None
-    fb_band: tuple[float, float] | None = None
     estimator: str = "moments"
     seg_time: float | None = None
     spectrum_band: tuple[float, float] = (0.5, 1.5)
-    window: str = "hann"
 
     def __post_init__(self):
         if self.n_traj < 2:
@@ -86,8 +83,6 @@ class SimConfig:
             raise ValueError(f"burn_in_steps must be >= 0, got {self.burn_in_steps}")
         if self.dt is not None and self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.window not in ("hann", "boxcar"):
-            raise ValueError(f"window must be 'hann' or 'boxcar', got {self.window!r}")
 
 
 @dataclass(frozen=True)
@@ -360,7 +355,7 @@ def _segment_layout(cfg: SimConfig, dt: float, n_steps: int):
         raise ValueError("n_steps too short for one spectrum segment")
     freqs = 2.0 * math.pi * np.fft.rfftfreq(seg_len, d=dt)
     bins = np.flatnonzero((freqs >= cfg.spectrum_band[0]) & (freqs <= cfg.spectrum_band[1]))
-    taper = np.hanning(seg_len) if cfg.window == "hann" else np.ones(seg_len)
+    taper = np.hanning(seg_len)
     return freqs[bins], bins, taper, n_seg, dt / float(np.sum(taper**2))
 
 
@@ -394,7 +389,7 @@ def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleS
     live_q = ns.d_q > 0
     channels = 1 + live_q
     needs_fb = ns.d_fb_cd > 0
-    band = cfg.fb_band if cfg.fb_band is not None else s.feedback_band()
+    band = s.feedback_band()
     drive = None
     if force is not None:
         drive = np.asarray(force(np.arange(n_fine) * h), dtype=float)

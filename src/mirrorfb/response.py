@@ -81,23 +81,6 @@ def chi_time(s: SchemeParams, t):
     return out if out.ndim else float(out)
 
 
-def chi_dot(s: SchemeParams, t):
-    """First derivative of chi(t), in closed form."""
-    es, ec = _sin_cos_factors(s, t)
-    out = ec - 0.5 * damping_rate(s) * es
-    return out if out.ndim else float(out)
-
-
-def chi_ddot(s: SchemeParams, t):
-    """Second derivative of chi(t), in closed form."""
-    es, ec = _sin_cos_factors(s, t)
-    h = 0.5 * damping_rate(s)
-    R = renormalized_freq_sq(s) - h * h
-    # d/dt(ec) = -R es - h ec  for the damped cosine factor
-    out = -R * es - h * ec - h * (ec - h * es)
-    return out if out.ndim else float(out)
-
-
 @dataclass(frozen=True)
 class KernelSet:
     """chi(t) and the scheme's response kernels on a common time grid.

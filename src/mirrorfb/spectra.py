@@ -7,10 +7,10 @@ entry points take omega >= 0 grids.
 
 from __future__ import annotations
 
-import io
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +28,23 @@ KIND_SNR = "SNR"
 _NOISE_KINDS = (KIND_POSITION_NOISE, KIND_DETECTED_NOISE)
 
 #: CSV cells use 12 significant digits
-_FLOAT_FMT = "{:.12g}"
+FLOAT_FMT = "{:.12g}"
+CSV_HEADER = "omega,value,kind,provenance"
+
+
+def rows_to_csv(rows) -> str:
+    """CSV text of (omega, value, kind, provenance) rows, header first.
+
+    Every CSV file the CLI writes goes through here.  A NaN or inf in the
+    omega or value column raises FloatingPointError (a numerical failure)
+    instead of reaching the file.
+    """
+    out = [CSV_HEADER]
+    for x, v, kind, prov in rows:
+        if not (math.isfinite(x) and math.isfinite(v)):
+            raise FloatingPointError(f"non-finite output: {kind} = {v} at omega = {x}")
+        out.append(f"{FLOAT_FMT.format(x)},{FLOAT_FMT.format(v)},{kind},{prov}")
+    return "\n".join(out) + "\n"
 
 
 @dataclass(frozen=True)
@@ -53,17 +69,9 @@ class SpectrumSeries:
             raise ValueError(f"{self.kind} values must be non-negative")
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("omega,value,kind,provenance\n")
-        for w, v in zip(self.omegas, self.values):
-            buf.write(
-                f"{_FLOAT_FMT.format(w)},{_FLOAT_FMT.format(v)},{self.kind},{self.provenance}\n"
-            )
-        return buf.getvalue()
-
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
+        # Python floats format and test faster than numpy scalars, to the same text
+        rows = zip(self.omegas.tolist(), self.values.tolist(), repeat(self.kind), repeat(self.provenance))
+        return rows_to_csv(rows)
 
 
 def default_grid(n: int = 400, lo: float = 1e-3, hi: float = 3.0) -> np.ndarray:

@@ -1,7 +1,9 @@
 """CLI tests: parsing, outputs, determinism, exit codes, figure tables."""
 
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ import pytest
 from mirrorfb.cli import main
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
+
+PINNED_OUTPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "pinned_outputs.json"
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +132,25 @@ def test_non_finite_flag_exit_code(capsys, flag, value):
     assert "must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("snr-stationary", "--Tm", "nan"),
+        ("snr-nonstationary", "--Tm", "nan"),
+        ("cyclic", "--Tm", "1e-3", "--sigma", "nan"),
+        ("cyclic", "--Tm", "1e-3", "--Tcool", "nan"),
+        ("snr-stationary", "--f0", "nan"),
+        ("snr-nonstationary", "--Tm", "1e-3", "--t1", "inf"),
+    ],
+    ids="_".join,
+)
+def test_non_finite_subcommand_flag_exit_code(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--scheme", "cd", "--g", "10", "--opoints", "10")
+    assert code == 1
+    assert out == ""
+    assert "must be finite" in err
+
+
 @pytest.mark.parametrize("flag, value", [("--n-steps", "1"), ("--n-steps", "0")])
 def test_montecarlo_too_few_steps_exit_code(capsys, flag, value):
     code, out, err = run_cli(
@@ -150,6 +173,19 @@ def test_non_finite_json_output_is_numerical_failure(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "steady", "--scheme", "cd", "--g", "1", "--format", "json")
     assert code == 2
     assert out == ""
+    assert "non-finite output" in err
+
+
+def test_non_finite_csv_output_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    import mirrorfb.cli as cli_mod
+
+    monkeypatch.setattr(
+        cli_mod.spectra, "position_noise_spectrum", lambda s, omega, **k: np.full_like(omega, math.nan)
+    )
+    out = tmp_path / "spec.csv"
+    code, _, err = run_cli(capsys, "spectrum", "--scheme", "cd", "--g", "1", "--out", str(out))
+    assert code == 2
+    assert not out.exists()
     assert "non-finite output" in err
 
 
@@ -235,6 +271,16 @@ def test_figure_deterministic_bytes(tmp_path, capsys):
     assert files == sorted(p.name for p in d2.iterdir())
     for name in files:
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def test_figure_outputs_match_pins(tmp_path, capsys):
+    # the benchmark pins every figure file by SHA-256; refactors keep the bytes
+    pins = json.loads(PINNED_OUTPUTS.read_text())
+    for n in range(2, 11):
+        outdir = tmp_path / f"fig{n}"
+        assert run_cli(capsys, "figure", str(n), "--out", str(outdir))[0] == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in outdir.iterdir()}
+        assert digests == pins[f"figure {n}"]
 
 
 def test_figure_4_squeezing_dip(tmp_path, capsys):

@@ -119,6 +119,12 @@ def test_feedback_band_forms():
         SchemeParams(cutoff_feedback=(2.0, 1.0))
 
 
+@pytest.mark.parametrize("band", [math.nan, (math.nan, 1.0), (0.5, math.nan)])
+def test_nan_feedback_band_rejected(band):
+    with pytest.raises(ValueError, match="feedback"):
+        SchemeParams(cutoff_feedback=band)
+
+
 # --------------------------------------------------------------- bistability
 
 

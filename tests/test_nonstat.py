@@ -306,9 +306,26 @@ def test_cyclic_warns_on_long_cooling_stage():
 
 
 def test_impulsive_regime_warnings():
-    s = make(Scheme.NONE, quality=100.0)
-    win = MeasurementWindow(50.0)
-    with pytest.warns(UserWarning, match="relaxation"):
-        signal_spectrum(s, ForcePulse(f0=1.0, sigma=20.0, t1=0.0), win, 1.0)
-    with pytest.warns(UserWarning, match="measurement time"):
-        signal_spectrum(s, ForcePulse(f0=1.0, sigma=0.5 * win.t_m, t1=0.0), win, 1.0)
+    s = make(Scheme.NONE, quality=100.0)  # gamma_m = 0.01
+    # (sigma, t_m): long against the relaxation time only, against the
+    # measurement time only, and against both
+    cases = {
+        (20.0, 100.0): {"relaxation"},
+        (5.0, 10.0): {"measurement time"},
+        (20.0, 50.0): {"relaxation", "measurement time"},
+    }
+    for (sigma, t_m), expected in cases.items():
+        with pytest.warns(UserWarning) as record:
+            signal_spectrum(s, ForcePulse(f0=1.0, sigma=sigma, t1=0.0), MeasurementWindow(t_m), 1.0)
+        messages = [str(w.message) for w in record]
+        assert {key for key in ("relaxation", "measurement time") for m in messages if key in m} == expected
+
+
+def test_non_finite_window_force_and_cooling_time_rejected():
+    with pytest.raises(ValueError, match="measurement time"):
+        MeasurementWindow(math.nan)
+    for bad in ({"f0": math.nan}, {"t1": math.inf}, {"omega_f": -math.inf}, {"sigma": math.nan}, {"sigma": math.inf}):
+        with pytest.raises(ValueError, match="force"):
+            ForcePulse(**{"f0": 1.0, "sigma": 1.0, "t1": 0.0, **bad})
+    with pytest.raises(ValueError, match="cooling time"):
+        cyclic_avg_snr(make(Scheme.NONE), ForcePulse(1.0, 1.0, 0.0), MeasurementWindow(10.0), math.nan, 1.0)

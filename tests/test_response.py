@@ -10,8 +10,6 @@ from scipy.integrate import quad, simpson, solve_ivp
 
 from mirrorfb.core import Scheme, SchemeParams
 from mirrorfb.response import (
-    chi_ddot,
-    chi_dot,
     chi_freq,
     chi_time,
     damping_rate,
@@ -45,7 +43,6 @@ def test_chi_initial_conditions():
     for scheme, g in ((SC, 3.0), (CD, 3.0), (Scheme.NONE, 0.0)):
         s = params(scheme, g, 25.0)
         assert chi_time(s, 0.0) == 0.0
-        assert chi_dot(s, 0.0) == pytest.approx(1.0)
 
 
 def test_zero_gain_schemes_coincide():
@@ -142,17 +139,6 @@ def test_fourier_pair_example():
     s = params(CD, 3.0, 20.0)
     w = 1.1
     assert chi_freq(s, w) == pytest.approx(fourier_oracle(s, w), rel=1e-6)
-
-
-def test_ode_residual_closed_form():
-    # verifies the printed kernel frequency against the equation of motion:
-    # the radicand (1 -+ g)^2 form and the renormalized w0^2 must agree
-    for scheme, g, quality in ((SC, 12.0, 40.0), (CD, 12.0, 40.0), (SC, 900.0, 20.0)):
-        s = params(scheme, g, quality)
-        t = np.linspace(0.05, 30.0, 200)
-        resid = chi_ddot(s, t) + damping_rate(s) * chi_dot(s, t) + renormalized_freq_sq(s) * chi_time(s, t)
-        scale = np.max(np.abs(chi_time(s, t)))
-        assert np.max(np.abs(resid)) < 1e-8 * scale
 
 
 def test_ode_residual_finite_difference():

@@ -15,6 +15,7 @@ from mirrorfb.spectra import (
     integrated_position_variance,
     optimal_power_at_frequency,
     position_noise_spectrum,
+    rows_to_csv,
     shot_noise_floor,
     stationary_snr,
 )
@@ -225,3 +226,9 @@ def test_csv_format():
     rows = list(csv.DictReader(io.StringIO(text)))
     assert float(rows[1]["value"]) == 2.0
     assert rows[0]["kind"] == "SNR"
+
+
+@pytest.mark.parametrize("x, v", [(1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf)])
+def test_csv_rejects_non_finite_cells(x, v):
+    with pytest.raises(FloatingPointError, match="non-finite output"):
+        rows_to_csv([(0.5, 1.0, "SNR", "p"), (x, v, "SNR", "p")])
