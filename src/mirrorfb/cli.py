@@ -131,19 +131,10 @@ def _physical_params(kv: dict[str, str]) -> SchemeParams:
 def _build_params(args) -> SchemeParams:
     kv = _parse_config_file(args.config) if args.config else {}
     s = _params_from_mapping(kv) if kv else SchemeParams()
-    overrides: dict = {}
+    names = ("g", "quality", "zeta", "theta", "eta")
+    overrides = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     if args.scheme is not None:
         overrides["scheme"] = _SCHEMES[args.scheme]
-    for name, attr in (
-        ("g", "g"),
-        ("quality", "Q"),
-        ("zeta", "zeta"),
-        ("theta", "theta"),
-        ("eta", "eta"),
-    ):
-        val = getattr(args, attr)
-        if val is not None:
-            overrides[name] = val
     if args.fb_band is not None:
         overrides["cutoff_feedback"] = _parse_cutoff_feedback(args.fb_band)
     return replace(s, **overrides) if overrides else s
@@ -156,6 +147,8 @@ def _parse_sweep(text: str) -> tuple[str, np.ndarray]:
     var, lo, hi, n = parts[0], float(parts[1]), float(parts[2]), int(parts[3])
     if var not in _SCHEME_KEYS or var in ("scheme", "cutoff_feedback"):
         raise ConfigError(f"sweep variable must name a numeric parameter, got {var!r}")
+    if n < 1:
+        raise ConfigError(f"sweep point count must be >= 1, got {n}")
     if len(parts) == 5:
         if parts[4] != "log":
             raise ConfigError(f"unknown sweep mode {parts[4]!r}")
@@ -227,7 +220,8 @@ def _moment_rows(x, m: steady.MomentSet, prov: str) -> list:
     return [(x, m.q2, "q2", prov), (x, m.p2, "p2", prov), (x, m.qp, "qp", prov), (x, m.energy_units, "energy", prov)]
 
 
-def _run_steady(args, s: SchemeParams) -> None:
+def _run_steady(args) -> None:
+    s = _build_params(args)
     if not args.sweep:
         m = steady.steady_moments(s)
         if args.fmt == "json":
@@ -235,6 +229,8 @@ def _run_steady(args, s: SchemeParams) -> None:
         else:
             _emit(args.out, spectra.rows_to_csv(_moment_rows(0.0, m, _provenance(s))))
         return
+    if args.fmt == "json":
+        raise ConfigError("--sweep writes CSV only; drop --format json")
     var, grid = _parse_sweep(args.sweep)
     prov = _provenance(s, f"sweep={var}")
     rows = []
@@ -243,7 +239,8 @@ def _run_steady(args, s: SchemeParams) -> None:
     _emit(args.out, spectra.rows_to_csv(rows))
 
 
-def _run_spectrum(args, s: SchemeParams) -> None:
+def _run_spectrum(args) -> None:
+    s = _build_params(args)
     grid = _grid(args)
     if args.detected:
         vals = spectra.detected_noise_spectrum(s, grid, thermal=args.thermal)
@@ -254,7 +251,8 @@ def _run_spectrum(args, s: SchemeParams) -> None:
     _emit(args.out, SpectrumSeries(grid, vals, kind, _provenance(s, f"thermal={args.thermal}")).to_csv())
 
 
-def _run_snr_stationary(args, s: SchemeParams) -> None:
+def _run_snr_stationary(args) -> None:
+    s = _build_params(args)
     grid = _grid(args)
     vals = spectra.stationary_snr(s, args.f0, grid, _window_time(args, s), thermal=args.thermal)
     prov = _provenance(s, f"gmTm={args.Tm:g};stationary")
@@ -270,7 +268,8 @@ def _pulse_inputs(args, s: SchemeParams):
     return win, force, steady.steady_moments(init, ThermalModel.CLASSICAL_DELTA)
 
 
-def _run_snr_nonstationary(args, s: SchemeParams) -> None:
+def _run_snr_nonstationary(args) -> None:
+    s = _build_params(args)
     grid = _grid(args)
     win, force, moments = _pulse_inputs(args, s)
     vals = nonstat.nonstationary_snr(s, force, win, grid, moments=moments)
@@ -278,9 +277,10 @@ def _run_snr_nonstationary(args, s: SchemeParams) -> None:
     _emit(args.out, SpectrumSeries(grid, vals, spectra.KIND_SNR, prov).to_csv())
 
 
-def _run_cyclic(args, s: SchemeParams) -> None:
+def _run_cyclic(args) -> None:
     if args.Tcool < 0:
         raise ConfigError("--Tcool must be >= 0")
+    s = _build_params(args)
     grid = _grid(args)
     win, force, moments = _pulse_inputs(args, s)
     vals = nonstat.cyclic_avg_snr(s, force, win, args.Tcool / s.gamma_m, grid, moments=moments)
@@ -288,7 +288,8 @@ def _run_cyclic(args, s: SchemeParams) -> None:
     _emit(args.out, SpectrumSeries(grid, vals, spectra.KIND_SNR, prov).to_csv())
 
 
-def _run_montecarlo(args, s: SchemeParams) -> None:
+def _run_montecarlo(args) -> None:
+    s = _build_params(args)
     sim = SimConfig(dt=args.dt, n_steps=args.n_steps, n_traj=args.n_traj, seed=args.seed, estimator=args.estimator)
     stats = oracle.simulate(s, sim)
     _emit_json(args.out, stats.to_json)
@@ -426,7 +427,7 @@ _FIGURES = {
 }
 
 
-def _run_figure(args, s: SchemeParams) -> None:
+def _run_figure(args) -> None:
     if args.id not in _FIGURES:
         raise ConfigError(f"figure id must be in 2..10, got {args.id}")
     texts = {f"fig{args.id}_{name}.csv": series.to_csv() for name, series in _FIGURES[args.id]()}
@@ -444,28 +445,28 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="mirrorfb", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def command(name, handler, summary, with_grid=True):
+    def command(name, handler, summary, params=True, grid=True):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
-        p.add_argument("--config", help="flat key/value parameter file")
         p.add_argument("--out", dest="out", help="output path (stdout if omitted)")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=12345, help="RNG seed (montecarlo)")
-        p.add_argument("--scheme", choices=tuple(_SCHEMES), default=None)
-        p.add_argument("--g", type=_finite_float, default=None, help="feedback gain g1/g2")
-        p.add_argument("--Q", type=_finite_float, default=None, help="mechanical quality factor")
-        p.add_argument("--zeta", type=_finite_float, default=None, help="rescaled input power")
-        p.add_argument("--theta", type=_finite_float, default=None, help="k_B T / hbar omega_m")
-        p.add_argument("--eta", type=_finite_float, default=None, help="detection efficiency")
-        p.add_argument("--fb-band", default=None, help="narrow | wide | halfwidth | lo:hi")
-        if with_grid:
+        if params:
+            p.add_argument("--config", help="flat key/value parameter file")
+            p.add_argument("--scheme", choices=tuple(_SCHEMES), default=None)
+            p.add_argument("--g", type=_finite_float, default=None, help="feedback gain g1/g2")
+            p.add_argument("--Q", dest="quality", metavar="Q", type=_finite_float, help="mechanical quality factor")
+            p.add_argument("--zeta", type=_finite_float, default=None, help="rescaled input power")
+            p.add_argument("--theta", type=_finite_float, default=None, help="k_B T / hbar omega_m")
+            p.add_argument("--eta", type=_finite_float, default=None, help="detection efficiency")
+            p.add_argument("--fb-band", default=None, help="narrow | wide | halfwidth | lo:hi")
+        if grid:
             p.add_argument("--omin", type=_finite_float, default=1e-3)
             p.add_argument("--omax", type=_finite_float, default=3.0)
             p.add_argument("--opoints", type=int, default=400)
         return p
 
-    p = command("steady", _run_steady, "stationary moments (optionally swept)", with_grid=False)
-    p.add_argument("--sweep", default=None, help="var:lo:hi:n[:log]")
+    p = command("steady", _run_steady, "stationary moments (optionally swept)", grid=False)
+    p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+    p.add_argument("--sweep", default=None, help="var:lo:hi:n[:log] (CSV only)")
 
     p = command("spectrum", _run_spectrum, "stationary position/detected noise spectrum")
     p.add_argument("--detected", action="store_true", help="add the shot-noise floor")
@@ -492,13 +493,14 @@ def build_parser() -> _Parser:
     p.add_argument("--Tcool", type=_finite_float, default=0.0, help="gamma_m * T_cool")
     force_opts(p)
 
-    p = command("montecarlo", _run_montecarlo, "Langevin ensemble cross-check", with_grid=False)
+    p = command("montecarlo", _run_montecarlo, "Langevin ensemble cross-check", grid=False)
+    p.add_argument("--seed", type=int, default=12345, help="RNG seed")
     p.add_argument("--n-traj", type=int, default=1000)
     p.add_argument("--dt", type=_finite_float, default=None)
     p.add_argument("--n-steps", type=int, default=None)
     p.add_argument("--estimator", choices=("moments", "spectrum"), default="moments")
 
-    p = command("figure", _run_figure, "emit the analytic curves of one figure", with_grid=False)
+    p = command("figure", _run_figure, "emit the analytic curves of one figure", params=False, grid=False)
     p.add_argument("id", type=int, help="figure id, 2..10")
 
     return parser
@@ -507,7 +509,7 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        args.handler(args, _build_params(args))
+        args.handler(args)
         return 0
     except (QuadratureError, InstabilityError, FloatingPointError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)

@@ -116,7 +116,7 @@ class SchemeParams:
     def feedback_band(self) -> tuple[float, float]:
         """Feedback gate interval (lo, hi) for |omega|, in units of omega_m."""
         cf = self.cutoff_feedback
-        if cf == "narrow" or cf is None:
+        if cf == "narrow":
             half = NARROW_BAND_WIDTHS * self.damping
             return (max(0.0, 1.0 - half), 1.0 + half)
         if cf == "wide":
@@ -210,10 +210,6 @@ class BistabilityResult:
     @property
     def bistable(self) -> bool:
         return len(self.roots) == 3
-
-    def amplitudes(self) -> tuple[float, ...]:
-        """Real field amplitudes beta = sqrt(|beta|^2), one per root."""
-        return tuple(math.sqrt(x) for x in self.roots)
 
 
 def classical_steady_amplitude(p: PhysicalParams, detuning: float = 0.0) -> BistabilityResult:

@@ -28,6 +28,7 @@ from .steady import MomentSet, ThermalModel, steady_moments
 
 #: default number of arrival-time nodes for the cyclic average
 CYCLIC_ARRIVAL_NODES = 64
+_ARRIVAL_RTOL = 1e-2  # estimated relative error of that average above which it warns
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,8 @@ class MeasurementWindow:
     t_m: float
 
     def __post_init__(self):
-        if not self.t_m > 0:
-            raise ValueError(f"measurement time must be > 0, got {self.t_m}")
+        if not 0 < self.t_m < math.inf:
+            raise ValueError(f"measurement time must be finite and > 0, got {self.t_m}")
 
     def filter(self, t):
         t = np.asarray(t, dtype=float)
@@ -210,9 +211,12 @@ def cyclic_avg_snr(
     factor T_m / (T_m + t_cool), and the (negligible) SNR accrued during the
     cooling stage is dropped.  The stored t1 of ``force`` is ignored.
     A no-feedback comparator is the same call with g = 0 and t_cool = 0.
+    Warns when the average's estimated relative error exceeds 1%.
     """
     if not t_cool >= 0:
         raise ValueError(f"cooling time must be >= 0, got {t_cool}")
+    if n_arrival < 1:
+        raise ValueError(f"n_arrival must be >= 1, got {n_arrival}")
     if t_cool > 0.1 * win.t_m:
         warnings.warn(
             f"cyclic averaging assumes t_cool << t_m (got t_cool = {t_cool:.3g}, "
@@ -237,13 +241,19 @@ def cyclic_avg_snr(
         sig[i] = chi0_abs * np.abs(force_halfline_transform(pulse, win, omega))
     snr_nodes = sig / np.sqrt(noise_sq)
 
-    spread = snr_nodes.max(axis=0) / np.maximum(snr_nodes.min(axis=0), 1e-300)
-    if np.any(spread > 10.0):
+    # the midpoint rule's error is its end correction (h^2/24) [R'(T_m) - R'(0)];
+    # each end slope h R' comes from the quadratic through the three nearest
+    # nodes, and with fewer nodes the error is unknown
+    r, mean = snr_nodes, snr_nodes.mean(axis=0)
+    if n_arrival < 3 or np.any(
+        np.abs(2.0 * (r[0] + r[-1]) - 3.0 * (r[1] + r[-2]) + r[2] + r[-3])
+        > 24.0 * n_arrival * _ARRIVAL_RTOL * mean
+    ):
         warnings.warn(
-            "SNR varies by more than 10x across the arrival-time grid; the "
-            f"{n_arrival}-point average may be under-resolved",
+            f"the {n_arrival}-point arrival-time average may be off by more than "
+            f"{_ARRIVAL_RTOL:.0%}; raise n_arrival",
             UserWarning,
             stacklevel=2,
         )
-    out = snr_nodes.mean(axis=0) * win.t_m / (win.t_m + t_cool)
+    out = mean * win.t_m / (win.t_m + t_cool)
     return float(out[0]) if scalar else out

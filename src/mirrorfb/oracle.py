@@ -44,7 +44,6 @@ from .steady import MomentSet, NoiseStrengths, ThermalModel, noise_strengths, st
 _BATCH = 2048  # trajectories per Philox stream
 _CHUNK = 256  # fine steps of noise drawn, and of (q, p) rows stored, at a time
 _FFT_BLOCK = 1 << 20  # rfft bins per row block of the band-noise synthesis
-_RNG_ALGORITHM = "philox4x64(one jumped stream per trajectory batch)"
 
 
 class InstabilityError(RuntimeError):
@@ -81,8 +80,13 @@ class SimConfig:
             raise ValueError(f"n_steps must be >= 2, got {self.n_steps}")
         if self.burn_in_steps is not None and self.burn_in_steps < 0:
             raise ValueError(f"burn_in_steps must be >= 0, got {self.burn_in_steps}")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
+        for name in ("dt", "seg_time"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        lo, hi = self.spectrum_band
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError(f"spectrum_band must be finite with lo < hi, got {self.spectrum_band}")
 
 
 @dataclass(frozen=True)
@@ -94,7 +98,7 @@ class SpectrumEstimate:
 
 @dataclass(frozen=True)
 class EnsembleStats:
-    """Ensemble moment estimates with standard errors and RNG provenance."""
+    """Ensemble moment estimates with standard errors and their seed, size and step."""
 
     q2: float
     q2_err: float
@@ -109,7 +113,6 @@ class EnsembleStats:
     seed: int
     n_traj: int
     dt: float
-    algorithm: str = _RNG_ALGORITHM
     spectrum: SpectrumEstimate | None = field(default=None, compare=False)
 
     def to_json(self) -> str:
@@ -355,6 +358,8 @@ def _segment_layout(cfg: SimConfig, dt: float, n_steps: int):
         raise ValueError("n_steps too short for one spectrum segment")
     freqs = 2.0 * math.pi * np.fft.rfftfreq(seg_len, d=dt)
     bins = np.flatnonzero((freqs >= cfg.spectrum_band[0]) & (freqs <= cfg.spectrum_band[1]))
+    if len(bins) == 0:
+        raise ValueError(f"spectrum_band {cfg.spectrum_band} keeps no bin (spacing {freqs[1]:.3g})")
     taper = np.hanning(seg_len)
     return freqs[bins], bins, taper, n_seg, dt / float(np.sum(taper**2))
 
@@ -400,7 +405,7 @@ def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleS
     guard = 1e6 * math.sqrt(max(ref.q2, 1.0))
 
     layout = None
-    if cfg.estimator == "spectrum" and not paired:
+    if cfg.estimator == "spectrum":
         omegas, *layout = _segment_layout(cfg, dt, n_steps)
 
     means: list[list[np.ndarray]] = [[] for _ in strides]
@@ -483,8 +488,10 @@ def paired_timestep_stats(
     sub-step draws (exactly matching its marginal law), so the difference of
     the two moment estimates isolates the discretization error instead of
     being dominated by independent sampling noise.  Returns
-    (coarse_stats, fine_stats); the spectrum estimator is not supported here.
+    (coarse_stats, fine_stats); the spectrum estimator is rejected.
     """
+    if cfg.estimator == "spectrum":
+        raise ValueError("paired_timestep_stats supports only the moments estimator")
     coarse, fine = _run(s, cfg, force, paired=True)
     return coarse, fine
 

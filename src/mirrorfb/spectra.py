@@ -17,12 +17,11 @@ import numpy as np
 
 from ._quad import quad_spectrum
 from .core import Scheme, SchemeParams
-from .response import chi_freq, damping_rate
+from .response import chi_freq
 from .steady import _omega_coth
 
 KIND_POSITION_NOISE = "PositionNoise"
 KIND_DETECTED_NOISE = "DetectedNoise"
-KIND_SIGNAL = "Signal"
 KIND_SNR = "SNR"
 
 _NOISE_KINDS = (KIND_POSITION_NOISE, KIND_DETECTED_NOISE)
@@ -74,10 +73,10 @@ class SpectrumSeries:
         return rows_to_csv(rows)
 
 
-def default_grid(n: int = 400, lo: float = 1e-3, hi: float = 3.0) -> np.ndarray:
-    """Default frequency grid: log-spaced, resolves the w -> 0 plateau and
-    the resonance."""
-    return np.geomspace(lo, hi, n)
+def default_grid(n: int = 400) -> np.ndarray:
+    """Default frequency grid: n log-spaced points on [1e-3, 3], resolving the
+    w -> 0 plateau and the resonance."""
+    return np.geomspace(1e-3, 3.0, n)
 
 
 def _gates(s: SchemeParams, omega: np.ndarray, apply: bool):
@@ -148,17 +147,18 @@ class FrequencyOptimum(NamedTuple):
     n_min: float
 
 
-def optimal_power_at_frequency(s: SchemeParams, omega: float, thermal: str = "exact") -> FrequencyOptimum:
+def optimal_power_at_frequency(s: SchemeParams, omega: float) -> FrequencyOptimum:
     """Power minimizing the detected noise at one frequency, and that minimum.
 
-    Closed forms; the zeta stored in ``s`` is ignored.
+    Closed forms with the exact (coth) thermal density; the zeta stored in
+    ``s`` is ignored.
     """
     gm = s.gamma_m
     chi2 = abs(chi_freq(s, omega)) ** 2
     w = float(_feedback_weight(s, np.atleast_1d(float(omega)))[0])
     x = 1.0 + s.g**2 * gm**2 * chi2 * w  # Q^-2 g^2 |chi|^2 w, Q^-2 = gm^2
     zeta_opt = math.sqrt(x / (s.eta * gm**2 * chi2))
-    th = float(_thermal_density(s, np.atleast_1d(float(omega)), thermal)[0])
+    th = float(_thermal_density(s, np.atleast_1d(float(omega)), "exact")[0])
     n_min = gm * chi2 * th + math.sqrt(chi2) / (2.0 * math.sqrt(s.eta)) * math.sqrt(x)
     return FrequencyOptimum(zeta_opt, n_min)
 
@@ -169,12 +169,12 @@ def stationary_snr(s: SchemeParams, f_abs, omega, t_m: float, thermal: str = "ex
     Valid when the measurement lasts many relaxation times; a warning is
     issued when gamma_m (1 + g) t_m < 10.  Scales as |f~| / sqrt(t_m).
     """
-    if t_m <= 0:
-        raise ValueError("measurement time t_m must be > 0")
-    if damping_rate(s) * t_m < 10.0:
+    if not 0 < t_m < math.inf:
+        raise ValueError(f"measurement time t_m must be finite and > 0, got {t_m}")
+    if s.damping * t_m < 10.0:
         warnings.warn(
             "stationary SNR assumes t_m >> relaxation time; "
-            f"gamma_m (1+g) t_m = {damping_rate(s) * t_m:.3g} < 10",
+            f"gamma_m (1+g) t_m = {s.damping * t_m:.3g} < 10",
             UserWarning,
             stacklevel=2,
         )
@@ -191,26 +191,15 @@ def stationary_snr(s: SchemeParams, f_abs, omega, t_m: float, thermal: str = "ex
     return float(out[0]) if scalar else out
 
 
-def integrated_position_variance(
-    s: SchemeParams, thermal: str = "exact", gates: bool = True, rtol: float = 1e-8
-) -> float:
+def integrated_position_variance(s: SchemeParams) -> float:
     """int (domega / 2 pi) N_Q^2 over the reservoir band, by quadrature.
 
     Equals <Q^2>_st; used as the spectral-consistency cross-check against
     the steady module's closed forms.
     """
-    halfwidth = 0.5 * damping_rate(s)
     lo, hi = s.feedback_band()
 
     def integrand(w):
-        return position_noise_spectrum(s, w, thermal=thermal, gates=gates) / (2.0 * math.pi)
+        return position_noise_spectrum(s, w) / (2.0 * math.pi)
 
-    return quad_spectrum(
-        integrand,
-        s.cutoff_reservoir,
-        peak=1.0,
-        halfwidth=halfwidth,
-        extra_points=(lo, hi, 2.0 * s.theta),
-        rtol=rtol,
-        name="position-spectrum integral",
-    )
+    return quad_spectrum(integrand, s, (lo, hi, 2.0 * s.theta), "position-spectrum integral")

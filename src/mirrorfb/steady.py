@@ -24,7 +24,7 @@ import numpy as np
 
 from ._quad import quad_spectrum
 from .core import Scheme, SchemeParams
-from .response import chi_freq, damping_rate
+from .response import chi_freq
 
 
 class ThermalModel(Enum):
@@ -180,41 +180,17 @@ def brownian_exact(s: SchemeParams) -> BrownianMoments:
     damping.  Integrands are even, so only [0, varpi] is sampled.
     """
     gm = s.gamma_m
-    varpi = s.cutoff_reservoir
-    halfwidth = 0.5 * damping_rate(s)
+    wshift = 0.0 if s.scheme is Scheme.COLD_DAMPING else (s.g * gm) ** 2
 
-    def chi2(w):
-        return np.abs(chi_freq(s, w)) ** 2
+    def density(w):
+        return (gm / 2.0) * _omega_coth(w, s.theta) * np.abs(chi_freq(s, w)) ** 2
 
-    def integrand_q(w):
-        return (gm / 2.0) * _omega_coth(w, s.theta) * chi2(w) / (2.0 * math.pi)
-
-    if s.scheme is Scheme.COLD_DAMPING:
-        wshift = 0.0
-    else:
-        wshift = (s.g * gm) ** 2
-
-    def integrand_p(w):
-        return (gm / 2.0) * _omega_coth(w, s.theta) * chi2(w) * (w * w + wshift) / (
-            2.0 * math.pi
-        )
-
-    knee = 2.0 * s.theta  # coth crossover from classical to quantum
+    knee = (2.0 * s.theta,)  # coth crossover from classical to quantum
     q2_bm = quad_spectrum(
-        integrand_q,
-        varpi,
-        peak=1.0,
-        halfwidth=halfwidth,
-        extra_points=(knee,),
-        name="brownian q2 quadrature",
+        lambda w: density(w) / (2.0 * math.pi), s, knee, "brownian q2 quadrature"
     )
     p2_bm = quad_spectrum(
-        integrand_p,
-        varpi,
-        peak=1.0,
-        halfwidth=halfwidth,
-        extra_points=(knee,),
-        name="brownian p2 quadrature",
+        lambda w: density(w) * (w * w + wshift) / (2.0 * math.pi), s, knee, "brownian p2 quadrature"
     )
     return BrownianMoments(q2_bm=q2_bm, p2_bm=p2_bm)
 
@@ -264,17 +240,15 @@ class SqueezeOptimum(NamedTuple):
     squeezed: bool
 
 
-def min_position_variance(
-    g: float, quality: float, theta: float, eta: float
-) -> SqueezeOptimum:
+def min_position_variance(g: float, quality: float, theta: float, eta: float) -> SqueezeOptimum:
     """Minimum of <Q^2>_st over input power, stochastic cooling only.
 
     The minimum is attained at zeta = (g / (Q sqrt(eta))) sqrt(1 + Q^2 + g)
     and beats the standard quantum limit 1/4 at sufficiently large gain
     (g >> Q^2); ``squeezed`` flags q2_min < 1/4.
     """
-    if g < 0 or quality <= 0 or theta < 0 or not 0 < eta <= 1:
-        raise ValueError("invalid parameters for min_position_variance")
+    # validated as a stochastic-cooling parameter set: finite, g >= 0, Q > 0, ...
+    SchemeParams(scheme=Scheme.STOCHASTIC_COOLING, g=g, quality=quality, theta=theta, eta=eta)
     q = quality
     d = (1.0 + g) * (q * q + g)
     q2_min = g * q * math.sqrt(1.0 + q * q + g) / (4.0 * math.sqrt(eta) * d) + (
@@ -290,17 +264,15 @@ class RegimeFlags(NamedTuple):
     thermal_like: bool
 
 
-def regime_flags(
-    s: SchemeParams, model: ThermalModel = ThermalModel.CLASSICAL_DELTA
-) -> RegimeFlags:
-    """Qualitative state classification from the stationary moments.
+def regime_flags(s: SchemeParams) -> RegimeFlags:
+    """Qualitative state classification from the classical-delta stationary moments.
 
     squeezed: q2 < 1/4 (below the standard quantum limit); contractive:
     qp < 0 (negative position-momentum correlation, stochastic cooling at
     g > eta zeta (zeta + 4 theta)); thermal_like: q2 and p2 agree and qp
     vanishes to within 1e-3 relative.
     """
-    m = steady_moments(s, model)
+    m = steady_moments(s)
     return RegimeFlags(
         squeezed=m.q2 < 0.25,
         contractive=m.qp < 0.0,

@@ -1,5 +1,6 @@
 """CLI tests: parsing, outputs, determinism, exit codes, figure tables."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mirrorfb.cli import main
+from mirrorfb.cli import build_parser, main
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -156,7 +157,7 @@ def test_montecarlo_too_few_steps_exit_code(capsys, flag, value):
     code, out, err = run_cli(
         capsys,
         "montecarlo", "--scheme", "cd", "--g", "10", "--Q", "50", "--zeta", "10",
-        "--theta", "1e3", flag, value, "--n-traj", "4", "--format", "json",
+        "--theta", "1e3", flag, value, "--n-traj", "4",
     )
     assert code == 1
     assert out == ""
@@ -247,6 +248,49 @@ def test_numerical_failure_exit_code(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "montecarlo", "--n-traj", "4", "--n-steps", "10")
     assert code == 2
     assert "numerical failure" in err
+
+
+_PARAMS = {"--config", "--scheme", "--g", "--Q", "--zeta", "--theta", "--eta", "--fb-band"}
+_GRID = {"--omin", "--omax", "--opoints"}
+_PULSE = {"--Tm", "--f0", "--sigma", "--t1", "--omega-f", "--wide-init"}
+
+# the flags of each subcommand, every one of them read by its handler
+SUBCOMMAND_FLAGS = {
+    "steady": {"--out", *_PARAMS, "--format", "--sweep"},
+    "spectrum": {"--out", *_PARAMS, *_GRID, "--detected", "--thermal"},
+    "snr-stationary": {"--out", *_PARAMS, *_GRID, "--Tm", "--f0", "--thermal"},
+    "snr-nonstationary": {"--out", *_PARAMS, *_GRID, *_PULSE},
+    "cyclic": {"--out", *_PARAMS, *_GRID, *_PULSE, "--Tcool"},
+    "montecarlo": {"--out", *_PARAMS, "--seed", "--n-traj", "--dt", "--n-steps", "--estimator"},
+    "figure": {"--out"},
+}
+
+
+def test_subcommand_flag_sets():
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        name: {opt for action in parser._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, parser in subparsers.choices.items()
+    }
+    assert flags == SUBCOMMAND_FLAGS
+    assert sum(map(len, flags.values())) == 92
+
+
+UNREAD_OR_EMPTY = [
+    (("steady", "--sweep", "zeta:1:10:3", "--format", "json"), "CSV only"),
+    (("steady", "--sweep", "zeta:1:10:0"), "point count must be >= 1"),
+    (("figure", "2", "--config", "x"), "unrecognized arguments: --config"),
+    (("figure", "2", "--g", "5"), "unrecognized arguments: --g"),
+    (("spectrum", "--format", "json"), "unrecognized arguments: --format"),
+    (("montecarlo", "--format", "json", "--n-steps", "1"), "unrecognized arguments: --format"),
+]
+
+
+@pytest.mark.parametrize("argv, message", UNREAD_OR_EMPTY, ids=["_".join(argv) for argv, _ in UNREAD_OR_EMPTY])
+def test_unread_flag_or_empty_sweep_is_config_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert message in err
 
 
 def test_montecarlo_deterministic_output(tmp_path, capsys):

@@ -125,6 +125,11 @@ def test_nan_feedback_band_rejected(band):
         SchemeParams(cutoff_feedback=band)
 
 
+def test_none_is_not_a_feedback_band():
+    with pytest.raises(ValueError, match="unrecognized cutoff_feedback"):
+        SchemeParams(cutoff_feedback=None)
+
+
 # --------------------------------------------------------------- bistability
 
 

@@ -322,10 +322,42 @@ def test_impulsive_regime_warnings():
 
 
 def test_non_finite_window_force_and_cooling_time_rejected():
-    with pytest.raises(ValueError, match="measurement time"):
-        MeasurementWindow(math.nan)
+    for t_m in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="measurement time"):
+            MeasurementWindow(t_m)
     for bad in ({"f0": math.nan}, {"t1": math.inf}, {"omega_f": -math.inf}, {"sigma": math.nan}, {"sigma": math.inf}):
         with pytest.raises(ValueError, match="force"):
             ForcePulse(**{"f0": 1.0, "sigma": 1.0, "t1": 0.0, **bad})
     with pytest.raises(ValueError, match="cooling time"):
         cyclic_avg_snr(make(Scheme.NONE), ForcePulse(1.0, 1.0, 0.0), MeasurementWindow(10.0), math.nan, 1.0)
+
+
+def test_cyclic_needs_an_arrival_node():
+    with pytest.raises(ValueError, match="n_arrival"):
+        cyclic_avg_snr(make(Scheme.NONE), ForcePulse(1.0, 1.0, 0.0), MeasurementWindow(10.0), 0.0, 1.0, n_arrival=0)
+
+
+def _figure_10_curves():
+    """(s, force, window, t_cool) of figure 10: wide-band cold damping and the bare mirror."""
+    cooled = make(CD, g=2e3, cutoff_feedback="wide")
+    bare = make(Scheme.NONE)
+    for s, cooling in ((cooled, 1e-3), (bare, 0.0)):
+        win = MeasurementWindow(1e-3 / s.gamma_m)
+        yield s, fig_force(s.gamma_m), win, cooling * win.t_m
+
+
+def test_cyclic_error_estimate_silent_on_figure_10():
+    for s, force, win, t_cool in _figure_10_curves():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cyclic_avg_snr(s, force, win, t_cool, default_grid())
+
+
+@pytest.mark.parametrize("n_arrival", [2, 8])
+def test_cyclic_error_estimate_fires_when_under_resolved(n_arrival):
+    grid = default_grid()
+    for s, force, win, t_cool in _figure_10_curves():
+        reference = cyclic_avg_snr(s, force, win, t_cool, grid, n_arrival=1024)
+        with pytest.warns(UserWarning, match=f"the {n_arrival}-point arrival-time average"):
+            coarse = cyclic_avg_snr(s, force, win, t_cool, grid, n_arrival=n_arrival)
+        assert np.max(np.abs(coarse / reference - 1.0)) > 0.01

@@ -70,6 +70,37 @@ def test_sim_config_rejects_short_runs(kwargs):
         SimConfig(n_traj=4, **kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"dt": math.nan},
+        {"dt": math.inf},
+        {"seg_time": math.nan},
+        {"seg_time": 0.0},
+        {"spectrum_band": (math.nan, 1.0)},
+        {"spectrum_band": (1.0, 1.0)},
+        {"spectrum_band": (0.5, math.inf)},
+    ],
+)
+def test_sim_config_rejects_non_finite_times_and_bands(kwargs):
+    with pytest.raises(ValueError, match="must be finite"):
+        SimConfig(n_traj=4, **kwargs)
+
+
+def test_spectrum_band_without_bins_rejected():
+    # 64 steps of dt = 0.01 put the bins ~9.8 apart: none falls in (5, 6)
+    s = SchemeParams(scheme=CD, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
+    cfg = SimConfig(n_traj=4, n_steps=64, estimator="spectrum", spectrum_band=(5.0, 6.0))
+    with pytest.raises(ValueError, match="keeps no bin"):
+        simulate(s, cfg)
+
+
+def test_paired_chains_reject_spectrum_estimator():
+    s = SchemeParams(scheme=CD, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
+    with pytest.raises(ValueError, match="moments estimator"):
+        paired_timestep_stats(s, SimConfig(n_traj=4, n_steps=64, estimator="spectrum"))
+
+
 def test_sim_config_accepts_minimal_run():
     s = SchemeParams(scheme=CD, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
     stats = simulate(s, SimConfig(n_traj=4, n_steps=2, burn_in_steps=0))

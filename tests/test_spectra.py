@@ -1,11 +1,13 @@
 """Noise-spectrum and stationary-SNR tests."""
 
+import inspect
 import io
 import math
 
 import numpy as np
 import pytest
 
+from mirrorfb._quad import quad_spectrum
 from mirrorfb.core import Scheme, SchemeParams
 from mirrorfb.response import chi_freq
 from mirrorfb.spectra import (
@@ -232,3 +234,15 @@ def test_csv_format():
 def test_csv_rejects_non_finite_cells(x, v):
     with pytest.raises(FloatingPointError, match="non-finite output"):
         rows_to_csv([(0.5, 1.0, "SNR", "p"), (x, v, "SNR", "p")])
+
+
+@pytest.mark.parametrize("t_m", [math.nan, math.inf, 0.0])
+def test_stationary_snr_rejects_bad_measurement_time(t_m):
+    with pytest.raises(ValueError, match="measurement time"):
+        stationary_snr(make(CD, g=10.0), 1.0, default_grid(8), t_m)
+
+
+def test_quadrature_takes_its_limits_from_the_parameters():
+    # cutoff, resonance breakpoints and tolerance come from s and _quad, not from callers
+    assert list(inspect.signature(integrated_position_variance).parameters) == ["s"]
+    assert list(inspect.signature(quad_spectrum).parameters) == ["integrand", "s", "extra_points", "name"]

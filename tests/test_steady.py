@@ -329,3 +329,12 @@ def test_thermal_like_at_large_quality():
     flags = regime_flags(make(SC, g=10.0, quality=1e7))
     assert flags.thermal_like
     assert not regime_flags(make(SC, g=1e5, quality=300.0)).thermal_like
+
+
+@pytest.mark.parametrize(
+    "g, quality, theta, eta",
+    [(math.nan, 1e4, 1e5, 0.8), (1e9, math.inf, 1e5, 0.8), (1e9, 1e4, math.nan, 0.8), (1e9, 1e4, 1e5, math.nan)],
+)
+def test_min_variance_rejects_non_finite_parameters(g, quality, theta, eta):
+    with pytest.raises(ValueError, match="finite"):
+        min_position_variance(g, quality, theta, eta)
