@@ -65,7 +65,8 @@ class SchemeParams:
         +-10 gamma_m (1+g) around the resonance, ``"wide"`` a band
         extending to the reservoir cutoff; a float is interpreted as a
         half-width around omega_m, and an explicit ``(lo, hi)`` pair is
-        used as given.
+        used as given.  The band must be finite: its feedback heating of
+        <P^2> grows with the top edge.
     """
 
     scheme: Scheme = Scheme.NONE
@@ -123,13 +124,13 @@ class SchemeParams:
             return (0.0, self.cutoff_reservoir)
         if isinstance(cf, tuple):
             lo, hi = float(cf[0]), float(cf[1])
-            if not 0 <= lo < hi:
-                raise ValueError(f"feedback band must satisfy 0 <= lo < hi, got {cf}")
+            if not 0 <= lo < hi < math.inf:
+                raise ValueError(f"feedback band must be finite with 0 <= lo < hi, got {cf}")
             return (lo, hi)
         if isinstance(cf, (int, float)):
             half = float(cf)
-            if not half > 0:
-                raise ValueError(f"feedback half-width must be > 0, got {cf}")
+            if not 0 < half < math.inf:
+                raise ValueError(f"feedback half-width must be finite and > 0, got {cf}")
             return (max(0.0, 1.0 - half), 1.0 + half)
         raise ValueError(f"unrecognized cutoff_feedback: {cf!r}")
 

@@ -5,18 +5,23 @@ Independent cross-check of every closed form: trajectories of
     dQ = (P - delta_sc g gamma_m Q) dt + dW_Q
     dP = (-Q - gamma_m (1 + delta_cd g) P + f(t)) dt + dW_P + dW_fb
 
-are integrated in omega_m = 1 units with a split-step update: damping and
-white noise advance by their exact Ornstein-Uhlenbeck propagator (a plain
-Euler-Maruyama noise term leaves an O(gamma (1+g) dt) moment bias), while
-the conservative rotation keeps the semi-implicit symplectic-Euler form for
-long-horizon stability.  White-noise intensities come from the steady
-module, and only live channels are drawn (cold damping has no position
-noise).  The cold-damping feedback force is band-limited noise with
-two-sided density d_fb * omega^2, since white noise cannot carry the
-omega^2 spectrum without the loop's own band limit; it is synthesized per
-trajectory by drawing only the in-band rfft coefficients of circularly
-filtered white noise, with the law the rfft of white noise has, and
-inverting them.
+are integrated in omega_m = 1 units.  The equations are linear, x' = A x +
+noise, so one step of length h is exact at any h (Van Loan 1978; Gillespie
+1996 for the scalar Ornstein-Uhlenbeck case): (q, p) advance by
+Phi = e^{A h}, a Cayley-Hamilton closed form, and take a Gaussian kick of
+covariance Sigma_h = int_0^h e^{A r} D e^{A^T r} dr, drawn as its Cholesky
+factor times two unit normals.  The white-noise intensities D come from the
+steady module.
+
+The cold-damping feedback force is band-limited noise with two-sided
+density d_fb * omega^2, since white noise cannot carry the omega^2 spectrum
+without the loop's own band limit.  Per trajectory only its in-band rfft
+coefficients are drawn, with the law the rfft of white noise has; each bin
+enters a step through the exact step integral K(omega) of e^{i omega t}, so
+one irfft yields the (q, p) force impulses at step resolution.  A
+deterministic drive enters through the step integral of its first-order
+hold, linear between step points.  Nothing is biased by the step, so
+:func:`dt_bound` is a resolution bound.
 
 One chunked stepper drives both the single chain and the paired dt / dt/2
 chains.  Each step of a batch is one matrix product of a stacked (q, p,
@@ -54,12 +59,13 @@ class InstabilityError(RuntimeError):
 class SimConfig:
     """Monte Carlo run configuration (times in 1/omega_m).
 
-    ``dt`` must satisfy dt <= min(1/50, 1/(50 gamma_m (1+g))); leaving it
-    None picks half that bound.  ``n_steps`` counts post-burn-in averaging
-    steps.  The synthesized cold-damping force noise fills the scheme's
-    ``feedback_band()``.  The spectrum estimator averages Hann-tapered
-    periodograms of duration ``seg_time`` (a boxcar would leak the resonance
-    peak into the wings) and keeps bins inside ``spectrum_band``.
+    ``dt`` is the exact step's sampling interval and must not exceed
+    :func:`dt_bound`; leaving it None picks half that bound.  ``n_steps``
+    counts post-burn-in averaging steps.  The synthesized cold-damping force
+    noise fills the scheme's ``feedback_band()``.  The spectrum estimator
+    averages Hann-tapered periodograms of duration ``seg_time`` (a boxcar
+    would leak the resonance peak into the wings) and keeps bins inside
+    ``spectrum_band``.
     """
 
     dt: float | None = None
@@ -134,15 +140,27 @@ class EnsembleStats:
 
 
 def dt_bound(s: SchemeParams) -> float:
-    """Largest admissible timestep, min(1/50, 1/(50 gamma_m (1+g)))."""
-    return min(1.0, 1.0 / s.damping) / 50.0
+    """Largest admissible step: a resolution bound, since every step is exact.
+
+    min(1, 1/Gamma)/4 with Gamma = gamma_m (1+g) keeps at least four samples
+    per relaxation time and 25 per oscillation period, so time averages lose
+    little to sampling, and puts the spectrum estimator's Nyquist frequency
+    at pi/dt >= 4 pi, where the aliased images of the omega^-2 (or steeper)
+    position spectrum add below 1e-3 of it at the resonance.  With the
+    cold-damping loop closed, pi/dt >= 2 x the feedback band's top edge also
+    keeps every synthesized force bin well below the step grid's Nyquist bin.
+    """
+    bound = min(1.0, 1.0 / s.damping) / 4.0
+    if s.scheme is Scheme.COLD_DAMPING and s.g > 0:
+        bound = min(bound, math.pi / (2.0 * s.feedback_band()[1]))
+    return bound
 
 
 def _resolve_config(s: SchemeParams, cfg: SimConfig) -> tuple[float, int, int]:
     bound = dt_bound(s)
     dt = cfg.dt if cfg.dt is not None else 0.5 * bound
     if dt > bound * (1.0 + 1e-12):
-        raise ValueError(f"dt = {dt:g} exceeds the stability bound {bound:g}")
+        raise ValueError(f"dt = {dt:g} exceeds the resolution bound {bound:g}")
     relax = 1.0 / s.damping
     burn = cfg.burn_in_steps if cfg.burn_in_steps is not None else math.ceil(12.0 * relax / dt)
     if cfg.n_steps is not None:
@@ -172,80 +190,133 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _band_noise(
-    rng: np.random.Generator,
-    nb: int,
-    n_total: int,
-    dt: float,
-    band: tuple[float, float],
-    coeff: float,
-) -> np.ndarray:
-    """Gaussian noise with two-sided PSD coeff * w^2 inside ``band``.
+def _drift(s: SchemeParams) -> np.ndarray:
+    """Drift matrix A of x = (q, p): x' = A x + noise + (0, f)."""
+    a_q = s.gamma_m * s.g if s.scheme is Scheme.STOCHASTIC_COOLING else 0.0
+    g_p = s.damping if s.scheme is Scheme.COLD_DAMPING else s.gamma_m
+    return np.array([[-a_q, 1.0], [-1.0, -g_p]])
 
-    Circular spectral synthesis, <y(t) y(t')> = int (dw/2pi) S(w) e^{i w (t - t')}.
-    Only the in-band coefficients are drawn, with the law the rfft of white
-    unit normals has: independent N(0, n/2) real and imaginary parts, and a
-    real N(0, n) Nyquist bin.  Returned trajectory-major, shape (nb, n_total).
+
+def _expm2(a: np.ndarray, t) -> np.ndarray:
+    """e^{a t} of a real 2x2 ``a`` for scalar or array t, shape t.shape + (2, 2).
+
+    Cayley-Hamilton: with mu = tr(a)/2 and n = a - mu I, n^2 = disc I, so
+    e^{a t} = e^{mu t} (c I + d n) with c = cosh(k t), d = sinh(k t)/k and
+    k^2 = disc (cos and sin when disc < 0).
     """
-    n_fft = _fast_len(n_total)  # truncating a stationary process is harmless
-    omega = 2.0 * math.pi * np.fft.rfftfreq(n_fft, d=dt)
-    lo = int(np.searchsorted(omega, band[0], side="left"))
-    hi = int(np.searchsorted(omega, band[1], side="right"))
-    gain = np.sqrt(0.5 * n_fft * coeff / dt) * omega[lo:hi]
-    coef = rng.standard_normal((nb, 2 * (hi - lo))).view(np.complex128) * gain
-    if n_fft % 2 == 0 and hi == len(omega) > lo:
-        coef[:, -1] = math.sqrt(2.0) * coef[:, -1].real
-    rows = max(1, _FFT_BLOCK // len(omega))
-    spec = np.zeros((min(rows, nb), len(omega)), dtype=np.complex128)
-    out = np.empty((nb, n_total))
-    for r in range(0, nb, rows):
-        m = min(rows, nb - r)
-        spec[:m, lo:hi] = coef[r : r + m]
-        out[r : r + m] = np.fft.irfft(spec[:m], n=n_fft, axis=1)[:, :n_total]
-    return out
+    t = np.asarray(t, dtype=float)[..., None, None]
+    mu = 0.5 * (a[0, 0] + a[1, 1])
+    n = a - mu * np.eye(2)
+    disc = n[0, 0] ** 2 + n[0, 1] * n[1, 0]
+    k = math.sqrt(abs(disc))
+    if disc > 0:
+        c, d = np.cosh(k * t), np.sinh(k * t) / k
+    elif disc < 0:
+        c, d = np.cos(k * t), np.sin(k * t) / k
+    else:
+        c, d = np.ones_like(t), t
+    return np.exp(mu * t) * (c * np.eye(2) + d * n)
 
 
-def _ou(rate: float, d: float, h: float) -> tuple[float, float]:
-    """Decay factor and noise amplitude of an exact OU sub-step of length h."""
-    if rate > 0:
-        dec = math.exp(-rate * h)
-        return dec, math.sqrt(d * (1.0 - dec * dec) / (2.0 * rate))
-    return 1.0, math.sqrt(d * h)
+def _quadrature(a: np.ndarray, h: float):
+    """Nodes r on [0, h], weights w and e^{a r} of a 16-point Gauss-Legendre rule.
+
+    The integrands below are entire in r and vary on the scale 1/|a|; panels
+    no longer than that make the rule exact to rounding.  Unlike
+    Sigma_inf - Phi Sigma_inf Phi^T it sums only non-negative terms for the
+    variances, so nothing cancels at small h.
+    """
+    panels = max(1, math.ceil(h * np.abs(a).sum(axis=1).max()))
+    x, w = np.polynomial.legendre.leggauss(16)
+    width = h / panels
+    r = ((np.arange(panels)[:, None] + 0.5 * (x + 1.0)) * width).ravel()
+    return r, np.tile(0.5 * width * w, panels), _expm2(a, r)
 
 
 def _step_matrix(
-    s: SchemeParams, ns: NoiseStrengths, h: float, stride: int, live_q: bool, forced: bool
+    s: SchemeParams, ns: NoiseStrengths, h: float, stride: int, forced: bool
 ) -> np.ndarray:
     """(2, 2 + r) map of a stacked (q, p, inputs) row to the next (q, p).
 
-    One step of length tau = stride * h is
-
-        p' = e^{-g_p tau} p - tau q + i_p,    q' = e^{-a_q tau} q + i_q + tau p'
-
-    with impulses (i_q, i_p) that weight the r inputs: the unit normals of
-    each sub-step's live channels, then the force.  A coarse step (stride 2)
-    composes its two fine sub-steps' noise, which matches its marginal law
-    exactly, so paired chains share random numbers.
+    One fine step of length h is x' = Phi x + L xi + i: Phi = e^{A h}, L the
+    Cholesky factor of the step-noise covariance Sigma_h, xi two unit normals
+    and, when ``forced``, i the (q, p) force impulse with unit weight.  A
+    step of ``stride`` fine steps composes them exactly, e.g.
+    [Phi^2, Phi B, B] with B = [L, I] for stride 2, so paired chains share
+    random numbers and the coarse state equals the fine one at even steps.
     """
-    a_q = s.gamma_m * s.g if s.scheme is Scheme.STOCHASTIC_COOLING else 0.0
-    g_p = s.damping if s.scheme is Scheme.COLD_DAMPING else s.gamma_m
-    dec_q, amp_q = _ou(a_q, ns.d_q, h)
-    dec_p, amp_p = _ou(g_p, ns.d_p, h)
-    tau = stride * h
-    impulses = []
-    for later in reversed(range(stride)):  # fine sub-steps left in the step
-        if live_q:
-            impulses.append((amp_q * dec_q**later, 0.0))
-        impulses.append((0.0, amp_p * dec_p**later))
+    a = _drift(s)
+    _, w, phi = _quadrature(a, h)
+    sigma = np.einsum("n,nij,jk,nlk->il", w, phi, np.diag([ns.d_q, ns.d_p]), phi)
+    sub = np.linalg.cholesky(sigma)
     if forced:
-        impulses.append((0.0, tau))
-    decay_q, decay_p = math.exp(-a_q * tau), math.exp(-g_p * tau)
-    return np.array(
-        [
-            [decay_q - tau * tau, tau * decay_p, *(iq + tau * ip for iq, ip in impulses)],
-            [-tau, decay_p, *(ip for _, ip in impulses)],
-        ]
-    )
+        sub = np.hstack((sub, np.eye(2)))
+    step = _expm2(a, h)
+    blocks = [sub]
+    for _ in range(stride - 1):
+        blocks.insert(0, step @ blocks[0])
+    return np.hstack((np.linalg.matrix_power(step, stride), *blocks))
+
+
+def _force_kernel(a: np.ndarray, h: float, omega: np.ndarray) -> np.ndarray:
+    """Step integral int_0^h e^{A (h - u)} b e^{i omega u} du of each bin, shape (bins, 2).
+
+    Closed form K(omega) = (i omega - A)^{-1} (e^{i omega h} - e^{A h}) b with
+    b = (0, 1); a force sum_w c_w e^{i w t} + c.c. then kicks the step from t
+    by sum_w c_w e^{i w t} K(w) + c.c.
+    """
+    lhs = 1j * omega[:, None, None] * np.eye(2) - a
+    rhs = np.exp(1j * omega * h)[:, None] * np.array([0.0, 1.0]) - _expm2(a, h)[:, 1]
+    return np.linalg.solve(lhs, rhs[..., None])[..., 0]
+
+
+def _band_impulses(
+    rng: np.random.Generator,
+    nb: int,
+    n_steps: int,
+    h: float,
+    band: tuple[float, float],
+    coeff: float,
+    a: np.ndarray,
+) -> np.ndarray:
+    """(q, p) step impulses of a Gaussian force with two-sided PSD coeff * w^2 in ``band``.
+
+    Circular spectral synthesis, <f(t) f(t')> = int (dw/2pi) S(w) e^{i w (t - t')}.
+    Only the in-band coefficients are drawn, with the law the rfft of white
+    unit normals has: independent N(0, n/2) real and imaginary parts.  The
+    band lies below the Nyquist bin (see :func:`dt_bound`).  Each coefficient
+    is weighted by its bin's step integral, so the irfft returns the exact
+    impulses.  Returned time-major, shape (n_steps, 2, nb), as the stepper
+    reads them.
+    """
+    n_fft = _fast_len(n_steps)  # truncating a stationary process is harmless
+    omega = 2.0 * math.pi * np.fft.rfftfreq(n_fft, d=h)
+    lo = int(np.searchsorted(omega, band[0], side="left"))
+    hi = int(np.searchsorted(omega, band[1], side="right"))
+    gain = np.sqrt(0.5 * n_fft * coeff / h) * omega[lo:hi]
+    coef = rng.standard_normal((nb, 2 * (hi - lo))).view(np.complex128) * gain
+    kernel = _force_kernel(a, h, omega[lo:hi]).T
+    rows = max(1, _FFT_BLOCK // (2 * len(omega)))
+    spec = np.zeros((min(rows, nb), 2, len(omega)), dtype=np.complex128)
+    out = np.empty((n_steps, 2, nb))
+    for r in range(0, nb, rows):
+        m = min(rows, nb - r)
+        spec[:m, :, lo:hi] = coef[r : r + m, None] * kernel
+        out[..., r : r + m] = np.fft.irfft(spec[:m], n=n_fft)[..., :n_steps].transpose(2, 1, 0)
+    return out
+
+
+def _drive_impulses(force, a: np.ndarray, h: float, n_steps: int) -> np.ndarray:
+    """(q, p) step impulses of a deterministic drive held linear between steps, (n_steps, 2, 1).
+
+    The drive is sampled at the n_steps + 1 step points; step k weights
+    f_k by int_0^h e^{A r} b r/h dr and f_{k+1} by int_0^h e^{A r} b (1 - r/h) dr.
+    """
+    f = np.asarray(force(np.arange(n_steps + 1) * h), dtype=float)
+    r, w, phi = _quadrature(a, h)
+    col = phi[:, :, 1]  # e^{A r} b
+    start, end = (w * r / h) @ col, (w * (1.0 - r / h)) @ col
+    return (np.outer(f[:-1], start) + np.outer(f[1:], end))[:, :, None]
 
 
 class _Periodogram:
@@ -311,13 +382,11 @@ class _Chain:
         self.sums = np.zeros((5, nb))
         self.periodogram = periodogram
 
-    def advance(self, noise: np.ndarray, force: np.ndarray | None = None) -> np.ndarray:
-        """Take len(noise) steps with the given (step, channel, traj) noise; return q."""
-        n, c = noise.shape[:2]
+    def advance(self, inputs: np.ndarray) -> np.ndarray:
+        """Take len(inputs) steps with the given (step, input, traj) inputs; return q."""
+        n = len(inputs)
         y = self.rows
-        y[:n, 2 : 2 + c] = noise
-        if force is not None:
-            y[:n, 2 + c] = force
+        y[:n, 2:] = inputs
         m, matmul = self.matrix, np.matmul
         for k in range(n):
             matmul(m, y[k], out=y[k + 1, :2])
@@ -328,14 +397,7 @@ class _Chain:
             sums = self.sums
             sums[0] += np.einsum("ij,ij->j", q, q)
             sums[1] += np.einsum("ij,ij->j", p, p)
-            # the staggered update leaves p half a step behind q; pairing q with
-            # the two-point p average removes the O(dt) bias of the cross moment
-            k0 = first - 1 if self.steps > self.burn else first
-            q_old = y[k0:n, 0]
-            sums[2] += 0.5 * (
-                np.einsum("ij,ij->j", q_old, y[k0:n, 1])
-                + np.einsum("ij,ij->j", q_old, y[k0 + 1 : n + 1, 1])
-            )
+            sums[2] += np.einsum("ij,ij->j", q, p)
             sums[3] += q.sum(axis=0)
             sums[4] += p.sum(axis=0)
             if self.periodogram is not None:
@@ -343,10 +405,6 @@ class _Chain:
         y[0, :2] = y[n, :2]
         self.steps += n
         return y[0, 0]
-
-    def means(self, n_avg: int) -> np.ndarray:
-        """Per-trajectory time averages; the cross moment has one pair fewer."""
-        return self.sums / np.array([n_avg, n_avg, n_avg - 1, n_avg, n_avg])[:, None]
 
 
 def _segment_layout(cfg: SimConfig, dt: float, n_steps: int):
@@ -364,24 +422,6 @@ def _segment_layout(cfg: SimConfig, dt: float, n_steps: int):
     return freqs[bins], bins, taper, n_seg, dt / float(np.sum(taper**2))
 
 
-def _chain_force(drive, fb, j: int, n: int, stride: int):
-    """Force on a chain taking ``stride`` (1 or 2) fine steps per step, over fine steps j..j+n.
-
-    A coarse step takes the drive at its start and the mean of the feedback
-    noise over its fine sub-steps.
-    """
-    f = None
-    if fb is not None:
-        block = fb[:, j : j + n]
-        if stride == 2:
-            block = 0.5 * (block[:, 0::2] + block[:, 1::2])
-        f = block.T
-    if drive is not None:
-        d = drive[j : j + n : stride, None]
-        f = d if f is None else f + d
-    return f
-
-
 def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleStats]:
     """Integrate the ensemble; one EnsembleStats per chain (coarse first when paired)."""
     dt, burn, n_steps = _resolve_config(s, cfg)
@@ -391,15 +431,13 @@ def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleS
     strides = (2, 1) if paired else (1,)
 
     ns = noise_strengths(s)
-    live_q = ns.d_q > 0
-    channels = 1 + live_q
+    a = _drift(s)
     needs_fb = ns.d_fb_cd > 0
     band = s.feedback_band()
-    drive = None
-    if force is not None:
-        drive = np.asarray(force(np.arange(n_fine) * h), dtype=float)
+    drive = _drive_impulses(force, a, h, n_fine) if force is not None else None
     forced = drive is not None or needs_fb
-    matrices = [_step_matrix(s, ns, h, st, live_q, forced) for st in strides]
+    matrices = [_step_matrix(s, ns, h, st, forced) for st in strides]
+    width = 4 if forced else 2  # inputs per fine step: two normals, then the impulse
 
     ref = steady_moments(s, ThermalModel.CLASSICAL_DELTA)
     guard = 1e6 * math.sqrt(max(ref.q2, 1.0))
@@ -414,20 +452,26 @@ def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleS
     for b, start in enumerate(range(0, cfg.n_traj, _BATCH)):
         nb = min(_BATCH, cfg.n_traj - start)
         rng = np.random.Generator(base.jumped(b))
-        fb = _band_noise(rng, nb, n_fine, h, band, ns.d_fb_cd) if needs_fb else None
+        impulses = drive
+        if needs_fb:
+            impulses = _band_impulses(rng, nb, n_fine, h, band, ns.d_fb_cd, a)
+            if drive is not None:
+                impulses += drive
         pgram = _Periodogram(*layout, nb) if layout is not None else None
         chains = [
             _Chain(m, nb, _CHUNK // st, sub // st * burn, pgram)
             for m, st in zip(matrices, strides)
         ]
+        inputs = np.zeros((_CHUNK, width, nb))
         for j in range(0, n_fine, _CHUNK):
             n = min(_CHUNK, n_fine - j)
-            xi = rng.standard_normal((n, channels, nb))  # fine step, live channel, traj
+            x = inputs[:n]
+            x[:, :2] = rng.standard_normal((n, 2, nb))  # fine step, normal, traj
+            if forced:
+                x[:, 2:] = impulses[j : j + n]
             peak = 0.0
             for chain, st in zip(chains, strides):
-                q = chain.advance(
-                    xi.reshape(n // st, st * channels, nb), _chain_force(drive, fb, j, n, st)
-                )
+                q = chain.advance(x.reshape(n // st, st * width, nb))
                 peak = max(peak, float(np.max(np.abs(q))))
             if not math.isfinite(peak) or peak > guard:
                 raise InstabilityError(
@@ -436,7 +480,7 @@ def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleS
                     + (", paired run" if paired else "")
                 )
         for chain, st, out in zip(chains, strides, means):
-            out.append(chain.means(sub // st * n_steps))
+            out.append(chain.sums / (sub // st * n_steps))
         if pgram is not None:
             spec_rows.append(pgram.mean())
 
@@ -484,11 +528,13 @@ def paired_timestep_stats(
 ) -> tuple[EnsembleStats, EnsembleStats]:
     """Run chains at dt and dt/2 driven by common random numbers.
 
-    The coarse chain's per-step noise is composed from the fine chain's two
-    sub-step draws (exactly matching its marginal law), so the difference of
-    the two moment estimates isolates the discretization error instead of
-    being dominated by independent sampling noise.  Returns
-    (coarse_stats, fine_stats); the spectrum estimator is rejected.
+    The coarse step composes the fine chain's two sub-step inputs exactly,
+    so with exact arithmetic the coarse state is the fine state at every
+    even step.  The difference of the two moment estimates is then only the
+    effect of sampling every dt rather than every dt/2, and a stride-2 step
+    map that does not compose shows up in it instead of being hidden by
+    independent sampling noise.  Returns (coarse_stats, fine_stats); the
+    spectrum estimator is rejected.
     """
     if cfg.estimator == "spectrum":
         raise ValueError("paired_timestep_stats supports only the moments estimator")

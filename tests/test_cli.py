@@ -133,6 +133,20 @@ def test_non_finite_flag_exit_code(capsys, flag, value):
     assert "must be finite" in err
 
 
+@pytest.mark.parametrize("band", ["inf", "0:inf"])
+@pytest.mark.parametrize("subcommand", ["steady", "montecarlo"])
+def test_infinite_feedback_band_exit_code(capsys, tmp_path, subcommand, band):
+    # an infinite loop band has no finite <P^2>, and no step resolves it
+    out = tmp_path / "out.json"
+    code, _, err = run_cli(
+        capsys, subcommand, "--scheme", "cd", "--g", "100", "--Q", "1e4", "--zeta", "10",
+        "--theta", "1e5", "--eta", "0.8", "--fb-band", band, "--out", str(out),
+    )
+    assert code == 1
+    assert "finite" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -125,6 +125,12 @@ def test_nan_feedback_band_rejected(band):
         SchemeParams(cutoff_feedback=band)
 
 
+@pytest.mark.parametrize("band", [math.inf, (0.0, math.inf), (0.5, math.inf)])
+def test_infinite_feedback_band_rejected(band):
+    with pytest.raises(ValueError, match="feedback .*finite"):
+        SchemeParams(scheme=Scheme.COLD_DAMPING, g=10.0, cutoff_feedback=band)
+
+
 def test_none_is_not_a_feedback_band():
     with pytest.raises(ValueError, match="unrecognized cutoff_feedback"):
         SchemeParams(cutoff_feedback=None)

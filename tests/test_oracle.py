@@ -17,8 +17,11 @@ from mirrorfb.oracle import (
     _CHUNK,
     _Chain,
     _Periodogram,
-    _band_noise,
+    _band_impulses,
+    _drift,
+    _drive_impulses,
     _fast_len,
+    _force_kernel,
     _step_matrix,
     compare,
     dt_bound,
@@ -56,10 +59,80 @@ def test_moments_match_closed_forms(scheme):
 
 
 def test_dt_bound_enforced():
+    # resolution bound: min(1, 1/Gamma)/4, and pi/dt >= 2x the closed loop's band top edge
     s = SchemeParams(scheme=CD, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
-    assert dt_bound(s) == pytest.approx(min(1.0, 1.0 / s.damping) / 50.0)
-    with pytest.raises(ValueError, match="stability bound"):
+    assert dt_bound(s) == pytest.approx(min(1.0, 1.0 / s.damping) / 4.0)
+    overdamped = replace(s, scheme=SC, g=400.0)
+    assert dt_bound(overdamped) == pytest.approx(1.0 / (4.0 * overdamped.damping))
+    wide = replace(s, cutoff_feedback="wide")
+    assert dt_bound(wide) == pytest.approx(math.pi / (2.0 * wide.feedback_band()[1]))
+    assert dt_bound(replace(wide, scheme=SC)) == pytest.approx(min(1.0, 1.0 / s.damping) / 4.0)
+    with pytest.raises(ValueError, match="resolution bound"):
         simulate(s, SimConfig(dt=1.0, n_traj=4, n_steps=10))
+    with pytest.raises(ValueError, match="resolution bound"):
+        simulate(wide, SimConfig(dt=0.01, n_traj=4, n_steps=10))
+
+
+def _smith_fixed_point(matrix):
+    """Sigma = Phi Sigma Phi^T + L L^T by doubling; every added term is positive semi-definite."""
+    phi, chol = matrix[:, :2], matrix[:, 2:]
+    sigma = chol @ chol.T
+    for _ in range(64):
+        sigma = sigma + phi @ sigma @ phi.T
+        phi = phi @ phi
+    return sigma
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.5, 2.0])
+@pytest.mark.parametrize(
+    "scheme, g, quality",
+    [(SC, 10.0, 50.0), (SC, 400.0, 20.0), (Scheme.NONE, 0.0, 50.0), (Scheme.NONE, 0.0, 10.0)],
+)
+def test_step_map_fixed_point_is_steady_moments(scheme, g, quality, dt):
+    # the exact step has no dt bias: its discrete stationary covariance is the
+    # continuous one at any step (cold damping's force noise is not white)
+    s = SchemeParams(scheme=scheme, g=g, quality=quality, zeta=10.0, theta=1e3, eta=0.8)
+    sigma = _smith_fixed_point(_step_matrix(s, noise_strengths(s), dt, 1, False))
+    ref = steady_moments(s)
+    assert sigma[0, 0] == pytest.approx(ref.q2, rel=1e-12)
+    assert sigma[1, 1] == pytest.approx(ref.p2, rel=1e-12)
+    assert sigma[0, 1] == pytest.approx(ref.qp, rel=1e-12, abs=1e-12 * math.sqrt(ref.q2 * ref.p2))
+
+
+@pytest.mark.parametrize("scheme, g", [(SC, 10.0), (SC, 400.0), (Scheme.NONE, 0.0)])
+def test_steady_moments_solve_the_continuous_lyapunov_equation(scheme, g):
+    from scipy.linalg import solve_continuous_lyapunov
+
+    s = SchemeParams(scheme=scheme, g=g, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
+    ns = noise_strengths(s)
+    sigma = solve_continuous_lyapunov(_drift(s), -np.diag([ns.d_q, ns.d_p]))
+    ref = steady_moments(s)
+    np.testing.assert_allclose(
+        [sigma[0, 0], sigma[1, 1], sigma[0, 1]],
+        [ref.q2, ref.p2, ref.qp],
+        rtol=1e-11,
+        atol=1e-11 * math.sqrt(ref.q2 * ref.p2),
+    )
+
+
+@pytest.mark.parametrize(
+    "scheme, g, dt",
+    [(SC, 10.0, 0.01), (SC, 10.0, 0.5), (SC, 10.0, 2.0), (CD, 10.0, 0.01), (CD, 10.0, 2.0),
+     (Scheme.NONE, 0.0, 0.5), (SC, 400.0, 0.01)],
+)
+def test_step_map_matches_van_loan(scheme, g, dt):
+    # Phi = e^{A dt} and Sigma_dt = F22^T F12 of e^{[[-A, D], [0, A^T]] dt} (Van Loan
+    # 1978); the e^{-A dt} block costs that route digits once |A| dt is large
+    from scipy.linalg import expm
+
+    s = SchemeParams(scheme=scheme, g=g, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
+    ns, a = noise_strengths(s), _drift(s)
+    matrix = _step_matrix(s, ns, dt, 1, False)
+    block = expm(np.block([[-a, np.diag([ns.d_q, ns.d_p])], [np.zeros((2, 2)), a.T]]) * dt)
+    np.testing.assert_allclose(matrix[:, :2], expm(a * dt), rtol=1e-13, atol=1e-14)
+    want = block[2:, 2:].T @ block[:2, 2:]
+    got = matrix[:, 2:] @ matrix[:, 2:].T
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14 * np.abs(want).max())
 
 
 @pytest.mark.parametrize(
@@ -90,7 +163,7 @@ def test_sim_config_rejects_non_finite_times_and_bands(kwargs):
 def test_spectrum_band_without_bins_rejected():
     # 64 steps of dt = 0.01 put the bins ~9.8 apart: none falls in (5, 6)
     s = SchemeParams(scheme=CD, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
-    cfg = SimConfig(n_traj=4, n_steps=64, estimator="spectrum", spectrum_band=(5.0, 6.0))
+    cfg = SimConfig(n_traj=4, dt=0.01, n_steps=64, estimator="spectrum", spectrum_band=(5.0, 6.0))
     with pytest.raises(ValueError, match="keeps no bin"):
         simulate(s, cfg)
 
@@ -140,52 +213,62 @@ def test_error_scaling_with_ensemble_size():
 
 
 def test_band_noise_statistics():
+    # the cold-damping force enters as its exact (q, p) step integrals
+    s = SchemeParams(scheme=CD, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
+    a, h = _drift(s), 0.125
     rng = np.random.Generator(np.random.Philox(key=1))
-    band, coeff, dt = (0.5, 1.5), 0.04, 0.01
-    n_total = 40000  # already a fast FFT length, so the synthesis is not truncated
-    y = _band_noise(rng, 256, n_total, dt, band, coeff)
-    assert y.shape == (256, n_total)
-    var_expect = coeff / math.pi * (band[1] ** 3 - band[0] ** 3) / 3.0
-    assert y.var() == pytest.approx(var_expect, rel=0.05)
+    band, coeff = (0.5, 1.5), 0.04
+    n_total = 4000  # already a fast FFT length, so the synthesis is not truncated
+    u = _band_impulses(rng, 256, n_total, h, band, coeff, a).transpose(2, 1, 0)
+    assert u.shape == (256, 2, n_total)
+
+    def expect(i, j, lag):
+        # <u_i(t + lag h) u_j(t)> = (coeff/pi) int_band w^2 Re(K_i K_j^* e^{i w lag h}) dw
+        def integrand(w):
+            k = _force_kernel(a, h, np.array([w]))[0]
+            return w * w * (k[i] * np.conj(k[j]) * np.exp(1j * w * lag * h)).real
+
+        return coeff / math.pi * quad(integrand, *band)[0]
+
+    # impulse covariance, and circular autocovariance at lags 0.5, 2.0 and 2.5
+    for lag in (0, 4, 16, 20):
+        for i, j in ((0, 0), (1, 1), (0, 1)):
+            acov = float(np.mean(np.roll(u[:, i], -lag, axis=1) * u[:, j]))
+            assert acov == pytest.approx(expect(i, j, lag), rel=0.05), (lag, i, j)
     # only in-band bins carry power
-    omega = 2.0 * math.pi * np.fft.rfftfreq(n_total, d=dt)
+    omega = 2.0 * math.pi * np.fft.rfftfreq(n_total, d=h)
     inband = (omega >= band[0]) & (omega <= band[1])
-    power = np.abs(np.fft.rfft(y, axis=1)) ** 2
-    assert power[:, ~inband].sum() <= 1e-20 * power[:, inband].sum()
-    # circular autocovariance is (coeff/pi) int_band w^2 cos(w tau) dw
-    for tau in (0.5, 2.0, 2.5):
-        acov = float(np.mean(y * np.roll(y, -round(tau / dt), axis=1)))
-        expect = coeff / math.pi * quad(lambda w: w * w * math.cos(w * tau), *band)[0]
-        assert acov == pytest.approx(expect, rel=0.05)
+    power = np.abs(np.fft.rfft(u, axis=-1)) ** 2
+    assert power[..., ~inband].sum() <= 1e-20 * power[..., inband].sum()
     # independent of a fresh white stream
-    white = rng.standard_normal(y.shape)
-    corr = float(np.mean(y * white)) / math.sqrt(y.var() * white.var())
-    assert abs(corr) < 4.0 / math.sqrt(y.size)
+    white = rng.standard_normal(u.shape)
+    for i in range(2):
+        corr = float(np.mean(u[:, i] * white[:, i])) / math.sqrt(u[:, i].var() * white[:, i].var())
+        assert abs(corr) < 4.0 / math.sqrt(u[:, i].size)
 
 
-def _reference_loop(s, dt, stride, xi, force, burn, seg_len, bins):
-    """Plain per-step recurrence on composed OU noise, with running sums."""
+def _reference_loop(s, dt, stride, xi, impulses, burn, seg_len, bins):
+    """Plain per-fine-step recurrence of the exact step, Phi and Sigma from SciPy; running sums."""
+    from scipy.linalg import expm
+
     ns, h = noise_strengths(s), dt / stride
-    a_q, g_p = s.gamma_m * s.g, s.gamma_m  # stochastic cooling
-    dq, dp = math.exp(-a_q * h), math.exp(-g_p * h)
-    amp_q = math.sqrt(ns.d_q * (1.0 - dq * dq) / (2.0 * a_q))
-    amp_p = math.sqrt(ns.d_p * (1.0 - dp * dp) / (2.0 * g_p))
-    q = p = np.zeros(xi.shape[-1])
+    a = np.array([[-s.gamma_m * s.g, 1.0], [-1.0, -s.gamma_m]])  # stochastic cooling
+    phi = expm(a * h)
+    # Van Loan 1978: e^{[[-A, D], [0, A^T]] h} holds Sigma_h = F22^T F12
+    block = expm(np.block([[-a, np.diag([ns.d_q, ns.d_p])], [np.zeros((2, 2)), a.T]]) * h)
+    chol = np.linalg.cholesky(block[2:, 2:].T @ block[:2, 2:])
+    x = np.zeros((2, xi.shape[-1]))
     sums, post = np.zeros((5, xi.shape[-1])), []
     for k in range(len(xi)):
-        eta_q = sum(amp_q * dq ** (stride - 1 - u) * xi[k, u, 0] for u in range(stride))
-        eta_p = sum(amp_p * dp ** (stride - 1 - u) * xi[k, u, 1] for u in range(stride))
-        p_new = dp**stride * p + eta_p + dt * (-q + force[k])
-        q_new = dq**stride * q + eta_q + dt * p_new
-        if k > burn:
-            sums[2] += q * (0.5 * (p + p_new))
-        q, p = q_new, p_new
+        for u in range(stride):
+            x = phi @ x + chol @ xi[k, u] + impulses[k, u]
         if k >= burn:
-            sums[[0, 1, 3, 4]] += (q * q, p * p, q, p)
+            q, p = x
+            sums += (q * q, p * p, q * p, q, p)
             post.append(q)
-    segs = np.array(post[: len(post) // seg_len * seg_len]).reshape(-1, seg_len, len(q))
+    segs = np.array(post[: len(post) // seg_len * seg_len]).reshape(-1, seg_len, x.shape[1])
     spec = np.fft.rfft(segs * np.hanning(seg_len)[:, None], axis=1)[:, bins]
-    return q, p, sums, (np.abs(spec) ** 2).sum(axis=0)
+    return x, sums, (np.abs(spec) ** 2).sum(axis=0)
 
 
 @pytest.mark.parametrize("stride", [1, 2])
@@ -198,21 +281,53 @@ def test_chunked_stepper_matches_plain_loop(stride):
     n_total, burn, seg_len = 3 * cap + 50, 2 * cap + 30, 64
     rng = np.random.default_rng(5)
     xi = rng.standard_normal((n_total, stride, 2, nb))
-    force = 3.0 * rng.standard_normal((n_total, nb))
+    impulses = 3.0 * rng.standard_normal((n_total, stride, 2, nb))
     bins = np.arange(3, 12)
-    q, p, sums, power = _reference_loop(s, dt, stride, xi, force, burn, seg_len, bins)
+    x, sums, power = _reference_loop(s, dt, stride, xi, impulses, burn, seg_len, bins)
 
     n_seg = (n_total - burn) // seg_len
     pgram = _Periodogram(bins, np.hanning(seg_len), n_seg, 1.0, nb)
-    matrix = _step_matrix(s, noise_strengths(s), dt / stride, stride, True, True)
+    matrix = _step_matrix(s, noise_strengths(s), dt / stride, stride, True)
     chain = _Chain(matrix, nb, cap, burn, pgram)
+    inputs = np.concatenate((xi, impulses), axis=2).reshape(n_total, 4 * stride, nb)
     for j in range(0, n_total, cap):
-        chain.advance(xi[j : j + cap].reshape(-1, 2 * stride, nb), force[j : j + cap])
-    for got, want in ((chain.rows[0, 0], q), (chain.rows[0, 1], p), (chain.sums, sums),
-                      (pgram.power, power)):
+        chain.advance(inputs[j : j + cap])
+    for got, want in ((chain.rows[0, :2], x), (chain.sums, sums), (pgram.power, power)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-    n_avg = n_total - burn
-    np.testing.assert_allclose(chain.means(n_avg)[2], sums[2] / (n_avg - 1), rtol=1e-12)
+
+
+def test_zero_noise_drive_matches_fine_reference():
+    # a deterministic drive enters through the step integral of its linear
+    # hold; RK4 on that same piecewise-linear force at 1/64 of the step agrees
+    s = SchemeParams(scheme=CD, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
+    a, h, n = _drift(s), 0.5 * dt_bound(s), 400
+    force = ForcePulse(f0=5.0, sigma=6.0, t1=20.0, omega_f=1.1)
+    samples = force(np.arange(n + 1) * h)
+
+    def rhs(x, f):
+        return a @ x + np.array([0.0, f])
+
+    ref, x, sub = [np.zeros(2)], np.zeros(2), h / 64
+    for k in range(n):
+        for m in range(64):
+            frac = np.array([m, m + 0.5, m + 1]) / 64
+            f0, fm, f1 = samples[k] + (samples[k + 1] - samples[k]) * frac
+            k1 = rhs(x, f0)
+            k2 = rhs(x + 0.5 * sub * k1, fm)
+            k3 = rhs(x + 0.5 * sub * k2, fm)
+            x = x + sub / 6.0 * (k1 + 2 * k2 + 2 * k3 + rhs(x + sub * k3, f1))
+        ref.append(x)
+    ref = np.array(ref)
+    assert np.abs(ref[:, 0]).max() > 10.0  # the pulse drives the mirror well off zero
+
+    impulses = _drive_impulses(force, a, h, n)
+    for stride in (1, 2):
+        matrix = _step_matrix(s, noise_strengths(s), h, stride, True)
+        chain = _Chain(matrix, 1, n // stride, 0)
+        inputs = np.concatenate((np.zeros((n, 2, 1)), impulses), axis=1)
+        chain.advance(inputs.reshape(n // stride, 4 * stride, 1))
+        got = chain.rows[1:, :2, 0]  # the states after each step
+        np.testing.assert_allclose(got, ref[stride::stride], rtol=0, atol=1e-6 * np.abs(ref).max())
 
 
 def test_instability_guard_trips():
@@ -272,9 +387,10 @@ def test_paired_chains_isolate_discretization_error():
 
 
 def test_mean_response_to_force():
-    # a slow resonant pulse displaces the ensemble mean away from zero
+    # a slow resonant pulse displaces the ensemble mean away from zero; the
+    # window averages 90 time units (720 default steps) after a 360-unit burn-in
     s = SchemeParams(scheme=Scheme.NONE, quality=30.0, zeta=1.0, theta=1.0, eta=1.0)
     force = ForcePulse(f0=5.0, sigma=50.0, t1=120.0, omega_f=1.0)
-    driven = simulate(s, SimConfig(n_traj=64, seed=4, n_steps=9000), force=force)
-    quiet = simulate(s, SimConfig(n_traj=64, seed=4, n_steps=9000))
+    driven = simulate(s, SimConfig(n_traj=64, seed=4, n_steps=720), force=force)
+    quiet = simulate(s, SimConfig(n_traj=64, seed=4, n_steps=720))
     assert driven.q2 > 10.0 * quiet.q2

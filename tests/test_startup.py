@@ -1,4 +1,4 @@
-"""Start-up contract: the package, the CLI and a Monte Carlo run load no SciPy.
+"""Start-up contract: the package, the CLI and every kind of Monte Carlo run load no SciPy.
 
 SciPy is imported inside the few functions that need it (QUADPACK
 integrals and the nonstationary erfcx transform), so the common paths
@@ -17,10 +17,12 @@ import sys, warnings
 warnings.simplefilter("ignore")
 import mirrorfb
 import mirrorfb.cli
-from mirrorfb import Scheme, SchemeParams, SimConfig, simulate
+from mirrorfb import Scheme, SchemeParams, SimConfig, paired_timestep_stats, simulate
 
 s = SchemeParams(scheme=Scheme.COLD_DAMPING, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
-simulate(s, SimConfig(n_traj=2, n_steps=64, burn_in_steps=16))  # band-noise path
+simulate(s, SimConfig(n_traj=2, n_steps=64, burn_in_steps=16))  # band-force path
+paired_timestep_stats(s, SimConfig(n_traj=2, n_steps=64, burn_in_steps=16))
+simulate(s, SimConfig(n_traj=2, n_steps=64, burn_in_steps=16, estimator="spectrum"))
 code = mirrorfb.cli.main(
     ["steady", "--scheme", "cd", "--g", "10", "--Q", "50", "--zeta", "10", "--format", "json"]
 )
