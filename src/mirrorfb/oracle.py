@@ -49,6 +49,7 @@ from .steady import MomentSet, NoiseStrengths, ThermalModel, noise_strengths, st
 _BATCH = 2048  # trajectories per Philox stream
 _CHUNK = 256  # fine steps of noise drawn, and of (q, p) rows stored, at a time
 _FFT_BLOCK = 1 << 20  # rfft bins per row block of the band-noise synthesis
+_IMPULSE_BUDGET = 2 << 30  # bytes of band-force impulses one batch may hold
 
 
 class InstabilityError(RuntimeError):
@@ -306,6 +307,17 @@ def _band_impulses(
     return out
 
 
+def _check_impulse_budget(n_steps: int, nb: int) -> None:
+    """Refuse a batch whose (n_steps, 2, nb) band-force impulses exceed the budget."""
+    size = n_steps * 2 * nb * 8
+    if size > _IMPULSE_BUDGET:
+        raise ValueError(
+            f"band-force impulses need {size / 2**30:.1f} GiB per batch ({nb} trajectories x "
+            f"{n_steps} steps x 2 x 8 B), over the {_IMPULSE_BUDGET / 2**30:g} GiB limit; "
+            "use fewer trajectories or steps, a larger dt, or a narrower feedback band"
+        )
+
+
 def _drive_impulses(force, a: np.ndarray, h: float, n_steps: int) -> np.ndarray:
     """(q, p) step impulses of a deterministic drive held linear between steps, (n_steps, 2, 1).
 
@@ -433,6 +445,8 @@ def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleS
     ns = noise_strengths(s)
     a = _drift(s)
     needs_fb = ns.d_fb_cd > 0
+    if needs_fb:
+        _check_impulse_budget(n_fine, min(_BATCH, cfg.n_traj))
     band = s.feedback_band()
     drive = _drive_impulses(force, a, h, n_fine) if force is not None else None
     forced = drive is not None or needs_fb

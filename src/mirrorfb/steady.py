@@ -9,7 +9,8 @@ Closed forms are expressed with the shorthand
 in omega_m = 1 working units.  The classical-delta thermal model treats the
 Brownian force as white noise of rate gamma_m * theta, valid for theta >> 1;
 the exact model replaces the thermal pieces with a coth-weighted quadrature
-over the reservoir band.
+over the reservoir band, by the package's adaptive Gauss-Kronrod rule
+(:mod:`mirrorfb._quad`, NumPy only).
 """
 
 from __future__ import annotations
@@ -177,7 +178,10 @@ def brownian_exact(s: SchemeParams) -> BrownianMoments:
     Integrates (gamma_m/2) |chi~|^2 omega coth(omega/2 theta) {1, w(omega)}
     over the reservoir band [-varpi, varpi], with momentum weight
     w = omega^2 + (g gamma_m)^2 for stochastic cooling and omega^2 for cold
-    damping.  Integrands are even, so only [0, varpi] is sampled.
+    damping.  Integrands are even, so only [0, varpi] is sampled, by the
+    adaptive 21-point Gauss-Kronrod rule of :func:`mirrorfb._quad.quad_spectrum`:
+    it pre-splits at the resonance and the coth knee 2 theta, and evaluates
+    each integrand on an omega array once per refinement round.
     """
     gm = s.gamma_m
     wshift = 0.0 if s.scheme is Scheme.COLD_DAMPING else (s.g * gm) ** 2

@@ -18,6 +18,7 @@ from mirrorfb.oracle import (
     _Chain,
     _Periodogram,
     _band_impulses,
+    _check_impulse_budget,
     _drift,
     _drive_impulses,
     _fast_len,
@@ -71,6 +72,29 @@ def test_dt_bound_enforced():
         simulate(s, SimConfig(dt=1.0, n_traj=4, n_steps=10))
     with pytest.raises(ValueError, match="resolution bound"):
         simulate(wide, SimConfig(dt=0.01, n_traj=4, n_steps=10))
+
+
+def _unreachable(*args):
+    raise AssertionError("band-force impulses synthesized for a refused batch")
+
+
+def test_band_impulse_budget_refuses_oversized_batches(monkeypatch):
+    # 2 GiB: exactly 2^26 steps x 2 x 2 trajectories x 8 B is allowed, one step more is not
+    _check_impulse_budget(2**26, 2)
+    with pytest.raises(ValueError, match=r"2\.0 GiB per batch"):
+        _check_impulse_budget(2**26 + 1, 2)
+    # wide band at C09's physics: dt_bound is pi/2000, so a default run takes
+    # 937,568 steps, and 1000 trajectories would hold 14 GiB of impulses
+    with pytest.raises(ValueError, match=r"14\.0 GiB per batch \(1000 trajectories x 937568 steps"):
+        _check_impulse_budget(937_568, 1000)
+    # the runs refuse before synthesizing anything
+    monkeypatch.setattr("mirrorfb.oracle._band_impulses", _unreachable)
+    wide = SchemeParams(scheme=CD, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8,
+                        cutoff_feedback="wide")
+    with pytest.raises(ValueError, match=r"14\.0 GiB per batch"):
+        simulate(wide, SimConfig(n_traj=1000))
+    with pytest.raises(ValueError, match=r"27\.9 GiB per batch \(1000 trajectories x 1875136 steps"):
+        paired_timestep_stats(wide, SimConfig(n_traj=1000))
 
 
 def _smith_fixed_point(matrix):

@@ -1,8 +1,9 @@
-"""Start-up contract: the package, the CLI and every kind of Monte Carlo run load no SciPy.
+"""Start-up contract: the package, the CLI, every kind of Monte Carlo run and
+the spectral quadratures load no SciPy.
 
-SciPy is imported inside the few functions that need it (QUADPACK
-integrals and the nonstationary erfcx transform), so the common paths
-start without its ~0.6 s import.
+SciPy is imported only inside the nonstationary erfcx transform, so every
+other path starts without its ~0.6 s import.  The quadratures (integrated
+spectra, exact-coth moments) use the package's own Gauss-Kronrod rule.
 """
 
 import os
@@ -18,11 +19,15 @@ warnings.simplefilter("ignore")
 import mirrorfb
 import mirrorfb.cli
 from mirrorfb import Scheme, SchemeParams, SimConfig, paired_timestep_stats, simulate
+from mirrorfb.spectra import integrated_position_variance
+from mirrorfb.steady import ThermalModel, steady_moments
 
 s = SchemeParams(scheme=Scheme.COLD_DAMPING, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
 simulate(s, SimConfig(n_traj=2, n_steps=64, burn_in_steps=16))  # band-force path
 paired_timestep_stats(s, SimConfig(n_traj=2, n_steps=64, burn_in_steps=16))
 simulate(s, SimConfig(n_traj=2, n_steps=64, burn_in_steps=16, estimator="spectrum"))
+integrated_position_variance(s)
+steady_moments(s, ThermalModel.EXACT_COTH)
 code = mirrorfb.cli.main(
     ["steady", "--scheme", "cd", "--g", "10", "--Q", "50", "--zeta", "10", "--format", "json"]
 )
