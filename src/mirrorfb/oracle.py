@@ -8,10 +8,10 @@ Independent cross-check of every closed form: trajectories of
 are integrated in omega_m = 1 units.  The equations are linear, x' = A x +
 noise, so one step of length h is exact at any h (Van Loan 1978; Gillespie
 1996 for the scalar Ornstein-Uhlenbeck case): (q, p) advance by
-Phi = e^{A h}, a Cayley-Hamilton closed form, and take a Gaussian kick of
+Phi = e^{A h}, the response module's propagator, and take a Gaussian kick of
 covariance Sigma_h = int_0^h e^{A r} D e^{A^T r} dr, drawn as its Cholesky
 factor times two unit normals.  The white-noise intensities D come from the
-steady module.
+steady module; the closed forms checked here use chi~(omega), never e^{A t}.
 
 The cold-damping feedback force is band-limited noise with two-sided
 density d_fb * omega^2, since white noise cannot carry the omega^2 spectrum
@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Scheme, SchemeParams
+from .response import drift, propagator
 from .spectra import SpectrumSeries
 from .steady import MomentSet, NoiseStrengths, ThermalModel, noise_strengths, steady_moments
 
@@ -191,34 +192,6 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _drift(s: SchemeParams) -> np.ndarray:
-    """Drift matrix A of x = (q, p): x' = A x + noise + (0, f)."""
-    a_q = s.gamma_m * s.g if s.scheme is Scheme.STOCHASTIC_COOLING else 0.0
-    g_p = s.damping if s.scheme is Scheme.COLD_DAMPING else s.gamma_m
-    return np.array([[-a_q, 1.0], [-1.0, -g_p]])
-
-
-def _expm2(a: np.ndarray, t) -> np.ndarray:
-    """e^{a t} of a real 2x2 ``a`` for scalar or array t, shape t.shape + (2, 2).
-
-    Cayley-Hamilton: with mu = tr(a)/2 and n = a - mu I, n^2 = disc I, so
-    e^{a t} = e^{mu t} (c I + d n) with c = cosh(k t), d = sinh(k t)/k and
-    k^2 = disc (cos and sin when disc < 0).
-    """
-    t = np.asarray(t, dtype=float)[..., None, None]
-    mu = 0.5 * (a[0, 0] + a[1, 1])
-    n = a - mu * np.eye(2)
-    disc = n[0, 0] ** 2 + n[0, 1] * n[1, 0]
-    k = math.sqrt(abs(disc))
-    if disc > 0:
-        c, d = np.cosh(k * t), np.sinh(k * t) / k
-    elif disc < 0:
-        c, d = np.cos(k * t), np.sin(k * t) / k
-    else:
-        c, d = np.ones_like(t), t
-    return np.exp(mu * t) * (c * np.eye(2) + d * n)
-
-
 def _quadrature(a: np.ndarray, h: float):
     """Nodes r on [0, h], weights w and e^{a r} of a 16-point Gauss-Legendre rule.
 
@@ -231,7 +204,7 @@ def _quadrature(a: np.ndarray, h: float):
     x, w = np.polynomial.legendre.leggauss(16)
     width = h / panels
     r = ((np.arange(panels)[:, None] + 0.5 * (x + 1.0)) * width).ravel()
-    return r, np.tile(0.5 * width * w, panels), _expm2(a, r)
+    return r, np.tile(0.5 * width * w, panels), propagator(a, r)
 
 
 def _step_matrix(
@@ -246,13 +219,13 @@ def _step_matrix(
     [Phi^2, Phi B, B] with B = [L, I] for stride 2, so paired chains share
     random numbers and the coarse state equals the fine one at even steps.
     """
-    a = _drift(s)
+    a = drift(s)
     _, w, phi = _quadrature(a, h)
     sigma = np.einsum("n,nij,jk,nlk->il", w, phi, np.diag([ns.d_q, ns.d_p]), phi)
     sub = np.linalg.cholesky(sigma)
     if forced:
         sub = np.hstack((sub, np.eye(2)))
-    step = _expm2(a, h)
+    step = propagator(a, h)
     blocks = [sub]
     for _ in range(stride - 1):
         blocks.insert(0, step @ blocks[0])
@@ -267,7 +240,7 @@ def _force_kernel(a: np.ndarray, h: float, omega: np.ndarray) -> np.ndarray:
     by sum_w c_w e^{i w t} K(w) + c.c.
     """
     lhs = 1j * omega[:, None, None] * np.eye(2) - a
-    rhs = np.exp(1j * omega * h)[:, None] * np.array([0.0, 1.0]) - _expm2(a, h)[:, 1]
+    rhs = np.exp(1j * omega * h)[:, None] * np.array([0.0, 1.0]) - propagator(a, h)[:, 1]
     return np.linalg.solve(lhs, rhs[..., None])[..., 0]
 
 
@@ -443,7 +416,7 @@ def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleS
     strides = (2, 1) if paired else (1,)
 
     ns = noise_strengths(s)
-    a = _drift(s)
+    a = drift(s)
     needs_fb = ns.d_fb_cd > 0
     if needs_fb:
         _check_impulse_budget(n_fine, min(_BATCH, cfg.n_traj))
@@ -595,21 +568,12 @@ def compare(analytic, empirical: EnsembleStats, z_max: float = 3.0) -> CompareRe
     (compares per-bin values against the empirical spectrum, whose grid must
     match).  The report passes when every |z| <= z_max.
     """
-    entries: list[CompareEntry] = []
     if isinstance(analytic, MomentSet):
-        for name, a_val, e_val, e_err in (
-            ("q2", analytic.q2, empirical.q2, empirical.q2_err),
-            ("p2", analytic.p2, empirical.p2, empirical.p2_err),
-            ("qp", analytic.qp, empirical.qp, empirical.qp_err),
-        ):
-            if e_err > 0:
-                z = (e_val - a_val) / e_err
-            else:
-                z = 0.0 if e_val == a_val else math.inf
-            entries.append(CompareEntry(name, a_val, e_val, e_err, z))
-        return CompareReport(entries=tuple(entries), z_max=z_max)
-
-    if isinstance(analytic, SpectrumSeries):
+        rows = [
+            (name, getattr(analytic, name), getattr(empirical, name), getattr(empirical, name + "_err"))
+            for name in ("q2", "p2", "qp")
+        ]
+    elif isinstance(analytic, SpectrumSeries):
         if empirical.spectrum is None:
             raise ValueError("empirical stats carry no spectrum estimate")
         emp = empirical.spectrum
@@ -617,11 +581,12 @@ def compare(analytic, empirical: EnsembleStats, z_max: float = 3.0) -> CompareRe
             emp.omegas, analytic.omegas, rtol=1e-9, atol=1e-12
         ):
             raise ValueError("spectrum grids do not match (shape mismatch)")
-        for w, a_val, e_val, e_err in zip(
-            analytic.omegas, analytic.values, emp.values, emp.errors
-        ):
-            z = (e_val - a_val) / e_err if e_err > 0 else math.inf
-            entries.append(CompareEntry(f"bin omega={w:.6g}", a_val, e_val, e_err, z))
-        return CompareReport(entries=tuple(entries), z_max=z_max)
-
-    raise TypeError(f"cannot compare against {type(analytic).__name__}")
+        rows = zip((f"bin omega={w:.6g}" for w in analytic.omegas), analytic.values, emp.values, emp.errors)
+    else:
+        raise TypeError(f"cannot compare against {type(analytic).__name__}")
+    entries = []
+    for name, a_val, e_val, e_err in rows:
+        # a zero standard error passes only an exact match
+        z = (e_val - a_val) / e_err if e_err > 0 else (0.0 if e_val == a_val else math.inf)
+        entries.append(CompareEntry(name, a_val, e_val, e_err, z))
+    return CompareReport(entries=tuple(entries), z_max=z_max)

@@ -267,6 +267,55 @@ def test_invalid_timestep_and_window_exit_code(capsys):
     assert code == 1
 
 
+PULSE_ARGS = (
+    "--scheme", "cd", "--g", "2e3", "--Q", "1e5", "--zeta", "10", "--theta", "1e5", "--eta", "0.8",
+    "--Tm", "1e-3", "--f0", "2", "--sigma", "2e-4", "--t1", "5e-4", "--omega-f", "1.05",
+    "--omin", "0.5", "--omax", "1.5", "--opoints", "9",
+)
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["cooled_init", "wide_init"])
+@pytest.mark.parametrize("subcommand", ["snr-nonstationary", "cyclic"])
+def test_pulse_subcommands_match_library(tmp_path, capsys, subcommand, wide):
+    # the CSV is the library curve for the same flags: times in units of 1/gamma_m
+    # and, with --wide-init, the wide-band loop's moments as the initial state
+    from dataclasses import replace
+
+    from mirrorfb import nonstat, steady
+    from mirrorfb.core import Scheme, SchemeParams
+
+    cyclic = subcommand == "cyclic"
+    out = tmp_path / "snr.csv"
+    flags = (*(("--Tcool", "1e-6") if cyclic else ()), *(("--wide-init",) if wide else ()))
+    assert run_cli(capsys, subcommand, *PULSE_ARGS, *flags, "--out", str(out))[0] == 0
+
+    s = SchemeParams(scheme=Scheme.COLD_DAMPING, g=2e3, quality=1e5, zeta=10.0, theta=1e5, eta=0.8)
+    gm, grid = s.gamma_m, np.geomspace(0.5, 1.5, 9)
+    win = nonstat.MeasurementWindow(1e-3 / gm)
+    force = nonstat.ForcePulse(f0=2.0, sigma=2e-4 / gm, t1=5e-4 / gm, omega_f=1.05)
+
+    def curve(init):
+        moments = steady.steady_moments(init)
+        if cyclic:
+            return nonstat.cyclic_avg_snr(s, force, win, 1e-6 / gm, grid, moments=moments)
+        return nonstat.nonstationary_snr(s, force, win, grid, moments=moments)
+
+    wide_curve, cooled_curve = curve(replace(s, cutoff_feedback="wide")), curve(s)
+    assert np.max(np.abs(wide_curve / cooled_curve - 1.0)) > 0.1  # the flag matters here
+    rows = read_rows(out)
+    np.testing.assert_allclose([r[0] for r in rows], grid, rtol=1e-11)
+    np.testing.assert_allclose([r[1] for r in rows], wide_curve if wide else cooled_curve, rtol=1e-11)
+    tag = "gmTm=0.001;gmTcool=1e-06;cyclic" if cyclic else "gmTm=0.001;nonstationary"
+    prov = f"scheme=cd;g=2000;Q=100000;zeta=10;theta=100000;eta=0.8;{tag}"
+    assert {(r[2], r[3]) for r in rows} == {("SNR", prov)}
+
+
+def test_negative_cooling_time_exit_code(capsys):
+    code, out, err = run_cli(capsys, "cyclic", "--scheme", "cd", "--g", "10", "--Tm", "1e-3", "--Tcool", "-1")
+    assert (code, out) == (1, "")
+    assert "--Tcool must be >= 0" in err
+
+
 def test_numerical_failure_exit_code(capsys, monkeypatch):
     import mirrorfb.cli as cli_mod
     from mirrorfb.oracle import InstabilityError

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from mirrorfb.core import Scheme, SchemeParams
 from mirrorfb.nonstat import ForcePulse
@@ -14,12 +14,12 @@ from mirrorfb.oracle import (
     EnsembleStats,
     InstabilityError,
     SimConfig,
+    SpectrumEstimate,
     _CHUNK,
     _Chain,
     _Periodogram,
     _band_impulses,
     _check_impulse_budget,
-    _drift,
     _drive_impulses,
     _fast_len,
     _force_kernel,
@@ -29,6 +29,7 @@ from mirrorfb.oracle import (
     paired_timestep_stats,
     simulate,
 )
+from mirrorfb.response import drift as _drift
 from mirrorfb.spectra import SpectrumSeries, position_noise_spectrum
 from mirrorfb.steady import MomentSet, noise_strengths, steady_moments
 
@@ -379,6 +380,23 @@ def test_compare_identical_passes_and_offset_fails():
     assert "q2" in str(report)
 
 
+def test_compare_zero_error_passes_only_an_exact_match():
+    # moments and spectrum bins share one rule for a zero standard error
+    omegas = np.array([0.9, 1.0, 1.1])
+    spectrum = SpectrumEstimate(omegas, np.array([2.0, 5.0, 2.0]), np.array([0.1, 0.0, 0.0]))
+    stats = EnsembleStats(
+        q2=1.0, q2_err=0.0, p2=2.0, p2_err=0.0, qp=0.0, qp_err=0.05,
+        mean_q=0.0, mean_q_err=0.1, mean_p=0.0, mean_p_err=0.1,
+        seed=1, n_traj=10, dt=0.01, spectrum=spectrum,
+    )
+    moments = compare(MomentSet(q2=1.0, p2=2.5, qp=0.0), stats)
+    assert [e.z for e in moments.entries] == [0.0, math.inf, 0.0]
+    assert moments.failures == ("p2",)
+    bins = compare(SpectrumSeries(omegas, np.array([2.0, 5.0, 2.5]), "PositionNoise", "x"), stats)
+    assert [e.z for e in bins.entries] == [0.0, 0.0, math.inf]
+    assert bins.failures == ("bin omega=1.1",)
+
+
 def test_compare_spectrum_shape_mismatch():
     stats = simulate(
         SchemeParams(scheme=Scheme.NONE, quality=30.0, zeta=5.0, theta=100.0, eta=1.0),
@@ -418,3 +436,17 @@ def test_mean_response_to_force():
     driven = simulate(s, SimConfig(n_traj=64, seed=4, n_steps=720), force=force)
     quiet = simulate(s, SimConfig(n_traj=64, seed=4, n_steps=720))
     assert driven.q2 > 10.0 * quiet.q2
+
+    # closed-loop cold damping: the drive's impulses add to the band-limited
+    # force noise, whose mean is zero, so the ensemble mean is the noiseless
+    # response averaged over the window (states after steps 1..n of a quasi-static push)
+    cd = SchemeParams(scheme=CD, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
+    push = ForcePulse(f0=20.0, sigma=20.0, t1=100.0, omega_f=0.0)
+    stats = simulate(cd, SimConfig(n_traj=256, seed=8, burn_in_steps=0, n_steps=1600), force=push)
+    a = np.array([[0.0, 1.0], [-1.0, -cd.damping]])
+    t = stats.dt * np.arange(1, 1601)
+    sol = solve_ivp(lambda u, x: a @ x + [0.0, push(u)], (0.0, t[-1]), [0.0, 0.0], t_eval=t,
+                    method="DOP853", rtol=1e-10, atol=1e-12)
+    assert sol.y[0].mean() > 100.0 * stats.mean_q_err  # the push stands far out of the noise
+    assert stats.mean_q == pytest.approx(sol.y[0].mean(), abs=3.0 * stats.mean_q_err)
+    assert stats.mean_p == pytest.approx(sol.y[1].mean(), abs=3.0 * stats.mean_p_err)

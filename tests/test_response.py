@@ -13,7 +13,9 @@ from mirrorfb.response import (
     chi_freq,
     chi_time,
     damping_rate,
+    drift,
     kernels,
+    propagator,
     renormalized_freq_sq,
 )
 
@@ -217,3 +219,54 @@ def test_branch_continuity_at_critical_gain():
     hi = chi_time(params(CD, g_star * (1 + 1e-9), quality), t)
     np.testing.assert_allclose(lo, mid, rtol=1e-6, atol=1e-12)
     np.testing.assert_allclose(hi, mid, rtol=1e-6, atol=1e-12)
+
+
+def _row_close(got, want, rtol):
+    """|got - want| <= rtol x the largest |want| entry of the same row, for every row."""
+    scale = np.abs(want).max(axis=-1, keepdims=True)
+    return bool(np.all(np.abs(got - want) <= rtol * scale))
+
+
+def _gains(quality):
+    # both sides of, and at, the critical gain 2Q - 1 where cold damping turns overdamped
+    crit = 2.0 * quality - 1.0
+    return (0.0, 1.0, crit * (1 - 1e-9), crit, crit * (1 + 1e-9), 400.0)
+
+
+@pytest.mark.parametrize("quality", [0.5, 5.0, 50.0])
+@pytest.mark.parametrize("scheme", [SC, CD, Scheme.NONE])
+def test_propagator_matches_scipy_expm(scheme, quality):
+    from scipy.linalg import expm
+
+    t = np.array([0.0, 1e-6, 1e-3, 0.0156, 0.3, 3.0, 40.0])
+    for g in _gains(quality) if scheme is not Scheme.NONE else (0.0,):
+        s = params(scheme, g, quality)
+        a = drift(s)
+        got = propagator(a, t)
+        assert got.shape == (len(t), 2, 2)
+        for ti, u in zip(t, got):  # SciPy's own error reaches 1e-12 here (sc, Q = 0.5, g = 1, t = 40)
+            assert _row_close(u, expm(a * ti), 1e-11), (g, ti)
+        # chi(t) and the kernels are its entries
+        ks = kernels(s, t)
+        np.testing.assert_array_equal(ks.chi, got[:, 0, 1])
+        np.testing.assert_array_equal(got[:, 1, 0], -got[:, 0, 1])
+        np.testing.assert_array_equal(ks.k if scheme is CD else ks.k_q, got[:, 0, 0])
+    with pytest.raises(ValueError, match="t >= 0"):
+        propagator(a, -1e-3)
+
+
+@pytest.mark.parametrize("scheme", [SC, CD])
+def test_propagator_stiff_points(scheme):
+    # Q = 0.5, g = 1e4: rates 2e4 apart, far beyond where expm's scaling can be
+    # checked cheaply; the group laws of e^{At} still hold exactly
+    t = np.array([1e-3, 0.0156, 0.3, 3.0, 40.0, 500.0, 1e3])
+    for g in (*_gains(0.5), 1e4):
+        a = drift(params(scheme, g, 0.5))
+        u = propagator(a, t)
+        assert np.all(np.isfinite(u)), g
+        det = u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0]
+        want = np.exp(t * np.trace(a))
+        assert np.all(np.abs(det - want) <= 1e-12 * np.abs(u).max(axis=(1, 2)) ** 2 + 1e-12 * want), g
+        for t1, t2 in ((1e-3, 0.0156), (0.3, 2.7), (20.0, 20.0), (250.0, 250.0), (500.0, 500.0)):
+            both = propagator(a, t1 + t2)
+            assert _row_close(propagator(a, t1) @ propagator(a, t2), both, 1e-11), (g, t1, t2)
