@@ -123,11 +123,13 @@ class SchemeParams:
         if cf == "wide":
             return (0.0, self.cutoff_reservoir)
         if isinstance(cf, tuple):
+            if len(cf) != 2:
+                raise ValueError(f"feedback band must be a (lo, hi) pair, got {cf}")
             lo, hi = float(cf[0]), float(cf[1])
             if not 0 <= lo < hi < math.inf:
                 raise ValueError(f"feedback band must be finite with 0 <= lo < hi, got {cf}")
             return (lo, hi)
-        if isinstance(cf, (int, float)):
+        if isinstance(cf, (int, float)) and not isinstance(cf, bool):
             half = float(cf)
             if not 0 < half < math.inf:
                 raise ValueError(f"feedback half-width must be finite and > 0, got {cf}")

@@ -23,11 +23,12 @@ deterministic drive enters through the step integral of its first-order
 hold, linear between step points.  Nothing is biased by the step, so
 :func:`dt_bound` is a resolution bound.
 
-One chunked stepper drives both the single chain and the paired dt / dt/2
-chains.  Each step of a batch is one matrix product of a stacked (q, p,
-inputs) row; the (q, p) rows of a chunk are stored time-major and reduced
-after it, and the spectrum estimator accumulates the DFT of its kept bins
-chunk by chunk.
+Every run steps one chunked chain per batch.  Each step is one matrix
+product of a stacked (q, p, inputs) row; the (q, p) rows of a chunk are
+stored time-major and reduced after it, and the spectrum estimator
+accumulates the DFT of its kept bins chunk by chunk.  A paired dt / dt/2
+run steps the chain at dt/2 and reduces it twice: every post-burn-in state
+gives the dt/2 statistics, every second one the dt statistics.
 
 Trajectories are independent work units on counter-based (Philox) streams,
 one stream per fixed-size batch, so results are bit-reproducible for a
@@ -207,29 +208,19 @@ def _quadrature(a: np.ndarray, h: float):
     return r, np.tile(0.5 * width * w, panels), propagator(a, r)
 
 
-def _step_matrix(
-    s: SchemeParams, ns: NoiseStrengths, h: float, stride: int, forced: bool
-) -> np.ndarray:
+def _step_matrix(s: SchemeParams, ns: NoiseStrengths, h: float, forced: bool) -> np.ndarray:
     """(2, 2 + r) map of a stacked (q, p, inputs) row to the next (q, p).
 
-    One fine step of length h is x' = Phi x + L xi + i: Phi = e^{A h}, L the
+    One step of length h is x' = Phi x + L xi + i: Phi = e^{A h}, L the
     Cholesky factor of the step-noise covariance Sigma_h, xi two unit normals
-    and, when ``forced``, i the (q, p) force impulse with unit weight.  A
-    step of ``stride`` fine steps composes them exactly, e.g.
-    [Phi^2, Phi B, B] with B = [L, I] for stride 2, so paired chains share
-    random numbers and the coarse state equals the fine one at even steps.
+    and, when ``forced``, i the (q, p) force impulse with unit weight; the
+    matrix is [Phi, L] or [Phi, L, I].
     """
     a = drift(s)
     _, w, phi = _quadrature(a, h)
     sigma = np.einsum("n,nij,jk,nlk->il", w, phi, np.diag([ns.d_q, ns.d_p]), phi)
-    sub = np.linalg.cholesky(sigma)
-    if forced:
-        sub = np.hstack((sub, np.eye(2)))
-    step = propagator(a, h)
-    blocks = [sub]
-    for _ in range(stride - 1):
-        blocks.insert(0, step @ blocks[0])
-    return np.hstack((np.linalg.matrix_power(step, stride), *blocks))
+    blocks = (propagator(a, h), np.linalg.cholesky(sigma))
+    return np.hstack(blocks + (np.eye(2),) if forced else blocks)
 
 
 def _force_kernel(a: np.ndarray, h: float, omega: np.ndarray) -> np.ndarray:
@@ -347,9 +338,12 @@ class _Chain:
     """A batch of trajectories stepped through one step matrix, chunk by chunk.
 
     Row k of the time-major buffer holds (q, p) before step k and that step's
-    inputs, so each step is one matmul writing the (q, p) of row k + 1.  The
-    post-burn-in rows of a chunk are reduced after it into the sums of q^2,
-    p^2, qp, q and p.
+    inputs (two normals, then the impulse when forced), so each step is one
+    matmul writing the (q, p) of row k + 1.  The post-burn-in rows of a chunk
+    are reduced after it into the sums of q^2, p^2, qp, q and p, kept apart
+    by post-burn-in index modulo ``k``; with k = 2 the odd ones sample every
+    second step, so one chain serves both samplings of a paired run.  The
+    periodogram sees every row.
     """
 
     def __init__(
@@ -358,35 +352,41 @@ class _Chain:
         nb: int,
         capacity: int,
         burn: int,
+        k: int = 1,
         periodogram: _Periodogram | None = None,
     ):
         self.matrix = matrix
         self.rows = np.zeros((capacity + 1, matrix.shape[1], nb))
         self.burn = burn
         self.steps = 0
-        self.sums = np.zeros((5, nb))
+        self.sums = np.zeros((k, 5, nb))
         self.periodogram = periodogram
 
-    def advance(self, inputs: np.ndarray) -> np.ndarray:
-        """Take len(inputs) steps with the given (step, input, traj) inputs; return q."""
-        n = len(inputs)
+    def advance(self, normals: np.ndarray, impulses: np.ndarray | None = None) -> np.ndarray:
+        """Take len(normals) steps with (step, 2, traj) normals and impulses; return q."""
+        n = len(normals)
         y = self.rows
-        y[:n, 2:] = inputs
+        y[:n, 2:4] = normals
+        if impulses is not None:
+            y[:n, 4:] = impulses
         m, matmul = self.matrix, np.matmul
         for k in range(n):
             matmul(m, y[k], out=y[k + 1, :2])
 
         first = max(1, self.burn - self.steps + 1)  # row of the first post-burn-in state
         if first <= n:
-            q, p = y[first : n + 1, 0], y[first : n + 1, 1]
-            sums = self.sums
-            sums[0] += np.einsum("ij,ij->j", q, q)
-            sums[1] += np.einsum("ij,ij->j", p, p)
-            sums[2] += np.einsum("ij,ij->j", q, p)
-            sums[3] += q.sum(axis=0)
-            sums[4] += p.sum(axis=0)
+            start = self.steps + first - 1 - self.burn  # its post-burn-in index
+            k = len(self.sums)
+            for r, sums in enumerate(self.sums):
+                rows = y[first + (r - start) % k : n + 1 : k]
+                q, p = rows[:, 0], rows[:, 1]
+                sums[0] += np.einsum("ij,ij->j", q, q)
+                sums[1] += np.einsum("ij,ij->j", p, p)
+                sums[2] += np.einsum("ij,ij->j", q, p)
+                sums[3] += q.sum(axis=0)
+                sums[4] += p.sum(axis=0)
             if self.periodogram is not None:
-                self.periodogram.add(q, self.steps + first - 1 - self.burn)
+                self.periodogram.add(y[first : n + 1, 0], start)
         y[0, :2] = y[n, :2]
         self.steps += n
         return y[0, 0]
@@ -408,12 +408,11 @@ def _segment_layout(cfg: SimConfig, dt: float, n_steps: int):
 
 
 def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleStats]:
-    """Integrate the ensemble; one EnsembleStats per chain (coarse first when paired)."""
+    """Integrate the ensemble; one EnsembleStats per sampling (dt first when paired)."""
     dt, burn, n_steps = _resolve_config(s, cfg)
     sub = 2 if paired else 1
     h = dt / sub
     n_fine = sub * (burn + n_steps)
-    strides = (2, 1) if paired else (1,)
 
     ns = noise_strengths(s)
     a = drift(s)
@@ -422,9 +421,7 @@ def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleS
         _check_impulse_budget(n_fine, min(_BATCH, cfg.n_traj))
     band = s.feedback_band()
     drive = _drive_impulses(force, a, h, n_fine) if force is not None else None
-    forced = drive is not None or needs_fb
-    matrices = [_step_matrix(s, ns, h, st, forced) for st in strides]
-    width = 4 if forced else 2  # inputs per fine step: two normals, then the impulse
+    matrix = _step_matrix(s, ns, h, drive is not None or needs_fb)
 
     ref = steady_moments(s, ThermalModel.CLASSICAL_DELTA)
     guard = 1e6 * math.sqrt(max(ref.q2, 1.0))
@@ -433,7 +430,7 @@ def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleS
     if cfg.estimator == "spectrum":
         omegas, *layout = _segment_layout(cfg, dt, n_steps)
 
-    means: list[list[np.ndarray]] = [[] for _ in strides]
+    sums: list[np.ndarray] = []
     spec_rows: list[np.ndarray] = []
     base = np.random.Philox(key=cfg.seed)
     for b, start in enumerate(range(0, cfg.n_traj, _BATCH)):
@@ -445,29 +442,19 @@ def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleS
             if drive is not None:
                 impulses += drive
         pgram = _Periodogram(*layout, nb) if layout is not None else None
-        chains = [
-            _Chain(m, nb, _CHUNK // st, sub // st * burn, pgram)
-            for m, st in zip(matrices, strides)
-        ]
-        inputs = np.zeros((_CHUNK, width, nb))
+        chain = _Chain(matrix, nb, _CHUNK, sub * burn, sub, pgram)
         for j in range(0, n_fine, _CHUNK):
             n = min(_CHUNK, n_fine - j)
-            x = inputs[:n]
-            x[:, :2] = rng.standard_normal((n, 2, nb))  # fine step, normal, traj
-            if forced:
-                x[:, 2:] = impulses[j : j + n]
-            peak = 0.0
-            for chain, st in zip(chains, strides):
-                q = chain.advance(x.reshape(n // st, st * width, nb))
-                peak = max(peak, float(np.max(np.abs(q))))
+            normals = rng.standard_normal((n, 2, nb))  # fine step, normal, traj
+            q = chain.advance(normals, None if impulses is None else impulses[j : j + n])
+            peak = float(np.max(np.abs(q)))
             if not math.isfinite(peak) or peak > guard:
                 raise InstabilityError(
                     f"|Q| reached {peak:.3g} (guard {guard:.3g}) at step {(j + n) // sub} "
                     f"of {n_fine // sub}; dt = {dt:g}, scheme = {s.scheme.value}, g = {s.g:g}"
                     + (", paired run" if paired else "")
                 )
-        for chain, st, out in zip(chains, strides, means):
-            out.append(chain.sums / (sub // st * n_steps))
+        sums.append(chain.sums)
         if pgram is not None:
             spec_rows.append(pgram.mean())
 
@@ -480,9 +467,12 @@ def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleS
             errors=rows.std(axis=0, ddof=1) / math.sqrt(rows.shape[0]),
         )
 
+    totals = np.concatenate(sums, axis=2)  # (sub, 5, n_traj); when paired, index 1 holds every dt
+    samplings = [(totals[-1] / n_steps, dt)]
+    if paired:
+        samplings.append((totals.sum(axis=0) / (2 * n_steps), h))
     stats = []
-    for st, chunks in zip(strides, means):
-        vals = np.concatenate(chunks, axis=1)
+    for vals, step in samplings:
         mu = vals.mean(axis=1)
         se = vals.std(axis=1, ddof=1) / math.sqrt(vals.shape[1])
         stats.append(
@@ -492,7 +482,7 @@ def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleS
                 qp=float(mu[2]), qp_err=float(se[2]),
                 mean_q=float(mu[3]), mean_q_err=float(se[3]),
                 mean_p=float(mu[4]), mean_p_err=float(se[4]),
-                seed=cfg.seed, n_traj=cfg.n_traj, dt=st * h, spectrum=spectrum,
+                seed=cfg.seed, n_traj=cfg.n_traj, dt=step, spectrum=spectrum,
             )
         )
     return stats
@@ -513,15 +503,14 @@ def simulate(s: SchemeParams, cfg: SimConfig, force=None) -> EnsembleStats:
 def paired_timestep_stats(
     s: SchemeParams, cfg: SimConfig, force=None
 ) -> tuple[EnsembleStats, EnsembleStats]:
-    """Run chains at dt and dt/2 driven by common random numbers.
+    """Moment estimates of one run sampled at dt and at dt/2.
 
-    The coarse step composes the fine chain's two sub-step inputs exactly,
-    so with exact arithmetic the coarse state is the fine state at every
-    even step.  The difference of the two moment estimates is then only the
-    effect of sampling every dt rather than every dt/2, and a stride-2 step
-    map that does not compose shows up in it instead of being hidden by
-    independent sampling noise.  Returns (coarse_stats, fine_stats); the
-    spectrum estimator is rejected.
+    One chain is stepped at dt/2 and reduced twice: every second
+    post-burn-in state, the chain's state at each step of dt, gives the
+    coarse statistics and every post-burn-in state the fine ones.  The exact
+    step has no dt bias, so the difference of the two estimates is only the
+    effect of sampling every dt rather than every dt/2.  Returns
+    (coarse_stats, fine_stats); the spectrum estimator is rejected.
     """
     if cfg.estimator == "spectrum":
         raise ValueError("paired_timestep_stats supports only the moments estimator")

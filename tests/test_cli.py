@@ -4,12 +4,16 @@ import argparse
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mirrorfb.cli import build_parser, main
+from mirrorfb.core import PhysicalParams, Scheme, SchemeParams, to_dimensionless
+from mirrorfb.spectra import FLOAT_FMT, position_noise_spectrum
+from mirrorfb.steady import steady_moments
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -61,6 +65,23 @@ def test_steady_sweep_csv(tmp_path, capsys):
     assert kinds == {"q2", "p2", "qp", "energy"}
 
 
+def test_linear_sweep_matches_library(capsys):
+    # no ":log": the grid is linear, here 1, 4, 7, 10
+    code, out, _ = run_cli(
+        capsys,
+        "steady", "--scheme", "sc", "--g", "10", "--Q", "50", "--theta", "1e3",
+        "--eta", "0.8", "--sweep", "zeta:1:10:4",
+    )
+    assert code == 0
+    base = SchemeParams(scheme=Scheme.STOCHASTIC_COOLING, g=10.0, quality=50.0, theta=1e3, eta=0.8)
+    want = []
+    for zeta in (1.0, 4.0, 7.0, 10.0):
+        m = steady_moments(replace(base, zeta=zeta))
+        for kind, value in (("q2", m.q2), ("p2", m.p2), ("qp", m.qp), ("energy", m.energy_units)):
+            want.append([FLOAT_FMT.format(zeta), FLOAT_FMT.format(value), kind])
+    assert [line.split(",")[:3] for line in out.strip().split("\n")[1:]] == want
+
+
 def test_sweep_unknown_variable_is_config_error(capsys):
     code, _, err = run_cli(capsys, "steady", "--sweep", "bogus:1:2:5")
     assert code == 1
@@ -87,28 +108,60 @@ def test_config_file_with_overrides(tmp_path, capsys):
     assert json.loads(out)["q2"] == pytest.approx(501.25)
 
 
+LAB = {
+    "mass": 1e-12,
+    "omega_m": 2 * math.pi * 1e6,
+    "gamma_m": 2 * math.pi * 10.0,
+    "cavity_length": 1e-2,
+    "gamma_c": 2 * math.pi * 1e8,
+    "laser_power": 1e-6,
+    "laser_omega0": 1.77e15,
+    "cavity_omega_c": 1.77e15,
+    "efficiency": 0.8,
+    "temperature": 4.0,
+}
+
+
+def write_config(path, values):
+    path.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+    return str(path)
+
+
 def test_physical_config_file(tmp_path, capsys):
-    cfg = tmp_path / "lab.cfg"
-    cfg.write_text(
-        "\n".join(
-            [
-                "mass = 1e-12",
-                f"omega_m = {2 * math.pi * 1e6}",
-                f"gamma_m = {2 * math.pi * 10.0}",
-                "cavity_length = 1e-2",
-                f"gamma_c = {2 * math.pi * 1e8}",
-                "laser_power = 1e-6",
-                "laser_omega0 = 1.77e15",
-                "cavity_omega_c = 1.77e15",
-                "efficiency = 0.8",
-                "temperature = 4.0",
-            ]
-        )
-    )
-    code, out, _ = run_cli(capsys, "steady", "--config", str(cfg), "--format", "json")
+    cfg = write_config(tmp_path / "lab.cfg", LAB)
+    code, out, _ = run_cli(capsys, "steady", "--config", cfg, "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["q2"] > 0
+
+
+def test_physical_config_beta_override_matches_library(tmp_path, capsys):
+    # beta replaces the largest stable root of the bistability cubic (~185 here)
+    cfg = write_config(tmp_path / "lab.cfg", {**LAB, "beta": 100.0})
+    code, out, _ = run_cli(capsys, "steady", "--config", cfg, "--format", "json")
+    assert code == 0
+    m = steady_moments(to_dimensionless(PhysicalParams(**LAB), 100.0, Scheme.NONE))
+    payload = json.loads(out)
+    assert (payload["q2"], payload["p2"], payload["qp"]) == (m.q2, m.p2, m.qp)
+    _, solved, _ = run_cli(capsys, "steady", "--config", write_config(tmp_path / "root.cfg", LAB),
+                           "--format", "json")
+    assert json.loads(solved)["q2"] != m.q2
+
+
+def test_config_file_feedback_band_matches_library(tmp_path, capsys):
+    params = {"scheme": "cd", "g": 10, "quality": 50, "zeta": 10, "theta": 1e3, "eta": 0.8}
+    cfg = write_config(tmp_path / "band.cfg", {**params, "cutoff_feedback": "0.9:1.1"})
+    code, out, _ = run_cli(capsys, "spectrum", "--config", cfg, "--thermal", "classical",
+                           "--omin", "0.5", "--omax", "1.5", "--opoints", "40")
+    assert code == 0
+    s = SchemeParams(scheme=Scheme.COLD_DAMPING, g=10.0, quality=50.0, zeta=10.0, theta=1e3,
+                     eta=0.8, cutoff_feedback=(0.9, 1.1))
+    grid = np.geomspace(0.5, 1.5, 40)
+    got = [line.split(",")[1] for line in out.strip().split("\n")[1:]]
+    assert got == [FLOAT_FMT.format(v) for v in position_noise_spectrum(s, grid, thermal="classical")]
+    # the band reached the spectrum: the default narrow band, (0, 3.2) here, gives other values
+    narrow = position_noise_spectrum(replace(s, cutoff_feedback="narrow"), grid, thermal="classical")
+    assert got != [FLOAT_FMT.format(v) for v in narrow]
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -279,10 +332,7 @@ PULSE_ARGS = (
 def test_pulse_subcommands_match_library(tmp_path, capsys, subcommand, wide):
     # the CSV is the library curve for the same flags: times in units of 1/gamma_m
     # and, with --wide-init, the wide-band loop's moments as the initial state
-    from dataclasses import replace
-
     from mirrorfb import nonstat, steady
-    from mirrorfb.core import Scheme, SchemeParams
 
     cyclic = subcommand == "cyclic"
     out = tmp_path / "snr.csv"

@@ -117,6 +117,10 @@ def test_feedback_band_forms():
     assert SchemeParams(cutoff_feedback=(0.5, 1.5)).feedback_band() == (0.5, 1.5)
     with pytest.raises(ValueError):
         SchemeParams(cutoff_feedback=(2.0, 1.0))
+    with pytest.raises(ValueError, match=r"\(lo, hi\) pair"):
+        SchemeParams(cutoff_feedback=(0.5, 1.5, 99))
+    with pytest.raises(ValueError, match="unrecognized cutoff_feedback"):
+        SchemeParams(cutoff_feedback=True)
 
 
 @pytest.mark.parametrize("band", [math.nan, (math.nan, 1.0), (0.5, math.nan)])

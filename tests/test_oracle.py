@@ -117,7 +117,7 @@ def test_step_map_fixed_point_is_steady_moments(scheme, g, quality, dt):
     # the exact step has no dt bias: its discrete stationary covariance is the
     # continuous one at any step (cold damping's force noise is not white)
     s = SchemeParams(scheme=scheme, g=g, quality=quality, zeta=10.0, theta=1e3, eta=0.8)
-    sigma = _smith_fixed_point(_step_matrix(s, noise_strengths(s), dt, 1, False))
+    sigma = _smith_fixed_point(_step_matrix(s, noise_strengths(s), dt, False))
     ref = steady_moments(s)
     assert sigma[0, 0] == pytest.approx(ref.q2, rel=1e-12)
     assert sigma[1, 1] == pytest.approx(ref.p2, rel=1e-12)
@@ -152,7 +152,7 @@ def test_step_map_matches_van_loan(scheme, g, dt):
 
     s = SchemeParams(scheme=scheme, g=g, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
     ns, a = noise_strengths(s), _drift(s)
-    matrix = _step_matrix(s, ns, dt, 1, False)
+    matrix = _step_matrix(s, ns, dt, False)
     block = expm(np.block([[-a, np.diag([ns.d_q, ns.d_p])], [np.zeros((2, 2)), a.T]]) * dt)
     np.testing.assert_allclose(matrix[:, :2], expm(a * dt), rtol=1e-13, atol=1e-14)
     want = block[2:, 2:].T @ block[:2, 2:]
@@ -161,11 +161,20 @@ def test_step_map_matches_van_loan(scheme, g, dt):
 
 
 @pytest.mark.parametrize(
-    "kwargs", [{"n_steps": 1}, {"n_steps": 0}, {"n_steps": -5}, {"burn_in_steps": -1}]
+    "kwargs",
+    [
+        {"n_steps": 1},
+        {"n_steps": 0},
+        {"n_steps": -5},
+        {"burn_in_steps": -1},
+        pytest.param({"n_steps": 15, "estimator": "spectrum"}, id="spectrum-15-steps"),
+    ],
 )
 def test_sim_config_rejects_short_runs(kwargs):
-    with pytest.raises(ValueError):
-        SimConfig(n_traj=4, **kwargs)
+    # SimConfig refuses the first four; a spectrum segment needs 16 steps
+    s = SchemeParams(scheme=CD, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
+    with pytest.raises(ValueError, match=">= 2|>= 0|too short for one spectrum segment"):
+        simulate(s, SimConfig(n_traj=4, **kwargs))
 
 
 @pytest.mark.parametrize(
@@ -299,7 +308,8 @@ def _reference_loop(s, dt, stride, xi, impulses, burn, seg_len, bins):
 @pytest.mark.parametrize("stride", [1, 2])
 def test_chunked_stepper_matches_plain_loop(stride):
     # pre-drawn inputs crossing chunk boundaries and, inside a chunk, the
-    # burn-in boundary; the periodogram spans chunks too
+    # burn-in boundary; the periodogram spans chunks too.  At stride 2 the
+    # chain steps dt/2, and its odd post-burn-in states are the loop's dt states
     s = SchemeParams(scheme=SC, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
     nb, dt = 6, 0.5 * dt_bound(s)
     cap = _CHUNK // stride
@@ -310,14 +320,18 @@ def test_chunked_stepper_matches_plain_loop(stride):
     bins = np.arange(3, 12)
     x, sums, power = _reference_loop(s, dt, stride, xi, impulses, burn, seg_len, bins)
 
-    n_seg = (n_total - burn) // seg_len
-    pgram = _Periodogram(bins, np.hanning(seg_len), n_seg, 1.0, nb)
-    matrix = _step_matrix(s, noise_strengths(s), dt / stride, stride, True)
-    chain = _Chain(matrix, nb, cap, burn, pgram)
-    inputs = np.concatenate((xi, impulses), axis=2).reshape(n_total, 4 * stride, nb)
-    for j in range(0, n_total, cap):
-        chain.advance(inputs[j : j + cap])
-    for got, want in ((chain.rows[0, :2], x), (chain.sums, sums), (pgram.power, power)):
+    pgram = None
+    if stride == 1:
+        pgram = _Periodogram(bins, np.hanning(seg_len), (n_total - burn) // seg_len, 1.0, nb)
+    matrix = _step_matrix(s, noise_strengths(s), dt / stride, True)
+    chain = _Chain(matrix, nb, _CHUNK, stride * burn, stride, pgram)
+    xi, impulses = (u.reshape(stride * n_total, 2, nb) for u in (xi, impulses))
+    for j in range(0, stride * n_total, _CHUNK):
+        chain.advance(xi[j : j + _CHUNK], impulses[j : j + _CHUNK])
+    checks = [(chain.rows[0, :2], x), (chain.sums[stride - 1], sums)]
+    if pgram is not None:
+        checks.append((pgram.power, power))
+    for got, want in checks:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
@@ -345,14 +359,10 @@ def test_zero_noise_drive_matches_fine_reference():
     ref = np.array(ref)
     assert np.abs(ref[:, 0]).max() > 10.0  # the pulse drives the mirror well off zero
 
-    impulses = _drive_impulses(force, a, h, n)
-    for stride in (1, 2):
-        matrix = _step_matrix(s, noise_strengths(s), h, stride, True)
-        chain = _Chain(matrix, 1, n // stride, 0)
-        inputs = np.concatenate((np.zeros((n, 2, 1)), impulses), axis=1)
-        chain.advance(inputs.reshape(n // stride, 4 * stride, 1))
-        got = chain.rows[1:, :2, 0]  # the states after each step
-        np.testing.assert_allclose(got, ref[stride::stride], rtol=0, atol=1e-6 * np.abs(ref).max())
+    chain = _Chain(_step_matrix(s, noise_strengths(s), h, True), 1, n, 0)
+    chain.advance(np.zeros((n, 2, 1)), _drive_impulses(force, a, h, n))
+    got = chain.rows[1:, :2, 0]  # the states after each step
+    np.testing.assert_allclose(got, ref[1:], rtol=0, atol=1e-6 * np.abs(ref).max())
 
 
 def test_instability_guard_trips():
@@ -407,6 +417,22 @@ def test_compare_spectrum_shape_mismatch():
         compare(bad, stats)
 
 
+@pytest.mark.parametrize(
+    "analytic, error, message",
+    [
+        (SpectrumSeries(np.array([1.0]), np.array([1.0]), "PositionNoise", "x"), ValueError,
+         "carry no spectrum"),
+        ({"q2": 1.0}, TypeError, "cannot compare against dict"),
+    ],
+    ids=["no-spectrum", "unsupported-type"],
+)
+def test_compare_rejects_what_it_cannot_score(analytic, error, message):
+    s = SchemeParams(scheme=Scheme.NONE, quality=30.0, zeta=5.0, theta=100.0, eta=1.0)
+    stats = simulate(s, SimConfig(n_traj=4, seed=2, n_steps=64))
+    with pytest.raises(error, match=message):
+        compare(analytic, stats)
+
+
 def test_spectrum_estimator_matches_analytic():
     # reduced-quality configuration resolves the peak quickly
     s = SchemeParams(scheme=CD, g=10.0, quality=100.0, zeta=10.0, theta=1e5, eta=0.8)
@@ -426,6 +452,45 @@ def test_paired_chains_isolate_discretization_error():
     for name in ("q2", "p2", "qp"):
         delta = abs(getattr(coarse, name) - getattr(fine, name))
         assert delta < 1.0 * getattr(coarse, f"{name}_err")
+
+
+@pytest.mark.parametrize("scheme", [SC, CD])
+def test_paired_fine_sampling_is_the_half_step_run(scheme):
+    # one chain at dt/2 serves both samplings: its fine statistics are
+    # simulate's at dt/2 on the same seed, with twice the steps and burn-in,
+    # up to the rounding of summing odd and even states apart
+    s = SchemeParams(scheme=scheme, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
+    dt, n_steps, burn = 0.5 * dt_bound(s), 600, 100
+    push = ForcePulse(f0=20.0, sigma=20.0, t1=40.0, omega_f=1.0)
+    cfg = SimConfig(n_traj=64, seed=17, dt=dt, n_steps=n_steps, burn_in_steps=burn)
+    _, fine = paired_timestep_stats(s, cfg, force=push)
+    half = replace(cfg, dt=dt / 2, n_steps=2 * n_steps, burn_in_steps=2 * burn)
+    single = simulate(s, half, force=push)
+    assert fine.dt == single.dt
+    scale = {"q2": single.q2, "p2": single.p2, "qp": math.sqrt(single.q2 * single.p2),
+             "mean_q": math.sqrt(single.q2), "mean_p": math.sqrt(single.p2)}
+    for name, size in scale.items():
+        assert getattr(fine, name) == pytest.approx(getattr(single, name), rel=0, abs=1e-12 * size)
+        err = name + "_err"
+        assert getattr(fine, err) == pytest.approx(getattr(single, err), rel=1e-12)
+
+
+def test_paired_coarse_sampling_is_every_dt():
+    # a constant push from rest is followed exactly by the step's linear hold
+    # and stands far out of the noise over a short window, so the ensemble
+    # means are the noiseless response averaged over the sample points: the
+    # dt/2 chain's odd states for dt, all of them for dt/2.  Its even states,
+    # half a step early, would move the dt mean by tens of SE
+    s = SchemeParams(scheme=SC, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
+    dt, n_steps, f0 = 0.5 * dt_bound(s), 16, 1e3
+    cfg = SimConfig(n_traj=64, seed=9, dt=dt, n_steps=n_steps, burn_in_steps=0)
+    coarse, fine = paired_timestep_stats(s, cfg, force=lambda t: np.full(t.shape, f0))
+    a, t = _drift(s), 0.5 * dt * np.arange(1, 2 * n_steps + 1)
+    q = solve_ivp(lambda u, x: a @ x + [0.0, f0], (0.0, t[-1]), [0.0, 0.0], t_eval=t,
+                  method="DOP853", rtol=1e-12, atol=1e-12).y[0]
+    assert q[1::2].mean() - q[0::2].mean() > 20.0 * coarse.mean_q_err
+    assert coarse.mean_q == pytest.approx(q[1::2].mean(), abs=3.0 * coarse.mean_q_err)
+    assert fine.mean_q == pytest.approx(q.mean(), abs=3.0 * fine.mean_q_err)
 
 
 def test_mean_response_to_force():

@@ -131,6 +131,26 @@ def test_unresolvable_integrand_fails_within_the_panel_cap(f):
     assert sum(calls) <= 21 * limit * split // (split - 1)
 
 
+def test_singularity_off_the_breakpoints_stops_at_the_narrowest_panel():
+    # panels are cut towards 1/sqrt|w - c| (0 at c) until one is too narrow to
+    # cut; the loop returns what it has, finite and accurate to ~3e-8.  At
+    # c = 2/3 the tolerance is never met (at c = 1/3 the heuristic estimate
+    # meets it first), and with fewer than _LIMIT panels ever made the panel
+    # cap did not end it either
+    c = 2.0 / 3.0
+
+    def f(w):
+        d = np.abs(w - c)
+        return np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
+
+    integrand, calls = _counting(f)
+    value, abserr = gauss_kronrod(integrand, [0.0, 1.0])
+    assert math.isfinite(value) and math.isfinite(abserr)
+    assert value == pytest.approx(2.0 * math.sqrt(c) + 2.0 * math.sqrt(1.0 - c), rel=0, abs=1e-7)
+    assert abserr > _quad._EPSREL * value
+    assert sum(calls) < 21 * _quad._LIMIT
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("where", ["everywhere", "beyond 50"])
 def test_non_finite_integrand_is_a_quadrature_error(bad, where):
