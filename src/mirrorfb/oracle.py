@@ -23,12 +23,12 @@ deterministic drive enters through the step integral of its first-order
 hold, linear between step points.  Nothing is biased by the step, so
 :func:`dt_bound` is a resolution bound.
 
-Every run steps one chunked chain per batch.  Each step is one matrix
-product of a stacked (q, p, inputs) row; the (q, p) rows of a chunk are
-stored time-major and reduced after it, and the spectrum estimator
-accumulates the DFT of its kept bins chunk by chunk.  A paired dt / dt/2
-run steps the chain at dt/2 and reduces it twice: every post-burn-in state
-gives the dt/2 statistics, every second one the dt statistics.
+Each batch jumps over burn-in in one exact step of burn * dt, then steps a
+chunked chain over the averaging window.  Each step is one matrix product of
+a stacked (q, p, inputs) row; a chunk's rows are stored time-major and
+reduced after it, and the spectrum's kept-bin DFT is accumulated per chunk.
+A paired dt / dt/2 run steps the chain at dt/2 and reduces it twice: every
+state gives the dt/2 statistics, every second one the dt statistics.
 
 Trajectories are independent work units on counter-based (Philox) streams,
 one stream per fixed-size batch, so results are bit-reproducible for a
@@ -64,11 +64,12 @@ class SimConfig:
 
     ``dt`` is the exact step's sampling interval and must not exceed
     :func:`dt_bound`; leaving it None picks half that bound.  ``n_steps``
-    counts post-burn-in averaging steps.  The synthesized cold-damping force
-    noise fills the scheme's ``feedback_band()``.  The spectrum estimator
-    averages Hann-tapered periodograms of duration ``seg_time`` (a boxcar
-    would leak the resonance peak into the wings) and keeps bins inside
-    ``spectrum_band``.
+    counts averaging steps after ``burn_in_steps`` (12 relaxation times when
+    None), crossed in one exact jump of length burn_in_steps * dt.  The band
+    force noise fills the scheme's ``feedback_band()``.  The spectrum
+    estimator averages Hann-tapered periodograms of duration ``seg_time`` (a
+    boxcar would leak the resonance peak into the wings) and keeps bins
+    inside ``spectrum_band``.
     """
 
     dt: float | None = None
@@ -214,11 +215,16 @@ def _step_matrix(s: SchemeParams, ns: NoiseStrengths, h: float, forced: bool) ->
     One step of length h is x' = Phi x + L xi + i: Phi = e^{A h}, L the
     Cholesky factor of the step-noise covariance Sigma_h, xi two unit normals
     and, when ``forced``, i the (q, p) force impulse with unit weight; the
-    matrix is [Phi, L] or [Phi, L, I].
+    matrix is [Phi, L] or [Phi, L, I].  A span h > 1 (the burn-in jump) is
+    doubled up from h / 2^m <= 1, so the quadrature does not grow with h.
     """
     a = drift(s)
-    _, w, phi = _quadrature(a, h)
+    m = max(0, math.ceil(math.log2(h)))
+    _, w, phi = _quadrature(a, h / 2**m)
     sigma = np.einsum("n,nij,jk,nlk->il", w, phi, np.diag([ns.d_q, ns.d_p]), phi)
+    for k in range(m, 0, -1):  # Sigma_2t = Sigma_t + Phi_t Sigma_t Phi_t^T
+        step = propagator(a, h / 2**k)
+        sigma = sigma + step @ sigma @ step.T
     blocks = (propagator(a, h), np.linalg.cholesky(sigma))
     return np.hstack(blocks + (np.eye(2),) if forced else blocks)
 
@@ -337,13 +343,13 @@ class _Periodogram:
 class _Chain:
     """A batch of trajectories stepped through one step matrix, chunk by chunk.
 
-    Row k of the time-major buffer holds (q, p) before step k and that step's
-    inputs (two normals, then the impulse when forced), so each step is one
-    matmul writing the (q, p) of row k + 1.  The post-burn-in rows of a chunk
-    are reduced after it into the sums of q^2, p^2, qp, q and p, kept apart
-    by post-burn-in index modulo ``k``; with k = 2 the odd ones sample every
-    second step, so one chain serves both samplings of a paired run.  The
-    periodogram sees every row.
+    It starts after the burn-in jump, so every step counts.  Row k of the
+    time-major buffer holds (q, p) before step k and that step's inputs (two
+    normals, then the impulse when forced), so each step is one matmul writing
+    the (q, p) of row k + 1.  A chunk's rows are reduced after it into the sums
+    of q^2, p^2, qp, q and p, kept apart by step index modulo ``k``; with k = 2
+    the odd ones sample every second step, so one chain serves both samplings
+    of a paired run.  The periodogram sees every row.
     """
 
     def __init__(
@@ -351,13 +357,11 @@ class _Chain:
         matrix: np.ndarray,
         nb: int,
         capacity: int,
-        burn: int,
         k: int = 1,
         periodogram: _Periodogram | None = None,
     ):
         self.matrix = matrix
         self.rows = np.zeros((capacity + 1, matrix.shape[1], nb))
-        self.burn = burn
         self.steps = 0
         self.sums = np.zeros((k, 5, nb))
         self.periodogram = periodogram
@@ -373,20 +377,17 @@ class _Chain:
         for k in range(n):
             matmul(m, y[k], out=y[k + 1, :2])
 
-        first = max(1, self.burn - self.steps + 1)  # row of the first post-burn-in state
-        if first <= n:
-            start = self.steps + first - 1 - self.burn  # its post-burn-in index
-            k = len(self.sums)
-            for r, sums in enumerate(self.sums):
-                rows = y[first + (r - start) % k : n + 1 : k]
-                q, p = rows[:, 0], rows[:, 1]
-                sums[0] += np.einsum("ij,ij->j", q, q)
-                sums[1] += np.einsum("ij,ij->j", p, p)
-                sums[2] += np.einsum("ij,ij->j", q, p)
-                sums[3] += q.sum(axis=0)
-                sums[4] += p.sum(axis=0)
-            if self.periodogram is not None:
-                self.periodogram.add(y[first : n + 1, 0], start)
+        k = len(self.sums)
+        for r, sums in enumerate(self.sums):
+            rows = y[1 + (r - self.steps) % k : n + 1 : k]  # step index = r modulo k
+            q, p = rows[:, 0], rows[:, 1]
+            sums[0] += np.einsum("ij,ij->j", q, q)
+            sums[1] += np.einsum("ij,ij->j", p, p)
+            sums[2] += np.einsum("ij,ij->j", q, p)
+            sums[3] += q.sum(axis=0)
+            sums[4] += p.sum(axis=0)
+        if self.periodogram is not None:
+            self.periodogram.add(y[1 : n + 1, 0], self.steps)
         y[0, :2] = y[n, :2]
         self.steps += n
         return y[0, 0]
@@ -412,7 +413,7 @@ def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleS
     dt, burn, n_steps = _resolve_config(s, cfg)
     sub = 2 if paired else 1
     h = dt / sub
-    n_fine = sub * (burn + n_steps)
+    n_burn, n_fine = sub * burn, sub * (burn + n_steps)
 
     ns = noise_strengths(s)
     a = drift(s)
@@ -422,6 +423,9 @@ def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleS
     band = s.feedback_band()
     drive = _drive_impulses(force, a, h, n_fine) if force is not None else None
     matrix = _step_matrix(s, ns, h, drive is not None or needs_fb)
+    if n_burn:  # burn-in: one exact jump from rest, Phi^{B-1-j} weighing impulse j
+        jump = _step_matrix(s, ns, n_burn * h, False)[:, 2:]
+        lags = propagator(a, h * np.arange(n_burn - 1, -1, -1)) if drive is not None or needs_fb else None
 
     ref = steady_moments(s, ThermalModel.CLASSICAL_DELTA)
     guard = 1e6 * math.sqrt(max(ref.q2, 1.0))
@@ -442,8 +446,11 @@ def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleS
             if drive is not None:
                 impulses += drive
         pgram = _Periodogram(*layout, nb) if layout is not None else None
-        chain = _Chain(matrix, nb, _CHUNK, sub * burn, sub, pgram)
-        for j in range(0, n_fine, _CHUNK):
+        chain = _Chain(matrix, nb, _CHUNK, sub, pgram)
+        if n_burn:
+            kick = 0.0 if lags is None else np.einsum("jik,jkn->in", lags, impulses[:n_burn])
+            chain.rows[0, :2] = jump @ rng.standard_normal((2, nb)) + kick
+        for j in range(n_burn, n_fine, _CHUNK):
             n = min(_CHUNK, n_fine - j)
             normals = rng.standard_normal((n, 2, nb))  # fine step, normal, traj
             q = chain.advance(normals, None if impulses is None else impulses[j : j + n])
@@ -491,10 +498,10 @@ def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleS
 def simulate(s: SchemeParams, cfg: SimConfig, force=None) -> EnsembleStats:
     """Integrate the ensemble and estimate stationary moments (and spectrum).
 
-    Per-trajectory time averages over the post-burn-in window are reduced
-    across trajectories; the quoted errors are standard errors of those
-    independent per-trajectory means.  Raises :class:`InstabilityError` when
-    any |Q| exceeds 1e6 standard deviations of the analytic prediction.
+    Burn-in is one exact step of burn_in_steps * dt from rest; independent
+    per-trajectory time averages over the window after it give the means and
+    their standard errors.  Raises :class:`InstabilityError` when any |Q|
+    exceeds 1e6 standard deviations of the analytic prediction.
     """
     (stats,) = _run(s, cfg, force, paired=False)
     return stats

@@ -115,14 +115,17 @@ def steady_moments(
     proportional to the loop cutoff.  The cross moment qp always uses the
     classical thermal weight (its quadrature carries no cutoff ambiguity).
 
-    Known gaps, open as item 2 of ROADMAP.md: the narrow band's q2 uses the
+    Known gaps, open as item 1 of ROADMAP.md: the narrow band's q2 uses the
     full-line feedback term a/(1+g), while the spectra and the Monte Carlo
-    put the feedback noise only inside ``feedback_band()``.  At the paper's
-    point (cold damping, g = 2e3, Q = 1e5, zeta = 10, theta = 1e5,
-    eta = 0.8) ``integrated_position_variance`` is 1.78% below q2, and 0.92%
-    below at g = 1e3, Q = 1e4.  Explicit bands (a half-width or a (lo, hi)
-    pair) get the narrow-band p2 too: at g = 100, Q = 1e4, (0, 1000) gives
-    p2 = 496.61 where "wide" gives 500.04.
+    keep the feedback noise inside ``feedback_band()``: at the paper's point
+    (cold damping, g = 2e3, Q = 1e5, zeta = 10, theta = 1e5, eta = 0.8)
+    ``integrated_position_variance`` is 1.78% below q2 (0.92% at g = 1e3,
+    Q = 1e4).  Explicit bands (half-width or (lo, hi)) get the narrow p2: at
+    g = 100, Q = 1e4, (0, 1000) gives 496.61 where "wide" gives 500.04.
+    Where feedback dominates, p2 = q2 fails: at g = 10, Q = 50, zeta = 0.1,
+    theta = 10 the band (0, 3.2) gives p2 = 14.660, the spectrum (and the
+    Monte Carlo) 19.064.  "wide" p2 is half the brick-wall omega^2 band's
+    integral; C08's factor is 15.58 with it and 12.48 with the integral.
     """
     if model is ThermalModel.CLASSICAL_DELTA and s.theta == 0:
         warnings.warn(

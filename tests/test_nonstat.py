@@ -19,9 +19,9 @@ from mirrorfb.nonstat import (
     nonstationary_snr,
     signal_spectrum,
 )
-from mirrorfb.response import chi_freq, chi_time
-from mirrorfb.spectra import default_grid, detected_noise_spectrum, stationary_snr
-from mirrorfb.steady import MomentSet, steady_moments
+from mirrorfb.response import chi_freq, chi_time, drift, propagator
+from mirrorfb.spectra import default_grid, detected_noise_spectrum, shot_noise_floor, stationary_snr
+from mirrorfb.steady import MomentSet, noise_strengths, steady_moments
 
 SC, CD = Scheme.STOCHASTIC_COOLING, Scheme.COLD_DAMPING
 
@@ -194,6 +194,50 @@ def test_term_by_term_initial_state_identity():
     a = nonstationary_noise(s_cd, win, grid, moments=moments)
     b = nonstationary_noise(s_sc, win, grid, moments=moments)
     np.testing.assert_array_equal(a, b)
+
+
+def _time_domain_noise(s, win, omega):
+    """E|D(omega)|^2 / T_m of D = int_0^inf F(t) q(t) e^{-i omega t} dt, in the time domain.
+
+    The loop opens at t = 0 on the stationary state Sigma_0 of ``s``; then
+    x(t) = e^{A0 t} x0 + int_0^t e^{A0 (t-u)} dW(u) with A0 = drift(s.bare())
+    and white noise D0 of the open loop.  Since F(u + r) = F(u) F(r), both
+    parts share the row c = int_0^inf F(t) e^{-i omega t} [e^{A0 t}]_{q.} dt:
+    E|D|^2 = c^H Sigma_0 c + (int_0^inf F^2 = T_m) c^H D0 c.  c comes from a
+    composite 16-point Gauss-Legendre rule over the propagator, truncated
+    where F e^{A0 t} has decayed by e^-40; no chi at complex frequency.
+    """
+    m, ns = steady_moments(s), noise_strengths(s.bare())
+    rate = 0.5 / win.t_m + 0.5 * s.gamma_m  # decay of F(t) e^{A0 t}
+    width = 0.25  # panels short against the oscillation, so the rule is exact to rounding
+    x, w = np.polynomial.legendre.leggauss(16)
+    t = ((np.arange(math.ceil(40.0 / rate / width))[:, None] + 0.5 * (x + 1.0)) * width).ravel()
+    weights = np.tile(0.5 * width * w, len(t) // 16) * win.filter(t)
+    row = propagator(drift(s.bare()), t)[:, 0, :]  # [e^{A0 t}]_{q.}
+    c = (weights * np.exp(-1j * np.outer(omega, t))) @ row
+    sigma0 = np.array([[m.q2, m.qp], [m.qp, m.p2]])
+    init = np.einsum("wi,ij,wj->w", c.conj(), sigma0, c).real
+    noise = win.t_m * np.einsum("wi,ij,wj->w", c.conj(), np.diag([ns.d_q, ns.d_p]), c).real
+    return (init + noise) / win.t_m
+
+
+@pytest.mark.parametrize(
+    "scheme, g, zeta, theta, t_m, qp_sign",
+    [(SC, 10.0, 10.0, 1e3, 1.0, 1), (SC, 10.0, 10.0, 1e3, 20.0, 1), (CD, 10.0, 10.0, 1e3, 1.0, 0),
+     (SC, 100.0, 1.0, 10.0, 1.0, -1)],
+    ids=["sc", "sc-long-window", "cd", "sc-contractive"],
+)
+def test_nonstationary_noise_matches_time_domain(scheme, g, zeta, theta, t_m, qp_sign):
+    # the bracket of nonstationary_noise (q2, p2 and qp weights, and the
+    # free-evolution noise) against the time-domain definition.  At the sc
+    # points the qp term is 0.2-10% of the bracket, so its weight and sign
+    # show; the contractive state (g > eta zeta (zeta + 4 theta)) has qp < 0
+    s = SchemeParams(scheme=scheme, g=g, quality=50.0, zeta=zeta, theta=theta, eta=0.8)
+    assert np.sign(steady_moments(s).qp) == qp_sign
+    win = MeasurementWindow(t_m)
+    omega = np.array([0.0, 0.5, 0.9, 1.0, 1.1, 2.0, 5.0])
+    got = nonstationary_noise(s, win, omega) - shot_noise_floor(s)
+    np.testing.assert_allclose(got, _time_domain_noise(s, win, omega), rtol=1e-6)
 
 
 def test_complex_shift_vanishes_at_large_window():

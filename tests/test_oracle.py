@@ -23,6 +23,7 @@ from mirrorfb.oracle import (
     _drive_impulses,
     _fast_len,
     _force_kernel,
+    _resolve_config,
     _step_matrix,
     compare,
     dt_bound,
@@ -281,7 +282,7 @@ def test_band_noise_statistics():
         assert abs(corr) < 4.0 / math.sqrt(u[:, i].size)
 
 
-def _reference_loop(s, dt, stride, xi, impulses, burn, seg_len, bins):
+def _reference_loop(s, dt, stride, xi, impulses, seg_len, bins):
     """Plain per-fine-step recurrence of the exact step, Phi and Sigma from SciPy; running sums."""
     from scipy.linalg import expm
 
@@ -296,10 +297,9 @@ def _reference_loop(s, dt, stride, xi, impulses, burn, seg_len, bins):
     for k in range(len(xi)):
         for u in range(stride):
             x = phi @ x + chol @ xi[k, u] + impulses[k, u]
-        if k >= burn:
-            q, p = x
-            sums += (q * q, p * p, q * p, q, p)
-            post.append(q)
+        q, p = x
+        sums += (q * q, p * p, q * p, q, p)
+        post.append(q)
     segs = np.array(post[: len(post) // seg_len * seg_len]).reshape(-1, seg_len, x.shape[1])
     spec = np.fft.rfft(segs * np.hanning(seg_len)[:, None], axis=1)[:, bins]
     return x, sums, (np.abs(spec) ** 2).sum(axis=0)
@@ -307,24 +307,23 @@ def _reference_loop(s, dt, stride, xi, impulses, burn, seg_len, bins):
 
 @pytest.mark.parametrize("stride", [1, 2])
 def test_chunked_stepper_matches_plain_loop(stride):
-    # pre-drawn inputs crossing chunk boundaries and, inside a chunk, the
-    # burn-in boundary; the periodogram spans chunks too.  At stride 2 the
-    # chain steps dt/2, and its odd post-burn-in states are the loop's dt states
+    # pre-drawn inputs crossing chunk boundaries; the periodogram spans chunks
+    # too.  At stride 2 the chain steps dt/2, and its odd states are the
+    # loop's dt states.  The chain starts after burn-in, so every state counts
     s = SchemeParams(scheme=SC, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
     nb, dt = 6, 0.5 * dt_bound(s)
-    cap = _CHUNK // stride
-    n_total, burn, seg_len = 3 * cap + 50, 2 * cap + 30, 64
+    n_total, seg_len = 3 * (_CHUNK // stride) + 50, 64
     rng = np.random.default_rng(5)
     xi = rng.standard_normal((n_total, stride, 2, nb))
     impulses = 3.0 * rng.standard_normal((n_total, stride, 2, nb))
     bins = np.arange(3, 12)
-    x, sums, power = _reference_loop(s, dt, stride, xi, impulses, burn, seg_len, bins)
+    x, sums, power = _reference_loop(s, dt, stride, xi, impulses, seg_len, bins)
 
     pgram = None
     if stride == 1:
-        pgram = _Periodogram(bins, np.hanning(seg_len), (n_total - burn) // seg_len, 1.0, nb)
+        pgram = _Periodogram(bins, np.hanning(seg_len), n_total // seg_len, 1.0, nb)
     matrix = _step_matrix(s, noise_strengths(s), dt / stride, True)
-    chain = _Chain(matrix, nb, _CHUNK, stride * burn, stride, pgram)
+    chain = _Chain(matrix, nb, _CHUNK, stride, pgram)
     xi, impulses = (u.reshape(stride * n_total, 2, nb) for u in (xi, impulses))
     for j in range(0, stride * n_total, _CHUNK):
         chain.advance(xi[j : j + _CHUNK], impulses[j : j + _CHUNK])
@@ -333,6 +332,62 @@ def test_chunked_stepper_matches_plain_loop(stride):
         checks.append((pgram.power, power))
     for got, want in checks:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+class _StartRecorder(_Chain):
+    """_Chain that records its starting state and first normals."""
+
+    starts: list = []
+
+    def advance(self, normals, impulses=None):
+        if self.steps == 0:
+            self.starts.append((self.rows[0, :2].copy(), normals.copy()))
+        return super().advance(normals, impulses)
+
+
+@pytest.mark.parametrize(
+    "scheme, g, quality",
+    [(SC, 10.0, 50.0), (CD, 10.0, 50.0), (Scheme.NONE, 0.0, 50.0), (SC, 1e4, 0.5)],
+    ids=["sc", "cd", "none", "sc-overdamped"],
+)
+def test_burn_in_jump_is_the_stepped_burn_in(scheme, g, quality, monkeypatch):
+    # B steps of the exact step from rest are, in law, one step of length B h:
+    # noise covariance sum_{j<B} Phi^j Sigma_h Phi^jT, and the impulses
+    # (band force and drive) carried forward by Phi^{B-1-j}
+    s = SchemeParams(scheme=scheme, g=g, quality=quality, zeta=10.0, theta=1e3, eta=0.8)
+    ns, a, nb, seed = noise_strengths(s), _drift(s), 4, 31
+    cfg = SimConfig(n_traj=nb, seed=seed, n_steps=2)
+    h, burn, _ = _resolve_config(s, cfg)
+    step = _step_matrix(s, ns, h, True)
+    jump = _step_matrix(s, ns, burn * h, False)[:, 2:]
+    sigma, want = np.zeros((2, 2)), np.zeros((2, nb))
+    drive = ForcePulse(f0=1e3 * s.damping, sigma=burn * h / 20, t1=0.8 * burn * h, omega_f=1.0)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    impulses = _drive_impulses(drive, a, h, burn + 2)
+    if ns.d_fb_cd > 0:
+        impulses = impulses + _band_impulses(rng, nb, burn + 2, h, s.feedback_band(), ns.d_fb_cd, a)
+    for j in range(burn):  # zero-noise loop over the same impulses
+        sigma = step[:, :2] @ sigma @ step[:, :2].T + step[:, 2:4] @ step[:, 2:4].T
+        want = step[:, :2] @ want + impulses[j]
+    np.testing.assert_allclose(jump @ jump.T, sigma, rtol=1e-12, atol=1e-12 * np.abs(sigma).max())
+
+    monkeypatch.setattr("mirrorfb.oracle._Chain", _StartRecorder)
+    monkeypatch.setattr(_StartRecorder, "starts", [])
+    simulate(s, cfg, force=drive)
+    (start, _), = _StartRecorder.starts
+    noise = jump @ rng.standard_normal((2, nb))
+    assert np.abs(want).max() > np.abs(noise).max()  # the input part is not lost in the noise
+    np.testing.assert_allclose(start - noise, want, rtol=0, atol=1e-12 * np.abs(start).max())
+
+    # burn_in_steps=0: no jump, and the first normals drawn feed the first step
+    monkeypatch.setattr(_StartRecorder, "starts", [])
+    simulate(s, replace(cfg, burn_in_steps=0), force=drive)
+    (start, normals), = _StartRecorder.starts
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    if ns.d_fb_cd > 0:
+        _band_impulses(rng, nb, 2, h, s.feedback_band(), ns.d_fb_cd, a)
+    assert not start.any()
+    np.testing.assert_array_equal(normals, rng.standard_normal((2, 2, nb)))
 
 
 def test_zero_noise_drive_matches_fine_reference():
@@ -359,7 +414,7 @@ def test_zero_noise_drive_matches_fine_reference():
     ref = np.array(ref)
     assert np.abs(ref[:, 0]).max() > 10.0  # the pulse drives the mirror well off zero
 
-    chain = _Chain(_step_matrix(s, noise_strengths(s), h, True), 1, n, 0)
+    chain = _Chain(_step_matrix(s, noise_strengths(s), h, True), 1, n)
     chain.advance(np.zeros((n, 2, 1)), _drive_impulses(force, a, h, n))
     got = chain.rows[1:, :2, 0]  # the states after each step
     np.testing.assert_allclose(got, ref[1:], rtol=0, atol=1e-6 * np.abs(ref).max())
