@@ -16,19 +16,21 @@ steady module; the closed forms checked here use chi~(omega), never e^{A t}.
 The cold-damping feedback force is band-limited noise with two-sided
 density d_fb * omega^2, since white noise cannot carry the omega^2 spectrum
 without the loop's own band limit.  Per trajectory only its in-band rfft
-coefficients are drawn, with the law the rfft of white noise has; each bin
-enters a step through the exact step integral K(omega) of e^{i omega t}, so
-one irfft yields the (q, p) force impulses at step resolution.  A
-deterministic drive enters through the step integral of its first-order
-hold, linear between step points.  Nothing is biased by the step, so
+coefficients are drawn, with the law the rfft of white noise has.  Inputs
+are not stepped: the equations are linear, so their responses add to the
+white-noise chain's states.  Weighting each bin by (i omega - A)^{-1} b, one
+irfft samples the periodic response x_p; the response from rest is
+x_p(t) - e^{A t} x_p(0), so the chain starts from -x_p(0).  A deterministic
+drive enters as its response from rest.  Nothing is biased by the step, so
 :func:`dt_bound` is a resolution bound.
 
 Each batch jumps over burn-in in one exact step of burn * dt, then steps a
-chunked chain over the averaging window.  Each step is one matrix product of
-a stacked (q, p, inputs) row; a chunk's rows are stored time-major and
-reduced after it, and the spectrum's kept-bin DFT is accumulated per chunk.
-A paired dt / dt/2 run steps the chain at dt/2 and reduces it twice: every
-state gives the dt/2 statistics, every second one the dt statistics.
+chunked chain over the averaging window, the only rows of the band response
+stored.  Each step is one product of [Phi, L] with a stacked (q, p, xi) row;
+a chunk's states plus the input responses are reduced after it, and the
+spectrum's kept-bin DFT is accumulated per chunk.  A paired dt / dt/2 run
+steps the chain at dt/2 and reduces it twice: every state gives the dt/2
+statistics, every second one the dt statistics.
 
 Trajectories are independent work units on counter-based (Philox) streams,
 one stream per fixed-size batch, so results are bit-reproducible for a
@@ -51,7 +53,7 @@ from .steady import MomentSet, NoiseStrengths, ThermalModel, noise_strengths, st
 _BATCH = 2048  # trajectories per Philox stream
 _CHUNK = 256  # fine steps of noise drawn, and of (q, p) rows stored, at a time
 _FFT_BLOCK = 1 << 20  # rfft bins per row block of the band-noise synthesis
-_IMPULSE_BUDGET = 2 << 30  # bytes of band-force impulses one batch may hold
+_BAND_BUDGET = 2 << 30  # bytes of band-force response one batch may hold
 
 
 class InstabilityError(RuntimeError):
@@ -66,7 +68,8 @@ class SimConfig:
     :func:`dt_bound`; leaving it None picks half that bound.  ``n_steps``
     counts averaging steps after ``burn_in_steps`` (12 relaxation times when
     None), crossed in one exact jump of length burn_in_steps * dt.  The band
-    force noise fills the scheme's ``feedback_band()``.  The spectrum
+    force noise fills the scheme's ``feedback_band()``; its response is stored
+    for the averaging window only, at most 2 GiB per batch.  The spectrum
     estimator averages Hann-tapered periodograms of duration ``seg_time`` (a
     boxcar would leak the resonance peak into the wings) and keeps bins
     inside ``spectrum_band``.
@@ -209,14 +212,13 @@ def _quadrature(a: np.ndarray, h: float):
     return r, np.tile(0.5 * width * w, panels), propagator(a, r)
 
 
-def _step_matrix(s: SchemeParams, ns: NoiseStrengths, h: float, forced: bool) -> np.ndarray:
-    """(2, 2 + r) map of a stacked (q, p, inputs) row to the next (q, p).
+def _step_matrix(s: SchemeParams, ns: NoiseStrengths, h: float) -> np.ndarray:
+    """[Phi, L], shape (2, 4): the map of a stacked (q, p, xi) row to the next (q, p).
 
-    One step of length h is x' = Phi x + L xi + i: Phi = e^{A h}, L the
-    Cholesky factor of the step-noise covariance Sigma_h, xi two unit normals
-    and, when ``forced``, i the (q, p) force impulse with unit weight; the
-    matrix is [Phi, L] or [Phi, L, I].  A span h > 1 (the burn-in jump) is
-    doubled up from h / 2^m <= 1, so the quadrature does not grow with h.
+    One step of length h is x' = Phi x + L xi: Phi = e^{A h}, L the Cholesky
+    factor of the step-noise covariance Sigma_h and xi two unit normals.  A
+    span h > 1 (the burn-in jump) is doubled up from h / 2^m <= 1, so the
+    quadrature does not grow with h.
     """
     a = drift(s)
     m = max(0, math.ceil(math.log2(h)))
@@ -225,71 +227,62 @@ def _step_matrix(s: SchemeParams, ns: NoiseStrengths, h: float, forced: bool) ->
     for k in range(m, 0, -1):  # Sigma_2t = Sigma_t + Phi_t Sigma_t Phi_t^T
         step = propagator(a, h / 2**k)
         sigma = sigma + step @ sigma @ step.T
-    blocks = (propagator(a, h), np.linalg.cholesky(sigma))
-    return np.hstack(blocks + (np.eye(2),) if forced else blocks)
+    return np.hstack((propagator(a, h), np.linalg.cholesky(sigma)))
 
 
-def _force_kernel(a: np.ndarray, h: float, omega: np.ndarray) -> np.ndarray:
-    """Step integral int_0^h e^{A (h - u)} b e^{i omega u} du of each bin, shape (bins, 2).
-
-    Closed form K(omega) = (i omega - A)^{-1} (e^{i omega h} - e^{A h}) b with
-    b = (0, 1); a force sum_w c_w e^{i w t} + c.c. then kicks the step from t
-    by sum_w c_w e^{i w t} K(w) + c.c.
-    """
-    lhs = 1j * omega[:, None, None] * np.eye(2) - a
-    rhs = np.exp(1j * omega * h)[:, None] * np.array([0.0, 1.0]) - propagator(a, h)[:, 1]
-    return np.linalg.solve(lhs, rhs[..., None])[..., 0]
-
-
-def _band_impulses(
+def _band_response(
     rng: np.random.Generator,
     nb: int,
-    n_steps: int,
+    n_fine: int,
+    n_burn: int,
     h: float,
     band: tuple[float, float],
     coeff: float,
     a: np.ndarray,
-) -> np.ndarray:
-    """(q, p) step impulses of a Gaussian force with two-sided PSD coeff * w^2 in ``band``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Periodic (q, p) response x_p to a Gaussian force with two-sided PSD coeff * w^2 in ``band``.
 
     Circular spectral synthesis, <f(t) f(t')> = int (dw/2pi) S(w) e^{i w (t - t')}.
     Only the in-band coefficients are drawn, with the law the rfft of white
     unit normals has: independent N(0, n/2) real and imaginary parts.  The
-    band lies below the Nyquist bin (see :func:`dt_bound`).  Each coefficient
-    is weighted by its bin's step integral, so the irfft returns the exact
-    impulses.  Returned time-major, shape (n_steps, 2, nb), as the stepper
-    reads them.
+    band lies below the Nyquist bin (see :func:`dt_bound`).  Weighted by the
+    resolvent (i w - A)^{-1} b, the irfft samples x_p at the step points.
+    Returns x_p(0), shape (2, nb), and the window rows k = n_burn + 1 .. n_fine,
+    time-major (n_fine - n_burn, 2, nb) as the chain reads them.
     """
-    n_fft = _fast_len(n_steps)  # truncating a stationary process is harmless
+    n_fft = _fast_len(n_fine)  # truncating a stationary process is harmless
     omega = 2.0 * math.pi * np.fft.rfftfreq(n_fft, d=h)
     lo = int(np.searchsorted(omega, band[0], side="left"))
     hi = int(np.searchsorted(omega, band[1], side="right"))
     gain = np.sqrt(0.5 * n_fft * coeff / h) * omega[lo:hi]
     coef = rng.standard_normal((nb, 2 * (hi - lo))).view(np.complex128) * gain
-    kernel = _force_kernel(a, h, omega[lo:hi]).T
+    kernel = np.linalg.solve(1j * omega[lo:hi, None, None] * np.eye(2) - a, np.array([0.0, 1.0])).T
+    window = np.arange(n_burn + 1, n_fine + 1) % n_fft  # x_p repeats every n_fft steps
     rows = max(1, _FFT_BLOCK // (2 * len(omega)))
     spec = np.zeros((min(rows, nb), 2, len(omega)), dtype=np.complex128)
-    out = np.empty((n_steps, 2, nb))
+    start, out = np.empty((2, nb)), np.empty((len(window), 2, nb))
     for r in range(0, nb, rows):
         m = min(rows, nb - r)
         spec[:m, :, lo:hi] = coef[r : r + m, None] * kernel
-        out[..., r : r + m] = np.fft.irfft(spec[:m], n=n_fft)[..., :n_steps].transpose(2, 1, 0)
-    return out
+        wave = np.fft.irfft(spec[:m], n=n_fft)
+        start[:, r : r + m] = wave[..., 0].T
+        out[..., r : r + m] = wave[..., window].transpose(2, 1, 0)
+    return start, out
 
 
-def _check_impulse_budget(n_steps: int, nb: int) -> None:
-    """Refuse a batch whose (n_steps, 2, nb) band-force impulses exceed the budget."""
-    size = n_steps * 2 * nb * 8
-    if size > _IMPULSE_BUDGET:
+def _check_band_budget(n_rows: int, nb: int) -> None:
+    """Refuse a batch whose stored (n_rows, 2, nb) band-force response exceeds the budget."""
+    size = n_rows * 2 * nb * 8
+    if size > _BAND_BUDGET:
         raise ValueError(
-            f"band-force impulses need {size / 2**30:.1f} GiB per batch ({nb} trajectories x "
-            f"{n_steps} steps x 2 x 8 B), over the {_IMPULSE_BUDGET / 2**30:g} GiB limit; "
+            f"band-force response needs {size / 2**30:.1f} GiB per batch ({nb} trajectories x "
+            f"{n_rows} steps x 2 x 8 B), over the {_BAND_BUDGET / 2**30:g} GiB limit; "
             "use fewer trajectories or steps, a larger dt, or a narrower feedback band"
         )
 
 
-def _drive_impulses(force, a: np.ndarray, h: float, n_steps: int) -> np.ndarray:
-    """(q, p) step impulses of a deterministic drive held linear between steps, (n_steps, 2, 1).
+def _drive_response(force, a: np.ndarray, h: float, n_steps: int) -> np.ndarray:
+    """(q, p) response from rest to a deterministic drive held linear between steps, (n_steps + 1, 2).
 
     The drive is sampled at the n_steps + 1 step points; step k weights
     f_k by int_0^h e^{A r} b r/h dr and f_{k+1} by int_0^h e^{A r} b (1 - r/h) dr.
@@ -298,7 +291,11 @@ def _drive_impulses(force, a: np.ndarray, h: float, n_steps: int) -> np.ndarray:
     r, w, phi = _quadrature(a, h)
     col = phi[:, :, 1]  # e^{A r} b
     start, end = (w * r / h) @ col, (w * (1.0 - r / h)) @ col
-    return (np.outer(f[:-1], start) + np.outer(f[1:], end))[:, :, None]
+    kicks = np.outer(f[:-1], start) + np.outer(f[1:], end)
+    step, x = propagator(a, h), np.zeros((n_steps + 1, 2))
+    for k in range(n_steps):
+        x[k + 1] = step @ x[k] + kicks[k]
+    return x
 
 
 class _Periodogram:
@@ -341,15 +338,16 @@ class _Periodogram:
 
 
 class _Chain:
-    """A batch of trajectories stepped through one step matrix, chunk by chunk.
+    """A batch of trajectories stepped through [Phi, L], chunk by chunk.
 
     It starts after the burn-in jump, so every step counts.  Row k of the
-    time-major buffer holds (q, p) before step k and that step's inputs (two
-    normals, then the impulse when forced), so each step is one matmul writing
-    the (q, p) of row k + 1.  A chunk's rows are reduced after it into the sums
-    of q^2, p^2, qp, q and p, kept apart by step index modulo ``k``; with k = 2
-    the odd ones sample every second step, so one chain serves both samplings
-    of a paired run.  The periodogram sees every row.
+    time-major buffer holds (q, p) before step k and that step's two normals,
+    so each step is one matmul writing the (q, p) of row k + 1.  After a
+    chunk, its states plus the (step, 2, traj or 1) input response, if any,
+    are reduced into the sums of q^2, p^2, qp, q and p, kept apart by step
+    index modulo ``k``; with k = 2 the odd ones sample every second step, so
+    one chain serves both samplings of a paired run.  The periodogram sees
+    every reduced state.
     """
 
     def __init__(
@@ -361,25 +359,24 @@ class _Chain:
         periodogram: _Periodogram | None = None,
     ):
         self.matrix = matrix
-        self.rows = np.zeros((capacity + 1, matrix.shape[1], nb))
+        self.rows = np.zeros((capacity + 1, 4, nb))
         self.steps = 0
         self.sums = np.zeros((k, 5, nb))
         self.periodogram = periodogram
 
-    def advance(self, normals: np.ndarray, impulses: np.ndarray | None = None) -> np.ndarray:
-        """Take len(normals) steps with (step, 2, traj) normals and impulses; return q."""
+    def advance(self, normals: np.ndarray, response: np.ndarray | None = None) -> np.ndarray:
+        """Take len(normals) steps with (step, 2, traj) normals; return the last reduced q."""
         n = len(normals)
         y = self.rows
-        y[:n, 2:4] = normals
-        if impulses is not None:
-            y[:n, 4:] = impulses
+        y[:n, 2:] = normals
         m, matmul = self.matrix, np.matmul
         for k in range(n):
             matmul(m, y[k], out=y[k + 1, :2])
+        x = y[1 : n + 1, :2] if response is None else y[1 : n + 1, :2] + response
 
         k = len(self.sums)
         for r, sums in enumerate(self.sums):
-            rows = y[1 + (r - self.steps) % k : n + 1 : k]  # step index = r modulo k
+            rows = x[(r - self.steps) % k :: k]  # step index = r modulo k
             q, p = rows[:, 0], rows[:, 1]
             sums[0] += np.einsum("ij,ij->j", q, q)
             sums[1] += np.einsum("ij,ij->j", p, p)
@@ -387,10 +384,10 @@ class _Chain:
             sums[3] += q.sum(axis=0)
             sums[4] += p.sum(axis=0)
         if self.periodogram is not None:
-            self.periodogram.add(y[1 : n + 1, 0], self.steps)
+            self.periodogram.add(x[:, 0], self.steps)
         y[0, :2] = y[n, :2]
         self.steps += n
-        return y[0, 0]
+        return x[-1, 0]
 
 
 def _segment_layout(cfg: SimConfig, dt: float, n_steps: int):
@@ -419,13 +416,11 @@ def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleS
     a = drift(s)
     needs_fb = ns.d_fb_cd > 0
     if needs_fb:
-        _check_impulse_budget(n_fine, min(_BATCH, cfg.n_traj))
-    band = s.feedback_band()
-    drive = _drive_impulses(force, a, h, n_fine) if force is not None else None
-    matrix = _step_matrix(s, ns, h, drive is not None or needs_fb)
-    if n_burn:  # burn-in: one exact jump from rest, Phi^{B-1-j} weighing impulse j
-        jump = _step_matrix(s, ns, n_burn * h, False)[:, 2:]
-        lags = propagator(a, h * np.arange(n_burn - 1, -1, -1)) if drive is not None or needs_fb else None
+        _check_band_budget(n_fine - n_burn, min(_BATCH, cfg.n_traj))
+    drive = None if force is None else _drive_response(force, a, h, n_fine)[n_burn + 1 :, :, None]
+    matrix = _step_matrix(s, ns, h)
+    if n_burn:  # burn-in: one exact jump from rest
+        jump = _step_matrix(s, ns, n_burn * h)
 
     ref = steady_moments(s, ThermalModel.CLASSICAL_DELTA)
     guard = 1e6 * math.sqrt(max(ref.q2, 1.0))
@@ -440,24 +435,25 @@ def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleS
     for b, start in enumerate(range(0, cfg.n_traj, _BATCH)):
         nb = min(_BATCH, cfg.n_traj - start)
         rng = np.random.Generator(base.jumped(b))
-        impulses = drive
-        if needs_fb:
-            impulses = _band_impulses(rng, nb, n_fine, h, band, ns.d_fb_cd, a)
+        x0, response = np.zeros((2, nb)), drive
+        if needs_fb:  # the chain starts at the band response's transient, -x_p(0)
+            x_p0, response = _band_response(rng, nb, n_fine, n_burn, h, s.feedback_band(), ns.d_fb_cd, a)
+            x0 = -x_p0
             if drive is not None:
-                impulses += drive
+                response += drive
         pgram = _Periodogram(*layout, nb) if layout is not None else None
         chain = _Chain(matrix, nb, _CHUNK, sub, pgram)
         if n_burn:
-            kick = 0.0 if lags is None else np.einsum("jik,jkn->in", lags, impulses[:n_burn])
-            chain.rows[0, :2] = jump @ rng.standard_normal((2, nb)) + kick
-        for j in range(n_burn, n_fine, _CHUNK):
-            n = min(_CHUNK, n_fine - j)
+            x0 = jump[:, 2:] @ rng.standard_normal((2, nb)) + jump[:, :2] @ x0
+        chain.rows[0, :2] = x0
+        for j in range(0, n_fine - n_burn, _CHUNK):
+            n = min(_CHUNK, n_fine - n_burn - j)
             normals = rng.standard_normal((n, 2, nb))  # fine step, normal, traj
-            q = chain.advance(normals, None if impulses is None else impulses[j : j + n])
+            q = chain.advance(normals, None if response is None else response[j : j + n])
             peak = float(np.max(np.abs(q)))
             if not math.isfinite(peak) or peak > guard:
                 raise InstabilityError(
-                    f"|Q| reached {peak:.3g} (guard {guard:.3g}) at step {(j + n) // sub} "
+                    f"|Q| reached {peak:.3g} (guard {guard:.3g}) at step {(n_burn + j + n) // sub} "
                     f"of {n_fine // sub}; dt = {dt:g}, scheme = {s.scheme.value}, g = {s.g:g}"
                     + (", paired run" if paired else "")
                 )
@@ -498,9 +494,10 @@ def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleS
 def simulate(s: SchemeParams, cfg: SimConfig, force=None) -> EnsembleStats:
     """Integrate the ensemble and estimate stationary moments (and spectrum).
 
-    Burn-in is one exact step of burn_in_steps * dt from rest; independent
-    per-trajectory time averages over the window after it give the means and
-    their standard errors.  Raises :class:`InstabilityError` when any |Q|
+    Burn-in is one exact step of burn_in_steps * dt from rest; the band force
+    and ``force`` add their exact responses to the stepped states.
+    Independent per-trajectory time averages over the window after burn-in
+    give the means and their standard errors.  Raises :class:`InstabilityError` when any |Q|
     exceeds 1e6 standard deviations of the analytic prediction.
     """
     (stats,) = _run(s, cfg, force, paired=False)

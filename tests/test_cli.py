@@ -201,18 +201,18 @@ def test_infinite_feedback_band_exit_code(capsys, tmp_path, subcommand, band):
 
 
 def test_oversized_band_force_batch_exit_code(capsys, tmp_path, monkeypatch):
-    # 1000 wide-band trajectories would hold 14 GiB of band-force impulses per batch
+    # 1000 wide-band trajectories would store 12.9 GiB of band-force response per batch
     def unreachable(*args):
-        raise AssertionError("band-force impulses synthesized for a refused batch")
+        raise AssertionError("band-force response synthesized for a refused batch")
 
-    monkeypatch.setattr("mirrorfb.oracle._band_impulses", unreachable)
+    monkeypatch.setattr("mirrorfb.oracle._band_response", unreachable)
     out = tmp_path / "out.json"
     code, _, err = run_cli(
         capsys, "montecarlo", "--scheme", "cd", "--g", "10", "--Q", "50", "--zeta", "10",
         "--theta", "1e3", "--fb-band", "wide", "--n-traj", "1000", "--out", str(out),
     )
     assert code == 1
-    assert "14.0 GiB per batch" in err
+    assert "12.9 GiB per batch" in err
     assert not out.exists()
 
 

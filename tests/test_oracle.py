@@ -18,11 +18,10 @@ from mirrorfb.oracle import (
     _CHUNK,
     _Chain,
     _Periodogram,
-    _band_impulses,
-    _check_impulse_budget,
-    _drive_impulses,
+    _band_response,
+    _check_band_budget,
+    _drive_response,
     _fast_len,
-    _force_kernel,
     _resolve_config,
     _step_matrix,
     compare,
@@ -61,6 +60,27 @@ def test_moments_match_closed_forms(scheme):
     assert report.passed, str(report)
 
 
+def test_feedback_dominated_cold_damping_matches_the_band_spectrum():
+    # the narrow band (0, 3.2) at Gamma = 0.22: band-force feedback is 97% of
+    # <Q^2>, so the band path carries the result.  The reference integrates
+    # the classical spectrum the oracle simulates, and its w^2 moment for
+    # <P^2> (P = dQ/dt without stochastic cooling); beyond the reservoir
+    # cutoff both lose below 1e-4.  A 2% error in d_fb_cd moves p2 by z = +4.8
+    # at this seed, +4.7 to +7.9 over seeds 1-5
+    s = SchemeParams(scheme=CD, g=10.0, quality=50.0, zeta=0.1, theta=10.0, eta=0.8)
+    assert s.feedback_band() == pytest.approx((0.0, 3.2))
+
+    def moment(power):
+        def integrand(w):
+            return w**power * position_noise_spectrum(s, w, thermal="classical") / math.pi
+
+        return quad(integrand, 0.0, s.cutoff_reservoir, points=[1.0, 3.2], limit=200)[0]
+
+    stats = simulate(s, SimConfig(n_traj=1024, seed=1))
+    report = compare(MomentSet(q2=moment(0), p2=moment(2), qp=0.0), stats)
+    assert report.passed, str(report)
+
+
 def test_dt_bound_enforced():
     # resolution bound: min(1, 1/Gamma)/4, and pi/dt >= 2x the closed loop's band top edge
     s = SchemeParams(scheme=CD, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
@@ -77,25 +97,26 @@ def test_dt_bound_enforced():
 
 
 def _unreachable(*args):
-    raise AssertionError("band-force impulses synthesized for a refused batch")
+    raise AssertionError("band-force response synthesized for a refused batch")
 
 
 def test_band_impulse_budget_refuses_oversized_batches(monkeypatch):
     # 2 GiB: exactly 2^26 steps x 2 x 2 trajectories x 8 B is allowed, one step more is not
-    _check_impulse_budget(2**26, 2)
+    _check_band_budget(2**26, 2)
     with pytest.raises(ValueError, match=r"2\.0 GiB per batch"):
-        _check_impulse_budget(2**26 + 1, 2)
-    # wide band at C09's physics: dt_bound is pi/2000, so a default run takes
-    # 937,568 steps, and 1000 trajectories would hold 14 GiB of impulses
-    with pytest.raises(ValueError, match=r"14\.0 GiB per batch \(1000 trajectories x 937568 steps"):
-        _check_impulse_budget(937_568, 1000)
+        _check_band_budget(2**26 + 1, 2)
+    # wide band at C09's physics: dt_bound is pi/2000, so a default run
+    # averages over 868,118 steps after burn-in, and 1000 trajectories would
+    # store 12.9 GiB of band response for them
+    with pytest.raises(ValueError, match=r"12\.9 GiB per batch \(1000 trajectories x 868118 steps"):
+        _check_band_budget(868_118, 1000)
     # the runs refuse before synthesizing anything
-    monkeypatch.setattr("mirrorfb.oracle._band_impulses", _unreachable)
+    monkeypatch.setattr("mirrorfb.oracle._band_response", _unreachable)
     wide = SchemeParams(scheme=CD, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8,
                         cutoff_feedback="wide")
-    with pytest.raises(ValueError, match=r"14\.0 GiB per batch"):
+    with pytest.raises(ValueError, match=r"12\.9 GiB per batch"):
         simulate(wide, SimConfig(n_traj=1000))
-    with pytest.raises(ValueError, match=r"27\.9 GiB per batch \(1000 trajectories x 1875136 steps"):
+    with pytest.raises(ValueError, match=r"25\.9 GiB per batch \(1000 trajectories x 1736236 steps"):
         paired_timestep_stats(wide, SimConfig(n_traj=1000))
 
 
@@ -118,7 +139,7 @@ def test_step_map_fixed_point_is_steady_moments(scheme, g, quality, dt):
     # the exact step has no dt bias: its discrete stationary covariance is the
     # continuous one at any step (cold damping's force noise is not white)
     s = SchemeParams(scheme=scheme, g=g, quality=quality, zeta=10.0, theta=1e3, eta=0.8)
-    sigma = _smith_fixed_point(_step_matrix(s, noise_strengths(s), dt, False))
+    sigma = _smith_fixed_point(_step_matrix(s, noise_strengths(s), dt))
     ref = steady_moments(s)
     assert sigma[0, 0] == pytest.approx(ref.q2, rel=1e-12)
     assert sigma[1, 1] == pytest.approx(ref.p2, rel=1e-12)
@@ -153,7 +174,8 @@ def test_step_map_matches_van_loan(scheme, g, dt):
 
     s = SchemeParams(scheme=scheme, g=g, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
     ns, a = noise_strengths(s), _drift(s)
-    matrix = _step_matrix(s, ns, dt, False)
+    matrix = _step_matrix(s, ns, dt)
+    assert matrix.shape == (2, 4)  # [Phi, L]
     block = expm(np.block([[-a, np.diag([ns.d_q, ns.d_p])], [np.zeros((2, 2)), a.T]]) * dt)
     np.testing.assert_allclose(matrix[:, :2], expm(a * dt), rtol=1e-13, atol=1e-14)
     want = block[2:, 2:].T @ block[:2, 2:]
@@ -248,24 +270,26 @@ def test_error_scaling_with_ensemble_size():
 
 
 def test_band_noise_statistics():
-    # the cold-damping force enters as its exact (q, p) step integrals
+    # the cold-damping force enters as its periodic (q, p) response
     s = SchemeParams(scheme=CD, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
     a, h = _drift(s), 0.125
     rng = np.random.Generator(np.random.Philox(key=1))
     band, coeff = (0.5, 1.5), 0.04
     n_total = 4000  # already a fast FFT length, so the synthesis is not truncated
-    u = _band_impulses(rng, 256, n_total, h, band, coeff, a).transpose(2, 1, 0)
-    assert u.shape == (256, 2, n_total)
+    x0, rows = _band_response(rng, 256, n_total, 0, h, band, coeff, a)
+    assert rows.shape == (n_total, 2, 256)
+    np.testing.assert_array_equal(rows[-1], x0)  # row n_total wraps to row 0
+    u = rows.transpose(2, 1, 0)
 
     def expect(i, j, lag):
-        # <u_i(t + lag h) u_j(t)> = (coeff/pi) int_band w^2 Re(K_i K_j^* e^{i w lag h}) dw
+        # <x_i(t + lag h) x_j(t)> = (coeff/pi) int_band w^2 Re(R_i R_j^* e^{i w lag h}) dw
         def integrand(w):
-            k = _force_kernel(a, h, np.array([w]))[0]
-            return w * w * (k[i] * np.conj(k[j]) * np.exp(1j * w * lag * h)).real
+            r = np.linalg.solve(1j * w * np.eye(2) - a, [0.0, 1.0])  # (i w - A)^{-1} b
+            return w * w * (r[i] * np.conj(r[j]) * np.exp(1j * w * lag * h)).real
 
         return coeff / math.pi * quad(integrand, *band)[0]
 
-    # impulse covariance, and circular autocovariance at lags 0.5, 2.0 and 2.5
+    # response covariance, and circular autocovariance at lags 0.5, 2.0 and 2.5
     for lag in (0, 4, 16, 20):
         for i, j in ((0, 0), (1, 1), (0, 1)):
             acov = float(np.mean(np.roll(u[:, i], -lag, axis=1) * u[:, j]))
@@ -282,8 +306,64 @@ def test_band_noise_statistics():
         assert abs(corr) < 4.0 / math.sqrt(u[:, i].size)
 
 
-def _reference_loop(s, dt, stride, xi, impulses, seg_len, bins):
-    """Plain per-fine-step recurrence of the exact step, Phi and Sigma from SciPy; running sums."""
+def _stepped_band_force(rng, nb, n_fine, h, band, coeff, a):
+    """From-rest (q, p) states of the band force by a plain loop over its step impulses.
+
+    The coefficients are drawn as _band_response draws them; each bin kicks a
+    step by its exact step integral K(w) = (i w - A)^{-1} (e^{i w h} - e^{A h}) b,
+    and the states are stepped with SciPy's e^{A h}.  Shape (n_fine + 1, 2, nb).
+    """
+    from scipy.linalg import expm
+
+    n_fft = _fast_len(n_fine)
+    omega = 2.0 * math.pi * np.fft.rfftfreq(n_fft, d=h)
+    lo = int(np.searchsorted(omega, band[0], side="left"))
+    hi = int(np.searchsorted(omega, band[1], side="right"))
+    gain = np.sqrt(0.5 * n_fft * coeff / h) * omega[lo:hi]
+    coef = rng.standard_normal((nb, 2 * (hi - lo))).view(np.complex128) * gain
+    phi = expm(a * h)
+    lift = np.exp(1j * omega[lo:hi] * h)[:, None] * np.array([0.0, 1.0]) - phi[:, 1]
+    kernel = np.array([np.linalg.solve(1j * w * np.eye(2) - a, v) for w, v in zip(omega[lo:hi], lift)])
+    spec = np.zeros((nb, 2, len(omega)), dtype=np.complex128)
+    spec[:, :, lo:hi] = coef[:, None] * kernel.T
+    impulses = np.fft.irfft(spec, n=n_fft)[..., :n_fine]
+    x = np.zeros((n_fine + 1, 2, nb))
+    for k in range(n_fine):
+        x[k + 1] = phi @ x[k] + impulses[..., k].T
+    return x
+
+
+@pytest.mark.parametrize(
+    "burn, n_steps, sub",
+    [(0, 300, 1), (91, 200, 1), (0, 292, 2), (100, 200, 2)],
+    ids=["single-no-burn-in-wrapped", "single-burn-in-padded", "paired-no-burn-in-padded",
+         "paired-burn-in-wrapped"],
+)
+def test_band_response_is_the_stepped_impulse_response(burn, n_steps, sub):
+    # the response from rest, x_p(k h) - e^{A k h} x_p(0), is what stepping
+    # the band force's exact impulses from rest gives, on the window rows;
+    # n_fine = 300 and 600 are FFT lengths (row n_fine wraps to row 0), 291
+    # and 584 are padded to 300 and 600
+    from scipy.linalg import expm
+
+    s = SchemeParams(scheme=CD, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
+    a, coeff, band = _drift(s), noise_strengths(s).d_fb_cd, s.feedback_band()
+    h, nb = 0.5 * dt_bound(s) / sub, 5
+    n_burn, n_fine = sub * burn, sub * (burn + n_steps)
+    want = _stepped_band_force(np.random.default_rng(11), nb, n_fine, h, band, coeff, a)
+    x0, rows = _band_response(np.random.default_rng(11), nb, n_fine, n_burn, h, band, coeff, a)
+    assert rows.shape == (n_fine - n_burn, 2, nb)
+    ks = np.arange(n_burn + 1, n_fine + 1)
+    got = rows - np.array([expm(a * k * h) for k in ks]) @ x0
+    np.testing.assert_allclose(got, want[ks], rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def _reference_loop(s, dt, stride, xi, response, start, seg_len, bins):
+    """Plain per-fine-step recurrence of the exact step, Phi and Sigma from SciPy; running sums.
+
+    The states y carry the white noise from ``start``; the reduced states
+    are y plus the response rows.
+    """
     from scipy.linalg import expm
 
     ns, h = noise_strengths(s), dt / stride
@@ -292,42 +372,44 @@ def _reference_loop(s, dt, stride, xi, impulses, seg_len, bins):
     # Van Loan 1978: e^{[[-A, D], [0, A^T]] h} holds Sigma_h = F22^T F12
     block = expm(np.block([[-a, np.diag([ns.d_q, ns.d_p])], [np.zeros((2, 2)), a.T]]) * h)
     chol = np.linalg.cholesky(block[2:, 2:].T @ block[:2, 2:])
-    x = np.zeros((2, xi.shape[-1]))
+    y = start.copy()
     sums, post = np.zeros((5, xi.shape[-1])), []
     for k in range(len(xi)):
         for u in range(stride):
-            x = phi @ x + chol @ xi[k, u] + impulses[k, u]
-        q, p = x
+            y = phi @ y + chol @ xi[k, u]
+        q, p = y + response[k, -1]
         sums += (q * q, p * p, q * p, q, p)
         post.append(q)
-    segs = np.array(post[: len(post) // seg_len * seg_len]).reshape(-1, seg_len, x.shape[1])
+    segs = np.array(post[: len(post) // seg_len * seg_len]).reshape(-1, seg_len, y.shape[1])
     spec = np.fft.rfft(segs * np.hanning(seg_len)[:, None], axis=1)[:, bins]
-    return x, sums, (np.abs(spec) ** 2).sum(axis=0)
+    return y, sums, (np.abs(spec) ** 2).sum(axis=0), q
 
 
 @pytest.mark.parametrize("stride", [1, 2])
 def test_chunked_stepper_matches_plain_loop(stride):
-    # pre-drawn inputs crossing chunk boundaries; the periodogram spans chunks
-    # too.  At stride 2 the chain steps dt/2, and its odd states are the
-    # loop's dt states.  The chain starts after burn-in, so every state counts
+    # pre-drawn normals and input response rows crossing chunk boundaries;
+    # the periodogram spans chunks too.  At stride 2 the chain steps dt/2,
+    # and its odd states are the loop's dt states.  The chain starts after
+    # burn-in, so every state counts
     s = SchemeParams(scheme=SC, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
     nb, dt = 6, 0.5 * dt_bound(s)
     n_total, seg_len = 3 * (_CHUNK // stride) + 50, 64
     rng = np.random.default_rng(5)
     xi = rng.standard_normal((n_total, stride, 2, nb))
-    impulses = 3.0 * rng.standard_normal((n_total, stride, 2, nb))
+    response = 3.0 * rng.standard_normal((n_total, stride, 2, nb))
+    start = 10.0 * rng.standard_normal((2, nb))
     bins = np.arange(3, 12)
-    x, sums, power = _reference_loop(s, dt, stride, xi, impulses, seg_len, bins)
+    y, sums, power, q = _reference_loop(s, dt, stride, xi, response, start, seg_len, bins)
 
     pgram = None
     if stride == 1:
         pgram = _Periodogram(bins, np.hanning(seg_len), n_total // seg_len, 1.0, nb)
-    matrix = _step_matrix(s, noise_strengths(s), dt / stride, True)
-    chain = _Chain(matrix, nb, _CHUNK, stride, pgram)
-    xi, impulses = (u.reshape(stride * n_total, 2, nb) for u in (xi, impulses))
+    chain = _Chain(_step_matrix(s, noise_strengths(s), dt / stride), nb, _CHUNK, stride, pgram)
+    chain.rows[0, :2] = start
+    xi, response = (u.reshape(stride * n_total, 2, nb) for u in (xi, response))
     for j in range(0, stride * n_total, _CHUNK):
-        chain.advance(xi[j : j + _CHUNK], impulses[j : j + _CHUNK])
-    checks = [(chain.rows[0, :2], x), (chain.sums[stride - 1], sums)]
+        last = chain.advance(xi[j : j + _CHUNK], response[j : j + _CHUNK])
+    checks = [(chain.rows[0, :2], y), (chain.sums[stride - 1], sums), (last, q)]
     if pgram is not None:
         checks.append((pgram.power, power))
     for got, want in checks:
@@ -335,14 +417,15 @@ def test_chunked_stepper_matches_plain_loop(stride):
 
 
 class _StartRecorder(_Chain):
-    """_Chain that records its starting state and first normals."""
+    """_Chain that records its starting state, first normals and first input response."""
 
     starts: list = []
 
-    def advance(self, normals, impulses=None):
+    def advance(self, normals, response=None):
         if self.steps == 0:
-            self.starts.append((self.rows[0, :2].copy(), normals.copy()))
-        return super().advance(normals, impulses)
+            first = np.zeros((len(normals), 2, 1)) if response is None else response.copy()
+            self.starts.append((self.rows[0, :2].copy(), normals.copy(), first))
+        return super().advance(normals, response)
 
 
 @pytest.mark.parametrize(
@@ -352,47 +435,59 @@ class _StartRecorder(_Chain):
 )
 def test_burn_in_jump_is_the_stepped_burn_in(scheme, g, quality, monkeypatch):
     # B steps of the exact step from rest are, in law, one step of length B h:
-    # noise covariance sum_{j<B} Phi^j Sigma_h Phi^jT, and the impulses
-    # (band force and drive) carried forward by Phi^{B-1-j}
+    # noise covariance sum_{j<B} Phi^j Sigma_h Phi^jT.  The chain starts at
+    # that jump's noise plus the band response's transient, -Phi^B x_p(0); a
+    # drive enters only through its response from rest, rows B + 1 on
     s = SchemeParams(scheme=scheme, g=g, quality=quality, zeta=10.0, theta=1e3, eta=0.8)
     ns, a, nb, seed = noise_strengths(s), _drift(s), 4, 31
     cfg = SimConfig(n_traj=nb, seed=seed, n_steps=2)
     h, burn, _ = _resolve_config(s, cfg)
-    step = _step_matrix(s, ns, h, True)
-    jump = _step_matrix(s, ns, burn * h, False)[:, 2:]
-    sigma, want = np.zeros((2, 2)), np.zeros((2, nb))
-    drive = ForcePulse(f0=1e3 * s.damping, sigma=burn * h / 20, t1=0.8 * burn * h, omega_f=1.0)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    impulses = _drive_impulses(drive, a, h, burn + 2)
-    if ns.d_fb_cd > 0:
-        impulses = impulses + _band_impulses(rng, nb, burn + 2, h, s.feedback_band(), ns.d_fb_cd, a)
-    for j in range(burn):  # zero-noise loop over the same impulses
-        sigma = step[:, :2] @ sigma @ step[:, :2].T + step[:, 2:4] @ step[:, 2:4].T
-        want = step[:, :2] @ want + impulses[j]
-    np.testing.assert_allclose(jump @ jump.T, sigma, rtol=1e-12, atol=1e-12 * np.abs(sigma).max())
+    step = _step_matrix(s, ns, h)
+    jump = _step_matrix(s, ns, burn * h)
+    sigma = np.zeros((2, 2))
+    for _ in range(burn):
+        sigma = step[:, :2] @ sigma @ step[:, :2].T + step[:, 2:] @ step[:, 2:].T
+    chol = jump[:, 2:]
+    np.testing.assert_allclose(chol @ chol.T, sigma, rtol=1e-12, atol=1e-12 * np.abs(sigma).max())
 
+    def expected_start(n_burn, n_steps):
+        rng, x_p0 = np.random.Generator(np.random.Philox(key=seed)), np.zeros((2, nb))
+        if ns.d_fb_cd > 0:
+            band, n_fine = s.feedback_band(), n_burn + n_steps
+            x_p0, _ = _band_response(rng, nb, n_fine, n_burn, h, band, ns.d_fb_cd, a)
+        if n_burn:
+            return jump[:, 2:] @ rng.standard_normal((2, nb)) - jump[:, :2] @ x_p0, rng
+        return -x_p0, rng
+
+    drive = ForcePulse(f0=1e3 * s.damping, sigma=burn * h / 20, t1=0.8 * burn * h, omega_f=1.0)
     monkeypatch.setattr("mirrorfb.oracle._Chain", _StartRecorder)
     monkeypatch.setattr(_StartRecorder, "starts", [])
     simulate(s, cfg, force=drive)
-    (start, _), = _StartRecorder.starts
-    noise = jump @ rng.standard_normal((2, nb))
-    assert np.abs(want).max() > np.abs(noise).max()  # the input part is not lost in the noise
-    np.testing.assert_allclose(start - noise, want, rtol=0, atol=1e-12 * np.abs(start).max())
+    simulate(s, cfg)
+    (driven, _, pushed), (quiet, _, still) = _StartRecorder.starts
+    want, _ = expected_start(burn, 2)
+    np.testing.assert_array_equal(driven, quiet)
+    np.testing.assert_allclose(driven, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    push = _drive_response(drive, a, h, burn + 2)[burn + 1 :, :, None]
+    assert np.abs(push).max() > 100.0 * np.abs(still).max()  # the drive stands out of the band force
+    np.testing.assert_allclose(pushed - still, np.broadcast_to(push, pushed.shape),
+                               rtol=0, atol=1e-12 * np.abs(push).max())
 
-    # burn_in_steps=0: no jump, and the first normals drawn feed the first step
+    # burn_in_steps=0: no jump, and the first normals drawn feed the first
+    # step; 64 steps put band bins on the FFT grid
     monkeypatch.setattr(_StartRecorder, "starts", [])
-    simulate(s, replace(cfg, burn_in_steps=0), force=drive)
-    (start, normals), = _StartRecorder.starts
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    if ns.d_fb_cd > 0:
-        _band_impulses(rng, nb, 2, h, s.feedback_band(), ns.d_fb_cd, a)
-    assert not start.any()
-    np.testing.assert_array_equal(normals, rng.standard_normal((2, 2, nb)))
+    simulate(s, replace(cfg, burn_in_steps=0, n_steps=64), force=drive)
+    (start, normals, _), = _StartRecorder.starts
+    want, rng = expected_start(0, 64)
+    assert start.any() == (ns.d_fb_cd > 0)
+    np.testing.assert_array_equal(start, want)
+    np.testing.assert_array_equal(normals, rng.standard_normal((64, 2, nb)))
 
 
 def test_zero_noise_drive_matches_fine_reference():
-    # a deterministic drive enters through the step integral of its linear
-    # hold; RK4 on that same piecewise-linear force at 1/64 of the step agrees
+    # a deterministic drive enters as its response from rest, stepped with the
+    # step integral of its linear hold; RK4 on that same piecewise-linear force
+    # at 1/64 of the step agrees
     s = SchemeParams(scheme=CD, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
     a, h, n = _drift(s), 0.5 * dt_bound(s), 400
     force = ForcePulse(f0=5.0, sigma=6.0, t1=20.0, omega_f=1.1)
@@ -414,10 +509,8 @@ def test_zero_noise_drive_matches_fine_reference():
     ref = np.array(ref)
     assert np.abs(ref[:, 0]).max() > 10.0  # the pulse drives the mirror well off zero
 
-    chain = _Chain(_step_matrix(s, noise_strengths(s), h, True), 1, n)
-    chain.advance(np.zeros((n, 2, 1)), _drive_impulses(force, a, h, n))
-    got = chain.rows[1:, :2, 0]  # the states after each step
-    np.testing.assert_allclose(got, ref[1:], rtol=0, atol=1e-6 * np.abs(ref).max())
+    got = _drive_response(force, a, h, n)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-6 * np.abs(ref).max())
 
 
 def test_instability_guard_trips():
@@ -557,8 +650,8 @@ def test_mean_response_to_force():
     quiet = simulate(s, SimConfig(n_traj=64, seed=4, n_steps=720))
     assert driven.q2 > 10.0 * quiet.q2
 
-    # closed-loop cold damping: the drive's impulses add to the band-limited
-    # force noise, whose mean is zero, so the ensemble mean is the noiseless
+    # closed-loop cold damping: the drive's response adds to the band-limited
+    # force's, whose mean is zero, so the ensemble mean is the noiseless
     # response averaged over the window (states after steps 1..n of a quasi-static push)
     cd = SchemeParams(scheme=CD, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
     push = ForcePulse(f0=20.0, sigma=20.0, t1=100.0, omega_f=0.0)
