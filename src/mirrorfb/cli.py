@@ -25,7 +25,6 @@ from .core import PhysicalParams, Scheme, SchemeParams, classical_steady_amplitu
 from .nonstat import ForcePulse, MeasurementWindow
 from .oracle import InstabilityError, SimConfig
 from .spectra import SpectrumSeries
-from .steady import ThermalModel
 
 
 class ConfigError(ValueError):
@@ -90,16 +89,15 @@ def _params_from_mapping(kv: dict[str, str]) -> SchemeParams:
     if unknown:
         raise ConfigError(f"unknown parameter keys: {sorted(unknown)}")
 
+    scheme = kv.pop("scheme", "none")
+    if scheme not in _SCHEMES:
+        raise ConfigError(f"scheme must be one of {sorted(_SCHEMES)}, got {scheme!r}")
     if set(kv) & {f.name for f in fields(PhysicalParams)}:
-        return _physical_params(kv)
+        return _physical_params(kv, _SCHEMES[scheme])
 
-    kwargs: dict = {}
+    kwargs: dict = {"scheme": _SCHEMES[scheme]}
     for key, val in kv.items():
-        if key == "scheme":
-            if val not in _SCHEMES:
-                raise ConfigError(f"scheme must be one of {sorted(_SCHEMES)}, got {val!r}")
-            kwargs[key] = _SCHEMES[val]
-        elif key == "cutoff_feedback":
+        if key == "cutoff_feedback":
             kwargs[key] = _parse_cutoff_feedback(val)
         else:
             kwargs[key] = float(val)
@@ -109,10 +107,7 @@ def _params_from_mapping(kv: dict[str, str]) -> SchemeParams:
         raise ConfigError(str(exc)) from exc
 
 
-def _physical_params(kv: dict[str, str]) -> SchemeParams:
-    scheme = _SCHEMES.get(kv.pop("scheme", "none"))
-    if scheme is None:
-        raise ConfigError("invalid scheme in config")
+def _physical_params(kv: dict[str, str], scheme: Scheme) -> SchemeParams:
     detuning = float(kv.pop("detuning", "0"))
     beta_override = kv.pop("beta", None)
     try:
@@ -259,20 +254,25 @@ def _run_snr_stationary(args) -> None:
     _emit(args.out, SpectrumSeries(grid, vals, spectra.KIND_SNR, prov).to_csv())
 
 
-def _pulse_inputs(args, s: SchemeParams):
-    """Window, force pulse and cooled initial moments of snr-nonstationary and cyclic."""
+def _pulse_inputs(args):
+    """Parameters, window and force pulse of snr-nonstationary and cyclic.
+
+    --wide-init cools with the wide-band loop: the feedback band of the
+    parameters only picks the cooled state, so it is --fb-band wide.
+    """
+    s = _build_params(args)
+    if args.wide_init:
+        s = replace(s, cutoff_feedback="wide")
     gm = s.gamma_m
     win = MeasurementWindow(_window_time(args, s))
     force = ForcePulse(f0=args.f0, sigma=args.sigma / gm, t1=args.t1 / gm, omega_f=args.omega_f)
-    init = replace(s, cutoff_feedback="wide") if args.wide_init else s
-    return win, force, steady.steady_moments(init, ThermalModel.CLASSICAL_DELTA)
+    return s, win, force
 
 
 def _run_snr_nonstationary(args) -> None:
-    s = _build_params(args)
+    s, win, force = _pulse_inputs(args)
     grid = _grid(args)
-    win, force, moments = _pulse_inputs(args, s)
-    vals = nonstat.nonstationary_snr(s, force, win, grid, moments=moments)
+    vals = nonstat.nonstationary_snr(s, force, win, grid)
     prov = _provenance(s, f"gmTm={args.Tm:g};nonstationary")
     _emit(args.out, SpectrumSeries(grid, vals, spectra.KIND_SNR, prov).to_csv())
 
@@ -280,20 +280,21 @@ def _run_snr_nonstationary(args) -> None:
 def _run_cyclic(args) -> None:
     if args.Tcool < 0:
         raise ConfigError("--Tcool must be >= 0")
-    s = _build_params(args)
+    s, win, force = _pulse_inputs(args)
     grid = _grid(args)
-    win, force, moments = _pulse_inputs(args, s)
-    vals = nonstat.cyclic_avg_snr(s, force, win, args.Tcool / s.gamma_m, grid, moments=moments)
+    vals = nonstat.cyclic_avg_snr(s, force, win, args.Tcool / s.gamma_m, grid)
     prov = _provenance(s, f"gmTm={args.Tm:g};gmTcool={args.Tcool:g};cyclic")
     _emit(args.out, SpectrumSeries(grid, vals, spectra.KIND_SNR, prov).to_csv())
 
 
 def _run_montecarlo(args) -> None:
+    if args.estimator == "spectrum" and args.out is None:
+        raise ConfigError("--estimator spectrum writes its spectrum next to --out; give --out")
     s = _build_params(args)
     sim = SimConfig(dt=args.dt, n_steps=args.n_steps, n_traj=args.n_traj, seed=args.seed, estimator=args.estimator)
     stats = oracle.simulate(s, sim)
     _emit_json(args.out, stats.to_json)
-    if stats.spectrum is not None and args.out is not None:
+    if stats.spectrum is not None:
         spec = stats.spectrum
         prov = _provenance(s, "montecarlo;err=")
         rows = [
@@ -369,11 +370,8 @@ def _figure_5():
 
 def _figure_6():
     s = _fig_params(1e3, 1e4)
-    moments = steady.steady_moments(s)
     specs = [(f"Tm{i:02d}", "fig6", s, gtm, f"gmTm={gtm:g}") for i, gtm in enumerate((1e-1, 1e-2, 1e-3, 1e-4))]
-    return _grid_figure(
-        "DetectedNoise", specs, lambda s, win, w: nonstat.nonstationary_noise(s, win, w, moments=moments)
-    )
+    return _grid_figure("DetectedNoise", specs, lambda s, win, w: nonstat.nonstationary_noise(s, win, w))
 
 
 def _figure_7():

@@ -230,37 +230,34 @@ def classical_steady_amplitude(p: PhysicalParams, detuning: float = 0.0) -> Bist
     e2 = p.drive**2
     hw2 = (p.gamma_c / 2.0) ** 2
 
-    if g2 == 0.0:
-        roots = [e2 / (hw2 + detuning**2)]
-    else:
-        # c3 x^3 + c2 x^2 + c1 x + c0 = 0
-        c3 = 4.0 * g2 * g2 / p.omega_m**2
-        c2 = -4.0 * detuning * g2 / p.omega_m
-        c1 = hw2 + detuning**2
-        c0 = -e2
-        raw = np.roots([c3, c2, c1, c0])
-        roots = []
-        for r in raw:
-            if abs(r.imag) > 1e-8 * (abs(r.real) + 1e-300):
-                continue
-            x = float(r.real)
-            if x <= 0:
-                continue
-            # polish with Newton; np.roots can be loose for extreme coefficients
-            for _ in range(4):
-                f = ((c3 * x + c2) * x + c1) * x + c0
-                df = (3.0 * c3 * x + 2.0 * c2) * x + c1
-                if df == 0:
-                    break
-                x -= f / df
-            roots.append(x)
-        roots = sorted(set(roots))
-        # collapse near-duplicates left by root polishing
-        dedup: list[float] = []
-        for x in roots:
-            if not dedup or abs(x - dedup[-1]) > 1e-9 * abs(x):
-                dedup.append(x)
-        roots = dedup
+    # c3 x^3 + c2 x^2 + c1 x + c0 = 0; np.roots drops zero leading coefficients (G = 0)
+    c3 = 4.0 * g2 * g2 / p.omega_m**2
+    c2 = -4.0 * detuning * g2 / p.omega_m
+    c1 = hw2 + detuning**2
+    c0 = -e2
+    raw = np.roots([c3, c2, c1, c0])
+    roots = []
+    for r in raw:
+        if abs(r.imag) > 1e-8 * (abs(r.real) + 1e-300):
+            continue
+        x = float(r.real)
+        if x <= 0:
+            continue
+        # polish with Newton; np.roots can be loose for extreme coefficients
+        for _ in range(4):
+            f = ((c3 * x + c2) * x + c1) * x + c0
+            df = (3.0 * c3 * x + 2.0 * c2) * x + c1
+            if df == 0:
+                break
+            x -= f / df
+        roots.append(x)
+    roots = sorted(set(roots))
+    # collapse near-duplicates left by root polishing
+    dedup: list[float] = []
+    for x in roots:
+        if not dedup or abs(x - dedup[-1]) > 1e-9 * abs(x):
+            dedup.append(x)
+    roots = dedup
 
     if len(roots) not in (1, 3):
         raise RuntimeError(

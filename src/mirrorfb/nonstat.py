@@ -24,7 +24,7 @@ import numpy as np
 from .core import SchemeParams
 from .response import chi_freq
 from .spectra import shot_noise_floor
-from .steady import MomentSet, ThermalModel, steady_moments
+from .steady import ThermalModel, steady_moments
 
 #: default number of arrival-time nodes for the cyclic average
 CYCLIC_ARRIVAL_NODES = 64
@@ -142,34 +142,24 @@ def signal_spectrum(s: SchemeParams, force: ForcePulse, win: MeasurementWindow, 
     """
     _warn_impulsive(s, force, win)
     omega = np.asarray(omega, dtype=float)
-    scalar = omega.ndim == 0
-    omega = np.atleast_1d(omega)
-    shift = omega - 0.5j / win.t_m
-    chi0 = chi_freq(s.bare(), shift)
+    chi0 = chi_freq(s.bare(), omega - 0.5j / win.t_m)
     out = np.abs(chi0) * np.abs(force_halfline_transform(force, win, omega))
-    return float(out[0]) if scalar else out
+    return out if out.ndim else float(out)
 
 
-def nonstationary_noise(
-    s: SchemeParams,
-    win: MeasurementWindow,
-    omega,
-    moments: MomentSet | None = None,
-):
+def nonstationary_noise(s: SchemeParams, win: MeasurementWindow, omega):
     """Nonstationary noise spectrum N_Q^2(omega), rescaled to position units.
 
-    The oscillator starts from the feedback-cooled stationary moments of
-    ``s`` (or an explicit ``moments`` override) and evolves freely during
-    the measurement.  Normalization matches the stationary detected
-    spectrum: the large-T_m limit with an uncooled initial state recovers
-    it, shot-noise floor included.
+    The oscillator starts from the feedback-cooled stationary state of
+    ``s`` (its classical-delta ``steady_moments``) and evolves freely during
+    the measurement.  The feedback band of ``s`` enters only through that
+    state: ``replace(s, cutoff_feedback="wide")`` starts from the wide-band
+    cooled state.  Normalization matches the stationary detected spectrum:
+    the large-T_m limit with an uncooled initial state recovers it,
+    shot-noise floor included.
     """
-    if moments is None:
-        moments = steady_moments(s, ThermalModel.CLASSICAL_DELTA)
+    moments = steady_moments(s, ThermalModel.CLASSICAL_DELTA)
     omega = np.asarray(omega, dtype=float)
-    scalar = omega.ndim == 0
-    omega = np.atleast_1d(omega)
-
     gm = s.gamma_m
     half = 0.5 / win.t_m
     chi0_sq = np.abs(chi_freq(s.bare(), omega - 1j * half)) ** 2
@@ -180,19 +170,17 @@ def nonstationary_noise(
         + gm * win.t_m * (s.zeta / 4.0 + s.theta)
     )
     out = chi0_sq * bracket / win.t_m + shot_noise_floor(s)
-    return float(out[0]) if scalar else out
+    return out if out.ndim else float(out)
 
 
-def nonstationary_snr(
-    s: SchemeParams,
-    force: ForcePulse,
-    win: MeasurementWindow,
-    omega,
-    moments: MomentSet | None = None,
-):
-    """Calibration-free SNR of the cool-and-measure protocol."""
+def nonstationary_snr(s: SchemeParams, force: ForcePulse, win: MeasurementWindow, omega):
+    """Calibration-free SNR of the cool-and-measure protocol.
+
+    The mirror is cooled by the loop of ``s`` (its stationary state sets the
+    noise, as in :func:`nonstationary_noise`) and measured with it open.
+    """
     sig = signal_spectrum(s, force, win, omega)
-    noise_sq = win.t_m * nonstationary_noise(s, win, omega, moments=moments)
+    noise_sq = win.t_m * nonstationary_noise(s, win, omega)
     return sig / np.sqrt(noise_sq)
 
 
@@ -203,15 +191,16 @@ def cyclic_avg_snr(
     t_cool: float,
     omega,
     n_arrival: int = CYCLIC_ARRIVAL_NODES,
-    moments: MomentSet | None = None,
 ):
     """SNR averaged over a uniformly distributed arrival time in [0, T_m].
 
-    Models cyclic cool-and-measure operation: the average carries the duty
-    factor T_m / (T_m + t_cool), and the (negligible) SNR accrued during the
-    cooling stage is dropped.  The stored t1 of ``force`` is ignored.
-    A no-feedback comparator is the same call with g = 0 and t_cool = 0.
-    Warns when the average's estimated relative error exceeds 1%.
+    Models cyclic cool-and-measure operation: each cycle cools with the
+    loop of ``s`` to its stationary state, then measures with the loop
+    open.  The average carries the duty factor T_m / (T_m + t_cool), and
+    the (negligible) SNR accrued during the cooling stage is dropped.  The
+    stored t1 of ``force`` is ignored.  A no-feedback comparator is the
+    same call with g = 0 and t_cool = 0.  Warns when the average's
+    estimated relative error exceeds 1%.
     """
     if not t_cool >= 0:
         raise ValueError(f"cooling time must be >= 0, got {t_cool}")
@@ -225,17 +214,14 @@ def cyclic_avg_snr(
             stacklevel=2,
         )
     omega = np.asarray(omega, dtype=float)
-    scalar = omega.ndim == 0
-    omega = np.atleast_1d(omega)
-
-    noise_sq = win.t_m * nonstationary_noise(s, win, omega, moments=moments)
+    noise_sq = win.t_m * nonstationary_noise(s, win, omega)
 
     # midpoint rule over the arrival time; R(omega, t1) is smooth on the
     # filter scale T_m
     t1_nodes = (np.arange(n_arrival) + 0.5) * win.t_m / n_arrival
     shift = omega - 0.5j / win.t_m
     chi0_abs = np.abs(chi_freq(s.bare(), shift))
-    sig = np.zeros((n_arrival, omega.size))
+    sig = np.zeros((n_arrival,) + omega.shape)
     for i, t1 in enumerate(t1_nodes):
         pulse = ForcePulse(f0=force.f0, sigma=force.sigma, t1=float(t1), omega_f=force.omega_f)
         sig[i] = chi0_abs * np.abs(force_halfline_transform(pulse, win, omega))
@@ -256,4 +242,4 @@ def cyclic_avg_snr(
             stacklevel=2,
         )
     out = mean * win.t_m / (win.t_m + t_cool)
-    return float(out[0]) if scalar else out
+    return out if out.ndim else float(out)

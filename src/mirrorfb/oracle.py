@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._quad import _KRONROD, _NODES
 from .core import Scheme, SchemeParams
 from .response import drift, propagator
 from .spectra import SpectrumSeries
@@ -198,18 +199,17 @@ def _fast_len(n: int) -> int:
 
 
 def _quadrature(a: np.ndarray, h: float):
-    """Nodes r on [0, h], weights w and e^{a r} of a 16-point Gauss-Legendre rule.
+    """Nodes r on [0, h], weights w and e^{a r} of the 21-point Kronrod rule of :mod:`mirrorfb._quad`.
 
-    The integrands below are entire in r and vary on the scale 1/|a|; panels
-    no longer than that make the rule exact to rounding.  Unlike
-    Sigma_inf - Phi Sigma_inf Phi^T it sums only non-negative terms for the
-    variances, so nothing cancels at small h.
+    The integrands below are entire in r and vary on the scale 1/|a|; on
+    panels no longer than that the rule, exact to degree 31, is exact to
+    rounding.  Unlike Sigma_inf - Phi Sigma_inf Phi^T it sums only
+    non-negative terms for the variances, so nothing cancels at small h.
     """
     panels = max(1, math.ceil(h * np.abs(a).sum(axis=1).max()))
-    x, w = np.polynomial.legendre.leggauss(16)
     width = h / panels
-    r = ((np.arange(panels)[:, None] + 0.5 * (x + 1.0)) * width).ravel()
-    return r, np.tile(0.5 * width * w, panels), propagator(a, r)
+    r = ((np.arange(panels)[:, None] + 0.5 * (_NODES + 1.0)) * width).ravel()
+    return r, np.tile(0.5 * width * _KRONROD, panels), propagator(a, r)
 
 
 def _step_matrix(s: SchemeParams, ns: NoiseStrengths, h: float) -> np.ndarray:
@@ -442,7 +442,7 @@ def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleS
             if drive is not None:
                 response += drive
         pgram = _Periodogram(*layout, nb) if layout is not None else None
-        chain = _Chain(matrix, nb, _CHUNK, sub, pgram)
+        chain = _Chain(matrix, nb, min(_CHUNK, n_fine - n_burn), sub, pgram)
         if n_burn:
             x0 = jump[:, 2:] @ rng.standard_normal((2, nb)) + jump[:, :2] @ x0
         chain.rows[0, :2] = x0

@@ -79,17 +79,6 @@ def default_grid(n: int = 400) -> np.ndarray:
     return np.geomspace(1e-3, 3.0, n)
 
 
-def _gates(s: SchemeParams, omega: np.ndarray, apply: bool):
-    if not apply:
-        one = np.ones_like(omega)
-        return one, one
-    lo, hi = s.feedback_band()
-    absw = np.abs(omega)
-    gate_fb = ((absw >= lo) & (absw <= hi)).astype(float)
-    gate_res = (absw <= s.cutoff_reservoir).astype(float)
-    return gate_fb, gate_res
-
-
 def _thermal_density(s: SchemeParams, omega: np.ndarray, thermal: str) -> np.ndarray:
     if thermal == "exact":
         return _omega_coth(omega, s.theta) / 2.0
@@ -116,15 +105,16 @@ def position_noise_spectrum(
     its classical limit theta when ``thermal="classical"``.
     """
     omega = np.asarray(omega, dtype=float)
-    scalar = omega.ndim == 0
-    omega = np.atleast_1d(omega)
-    gm = s.gamma_m
     chi2 = np.abs(chi_freq(s, omega)) ** 2
-    gate_fb, gate_res = _gates(s, omega, gates)
-    fb = (s.g**2 / (4.0 * s.eta * s.zeta)) * _feedback_weight(s, omega) * gate_fb
-    th = _thermal_density(s, omega, thermal) * gate_res
-    out = gm * chi2 * (s.zeta / 4.0 + fb + th)
-    return float(out[0]) if scalar else out
+    fb = (s.g**2 / (4.0 * s.eta * s.zeta)) * _feedback_weight(s, omega)
+    th = _thermal_density(s, omega, thermal)
+    if gates:
+        lo, hi = s.feedback_band()
+        absw = np.abs(omega)
+        fb = fb * ((absw >= lo) & (absw <= hi))
+        th = th * (absw <= s.cutoff_reservoir)
+    out = s.gamma_m * chi2 * (s.zeta / 4.0 + fb + th)
+    return out if out.ndim else float(out)
 
 
 def shot_noise_floor(s: SchemeParams) -> float:
@@ -153,12 +143,12 @@ def optimal_power_at_frequency(s: SchemeParams, omega: float) -> FrequencyOptimu
     Closed forms with the exact (coth) thermal density; the zeta stored in
     ``s`` is ignored.
     """
-    gm = s.gamma_m
+    gm, omega = s.gamma_m, np.asarray(omega, dtype=float)
     chi2 = abs(chi_freq(s, omega)) ** 2
-    w = float(_feedback_weight(s, np.atleast_1d(float(omega)))[0])
+    w = float(_feedback_weight(s, omega))
     x = 1.0 + s.g**2 * gm**2 * chi2 * w  # Q^-2 g^2 |chi|^2 w, Q^-2 = gm^2
     zeta_opt = math.sqrt(x / (s.eta * gm**2 * chi2))
-    th = float(_thermal_density(s, np.atleast_1d(float(omega)), "exact")[0])
+    th = float(_thermal_density(s, omega, "exact"))
     n_min = gm * chi2 * th + math.sqrt(chi2) / (2.0 * math.sqrt(s.eta)) * math.sqrt(x)
     return FrequencyOptimum(zeta_opt, n_min)
 
@@ -179,8 +169,6 @@ def stationary_snr(s: SchemeParams, f_abs, omega, t_m: float, thermal: str = "ex
             stacklevel=2,
         )
     omega = np.asarray(omega, dtype=float)
-    scalar = omega.ndim == 0
-    omega = np.atleast_1d(omega)
     f_abs = np.broadcast_to(np.asarray(f_abs, dtype=float), omega.shape)
     gm = s.gamma_m
     chi2 = np.abs(chi_freq(s, omega)) ** 2
@@ -188,7 +176,7 @@ def stationary_snr(s: SchemeParams, f_abs, omega, t_m: float, thermal: str = "ex
     fb = s.g**2 * _feedback_weight(s, omega)
     bracket = th + s.zeta / 4.0 + (fb + 1.0 / (gm**2 * chi2)) / (4.0 * s.eta * s.zeta)
     out = f_abs / np.sqrt(gm * t_m * bracket)
-    return float(out[0]) if scalar else out
+    return out if out.ndim else float(out)
 
 
 def integrated_position_variance(s: SchemeParams) -> float:

@@ -139,33 +139,23 @@ def steady_moments(
     q = s.quality
     g = s.g
 
-    if model is ThermalModel.EXACT_COTH:
-        bm = brownian_exact(s)
-        b_ba = s.zeta / 8.0  # back-action stays delta-correlated
-    else:
-        bm = None
-        b_ba = b
+    # the exact model's thermal pieces are added below; back-action stays delta-correlated
+    b_ba = s.zeta / 8.0 if model is ThermalModel.EXACT_COTH else b
 
-    if s.scheme is Scheme.STOCHASTIC_COOLING or s.scheme is Scheme.NONE:
+    if s.scheme is not Scheme.COLD_DAMPING:
         q2 = a * (1.0 + q * q + g) / d + b_ba * q * q / d
         p2 = a * q * q / d + b_ba * (g * g + q * q + g) / d
-        if bm is not None:
-            q2 += bm.q2_bm
-            p2 += bm.p2_bm
         qp = (b * g - a) * q / d
     else:
-        fb = a / (1.0 + g)
-        q2 = fb + b_ba / (1.0 + g)
-        if s.wide_band:
-            p2 = b_ba / (1.0 + g) + _p2_feedback_wide(s)
-        else:
-            p2 = fb + b_ba / (1.0 + g)
-        if bm is not None:
-            q2 += bm.q2_bm
-            p2 += bm.p2_bm
+        q2 = a / (1.0 + g) + b_ba / (1.0 + g)
+        p2 = (b_ba / (1.0 + g) + _p2_feedback_wide(s)) if s.wide_band else q2
         qp = 0.0
 
-    if model is ThermalModel.CLASSICAL_PLUS_LOG:
+    if model is ThermalModel.EXACT_COTH:
+        bm = brownian_exact(s)
+        q2 += bm.q2_bm
+        p2 += bm.p2_bm
+    elif model is ThermalModel.CLASSICAL_PLUS_LOG:
         p2 += _log_correction(s)
 
     return MomentSet(q2=q2, p2=p2, qp=qp, thermal_model=model)

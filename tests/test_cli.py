@@ -164,6 +164,26 @@ def test_config_file_feedback_band_matches_library(tmp_path, capsys):
     assert got != [FLOAT_FMT.format(v) for v in narrow]
 
 
+@pytest.mark.parametrize(
+    "values, want",
+    [
+        ({"g": 10, "quality": 50}, SchemeParams(scheme=Scheme.COLD_DAMPING, g=10.0, quality=50.0)),
+        ({**LAB, "feedback_gain_raw": 1e-3, "beta": 100.0},
+         to_dimensionless(PhysicalParams(**LAB, feedback_gain_raw=1e-3), 100.0, Scheme.COLD_DAMPING)),
+    ],
+    ids=["working_units", "lab_units"],
+)
+def test_config_scheme_is_checked_before_the_unit_branch(tmp_path, capsys, values, want):
+    # one check and one message for both kinds of config; a valid scheme reaches the parameters
+    code, out, err = run_cli(capsys, "steady", "--config", write_config(tmp_path / "bad.cfg", {**values, "scheme": "cold"}))
+    assert (code, out) == (1, "")
+    assert "scheme must be one of ['cd', 'none', 'sc'], got 'cold'" in err
+    code, out, _ = run_cli(capsys, "steady", "--config", write_config(tmp_path / "ok.cfg", {**values, "scheme": "cd"}),
+                           "--format", "json")
+    assert want.g > 0
+    assert (code, json.loads(out)["q2"]) == (0, steady_moments(want).q2)
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("zeta = 1\nnonsense = 3\n")
@@ -331,8 +351,8 @@ PULSE_ARGS = (
 @pytest.mark.parametrize("subcommand", ["snr-nonstationary", "cyclic"])
 def test_pulse_subcommands_match_library(tmp_path, capsys, subcommand, wide):
     # the CSV is the library curve for the same flags: times in units of 1/gamma_m
-    # and, with --wide-init, the wide-band loop's moments as the initial state
-    from mirrorfb import nonstat, steady
+    # and, with --wide-init, the wide-band loop's cooled state as the initial state
+    from mirrorfb import nonstat
 
     cyclic = subcommand == "cyclic"
     out = tmp_path / "snr.csv"
@@ -344,11 +364,10 @@ def test_pulse_subcommands_match_library(tmp_path, capsys, subcommand, wide):
     win = nonstat.MeasurementWindow(1e-3 / gm)
     force = nonstat.ForcePulse(f0=2.0, sigma=2e-4 / gm, t1=5e-4 / gm, omega_f=1.05)
 
-    def curve(init):
-        moments = steady.steady_moments(init)
+    def curve(cooled):
         if cyclic:
-            return nonstat.cyclic_avg_snr(s, force, win, 1e-6 / gm, grid, moments=moments)
-        return nonstat.nonstationary_snr(s, force, win, grid, moments=moments)
+            return nonstat.cyclic_avg_snr(cooled, force, win, 1e-6 / gm, grid)
+        return nonstat.nonstationary_snr(cooled, force, win, grid)
 
     wide_curve, cooled_curve = curve(replace(s, cutoff_feedback="wide")), curve(s)
     assert np.max(np.abs(wide_curve / cooled_curve - 1.0)) > 0.1  # the flag matters here
@@ -358,6 +377,18 @@ def test_pulse_subcommands_match_library(tmp_path, capsys, subcommand, wide):
     tag = "gmTm=0.001;gmTcool=1e-06;cyclic" if cyclic else "gmTm=0.001;nonstationary"
     prov = f"scheme=cd;g=2000;Q=100000;zeta=10;theta=100000;eta=0.8;{tag}"
     assert {(r[2], r[3]) for r in rows} == {("SNR", prov)}
+
+
+@pytest.mark.parametrize("subcommand", ["snr-nonstationary", "cyclic"])
+def test_wide_init_is_the_wide_feedback_band(tmp_path, capsys, subcommand):
+    # the feedback band only picks the cooled state of these subcommands, so
+    # --wide-init writes the bytes of --fb-band wide, whatever band it replaces
+    texts = []
+    for i, flags in enumerate([("--wide-init",), ("--fb-band", "wide"), ("--fb-band", "0.5:2", "--wide-init")]):
+        out = tmp_path / f"snr{i}.csv"
+        assert run_cli(capsys, subcommand, *PULSE_ARGS, *flags, "--out", str(out))[0] == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1] == texts[2]
 
 
 def test_negative_cooling_time_exit_code(capsys):
@@ -496,6 +527,19 @@ def test_montecarlo_spectrum_estimator_writes_csv(tmp_path, capsys):
     rows = read_rows(tmp_path / "stats.spectrum.csv")
     assert rows, "spectrum CSV should contain bins"
     assert all(r[2] == "PositionNoise" for r in rows)
+
+
+def test_montecarlo_spectrum_without_out_exit_code(capsys, monkeypatch):
+    # the spectrum CSV goes next to --out; without it the run is refused before simulating
+    import mirrorfb.cli as cli_mod
+
+    def never(*args, **kwargs):
+        raise AssertionError("simulate ran")
+
+    monkeypatch.setattr(cli_mod.oracle, "simulate", never)
+    code, out, err = run_cli(capsys, "montecarlo", "--n-traj", "4", "--n-steps", "64", "--estimator", "spectrum")
+    assert (code, out) == (1, "")
+    assert "--estimator spectrum writes its spectrum next to --out" in err
 
 
 def test_fb_band_flag_changes_wide_band_momentum(capsys):

@@ -196,6 +196,18 @@ def test_linear_cavity_limit():
     assert res.roots[0] == pytest.approx(linear, rel=1e-6)
 
 
+def test_zero_coupling_is_the_linear_root(monkeypatch):
+    # at G = 0 the cubic's two leading coefficients vanish and np.roots drops
+    # them, leaving the linear cavity's root
+    monkeypatch.setattr(PhysicalParams, "coupling", property(lambda self: 0.0))
+    p = lab_params()
+    for det in (0.0, 0.3 * p.gamma_c):
+        res = classical_steady_amplitude(p, det)
+        linear = p.drive**2 / ((p.gamma_c / 2) ** 2 + det**2)
+        assert res.stable == (True,)
+        assert res.roots[0] == pytest.approx(linear, rel=1e-14)
+
+
 def test_small_drive_leading_order():
     p = lab_params(laser_power=1e-12)
     res = classical_steady_amplitude(p, 0.0)

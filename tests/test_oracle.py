@@ -484,6 +484,23 @@ def test_burn_in_jump_is_the_stepped_burn_in(scheme, g, quality, monkeypatch):
     np.testing.assert_array_equal(normals, rng.standard_normal((64, 2, nb)))
 
 
+def test_chain_buffer_holds_at_most_the_window(monkeypatch):
+    # the (q, p, xi) buffer holds min(_CHUNK, window) steps: C09's paired
+    # window of 146 fine steps gets capacity 146, a long window one chunk
+    capacities = []
+
+    class Recorder(_Chain):
+        def __init__(self, matrix, nb, capacity, *args):
+            capacities.append(capacity)
+            super().__init__(matrix, nb, capacity, *args)
+
+    monkeypatch.setattr("mirrorfb.oracle._Chain", Recorder)
+    s = SchemeParams(scheme=SC, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
+    paired_timestep_stats(s, SimConfig(n_traj=2, n_steps=73, burn_in_steps=16))
+    simulate(s, SimConfig(n_traj=2, n_steps=3 * _CHUNK, burn_in_steps=16))
+    assert capacities == [146, _CHUNK]
+
+
 def test_zero_noise_drive_matches_fine_reference():
     # a deterministic drive enters as its response from rest, stepped with the
     # step integral of its linear hold; RK4 on that same piecewise-linear force
