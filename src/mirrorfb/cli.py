@@ -306,16 +306,6 @@ def _run_montecarlo(args) -> None:
 
 # ------------------------------------------------------------------- figures
 
-# Figures 2-4 plot stochastic cooling at theta = 1e5, eta = 0.8 against 200
-# log-spaced zeta.  Per figure: the zeta range, the curve label with the
-# (g, Q) of each curve, the plotted kind and its value.  The lambdas look the
-# steady functions up at call time, so patched or traced versions are used.
-_ZETA_SWEEPS = {
-    2: ((1e-1, 1e9), "g", [(g, 1e7) for g in (10.0, 1e3, 1e5, 1e7)], "energy", lambda s: steady.steady_energy(s)),
-    3: ((1e1, 1e9), "Q", [(1e7, q) for q in (1e3, 1e5, 1e7)], "energy", lambda s: steady.steady_energy(s)),
-    4: ((1e5, 1e11), "g", [(1e7, 1e4), (1e9, 1e4)], "q2", lambda s: steady.steady_moments(s).q2),
-}
-
 # figures 8-10: wide-band cold damping against the bare mirror, probed by a
 # pulse of gamma_m sigma = 1e-4 at gamma_m t1 = 3e-4 (the cyclic average of
 # figure 10 draws its own arrival times)
@@ -324,111 +314,83 @@ _COOLED = SchemeParams(
 )
 _BARE = SchemeParams(scheme=Scheme.NONE, quality=1e5, zeta=10, theta=1e5, eta=0.8)
 _FORCE = ForcePulse(f0=1.0, sigma=1e-4 / _BARE.gamma_m, t1=3e-4 / _BARE.gamma_m, omega_f=1.0)
-_FIGURE_KEYS = "g Q zeta theta eta"
 
 
-def _zeta_sweep(n: int) -> list:
-    (lo, hi), label, family, kind, value = _ZETA_SWEEPS[n]
-    grid = np.geomspace(lo, hi, 200)
-    curves = []
-    for i, (g, quality) in enumerate(family):
-        points = [
-            SchemeParams(scheme=Scheme.STOCHASTIC_COOLING, g=g, quality=quality, zeta=float(z), theta=1e5, eta=0.8)
-            for z in grid
-        ]
-        prov = _provenance(points[0], "x=zeta", head=f"fig{n}", keys="g Q theta eta")
-        curves.append((f"{label}{i:02d}", SpectrumSeries(grid, [value(s) for s in points], kind, prov)))
-    return curves
+def _sc(g: float, quality: float) -> SchemeParams:
+    """Figures 2-4: stochastic cooling at theta = 1e5, eta = 0.8; zeta is the x axis."""
+    return SchemeParams(scheme=Scheme.STOCHASTIC_COOLING, g=g, quality=quality, theta=1e5, eta=0.8)
 
 
-def _grid_figure(kind: str, specs, value) -> list:
-    """One ``kind`` curve on the default grid per (name, head, params, gamma_m T_m, tail) spec.
-
-    ``value(s, window, grid)`` computes a curve; its provenance is the head,
-    the parameters, then the tail.
-    """
-    grid = spectra.default_grid()
-    curves = []
-    for name, head, s, gtm, tail in specs:
-        vals = value(s, MeasurementWindow(gtm / s.gamma_m), grid)
-        prov = _provenance(s, tail, head=head, keys=_FIGURE_KEYS)
-        curves.append((name, SpectrumSeries(grid, vals, kind, prov)))
-    return curves
-
-
-def _fig_params(g: float, quality: float) -> SchemeParams:
+def _cd(g: float, quality: float) -> SchemeParams:
     """Figures 5-7: cold damping (no feedback at g = 0), zeta = 10, theta = 1e5, eta = 0.8."""
     scheme = Scheme.COLD_DAMPING if g > 0 else Scheme.NONE
     return SchemeParams(scheme=scheme, g=g, quality=quality, zeta=10, theta=1e5, eta=0.8)
 
 
-def _figure_5():
-    # gamma_m T_m = 10 sets the overall scale only, kept in the stationary regime
-    specs = [(f"g{i:02d}", "fig5", _fig_params(g, 1e5), 10.0, "gmTm=10") for i, g in enumerate((0.0, 1e4, 1e5))]
-    return _grid_figure("SNR", specs, lambda s, win, w: spectra.stationary_snr(s, 1.0, w, win.t_m))
+def _at_zeta(s: SchemeParams, zetas: np.ndarray) -> list:
+    # one direct construction per point: dataclasses.replace would cost more over the 1,800 points of figures 2-4
+    return [SchemeParams(scheme=s.scheme, g=s.g, quality=s.quality, zeta=z, theta=s.theta, eta=s.eta)
+            for z in zetas.tolist()]
 
 
-def _figure_6():
-    s = _fig_params(1e3, 1e4)
-    specs = [(f"Tm{i:02d}", "fig6", s, gtm, f"gmTm={gtm:g}") for i, gtm in enumerate((1e-1, 1e-2, 1e-3, 1e-4))]
-    return _grid_figure("DetectedNoise", specs, lambda s, win, w: nonstat.nonstationary_noise(s, win, w))
-
-
-def _figure_7():
-    specs = [
-        (f"{panel}_g{i:02d}", f"fig7{panel}", _fig_params(g, 1e4), gtm, f"gmTm={gtm:g}")
-        for panel, gtm in (("a", 1e-3), ("b", 1e-1))
-        for i, g in enumerate((1.0, 10.0, 1e2, 1e3))
-    ]
-    return _grid_figure("DetectedNoise", specs, lambda s, win, w: nonstat.nonstationary_noise(s, win, w))
-
-
-def _figure_8():
-    specs = [
-        (name, f"fig8;{name}", s, gtm, f"gmTm={gtm:g}")
-        for name, s, gtm in (("cooled", _COOLED, 1e-3), ("bare_short", _BARE, 1e-3), ("bare_long", _BARE, 10.0))
-    ]
-    return _grid_figure("SNR", specs, lambda s, win, w: nonstat.nonstationary_snr(s, _FORCE, win, w))
-
-
-def _figure_9():
-    gtms = np.geomspace(1e-3, 10.0, 60)  # window kept above the force duration
-    curves = []
-    for name, s in (("cooled", _COOLED), ("bare", _BARE)):
-        vals = [nonstat.nonstationary_snr(s, _FORCE, MeasurementWindow(float(x) / s.gamma_m), 1.0) for x in gtms]
-        prov = _provenance(s, "x=gmTm", head=f"fig9;{name}", keys=_FIGURE_KEYS)
-        curves.append((name, SpectrumSeries(gtms, vals, "SNR", prov)))
-    return curves
-
-
-def _figure_10():
-    # the cooled mirror spends T_cool = 1e-3 T_m cooling; the bare one measures back to back
-    specs = [
-        ("cyclic", "fig10;cyclic", _COOLED, 1e-3, "gmTm=0.001;Tcool=0.001Tm"),
-        ("bare", "fig10;bare", _BARE, 1e-3, "gmTm=0.001"),
-    ]
-
-    def value(s, win, w):
-        return nonstat.cyclic_avg_snr(s, _FORCE, win, 1e-3 * win.t_m if s is _COOLED else 0.0, w)
-
-    return _grid_figure("SNR", specs, value)
-
-
+# id -> (x axis, None for spectra.default_grid(); provenance keys; kind; value rule;
+# curves as (name, provenance head, params, gamma_m T_m or None, provenance tail)).
+# value(s, x, window) is one curve, the window lasting T_m.  The rules look the
+# library up at call time, so patched or traced versions are used.
+_ZETA_KEYS, _FIGURE_KEYS = "g Q theta eta", "g Q zeta theta eta"
 _FIGURES = {
-    **{n: functools.partial(_zeta_sweep, n) for n in _ZETA_SWEEPS},
-    5: _figure_5,
-    6: _figure_6,
-    7: _figure_7,
-    8: _figure_8,
-    9: _figure_9,
-    10: _figure_10,
+    2: (np.geomspace(1e-1, 1e9, 200), _ZETA_KEYS, "energy",
+        lambda s, x, _: [steady.steady_energy(p) for p in _at_zeta(s, x)],
+        [(f"g{i:02d}", "fig2", _sc(g, 1e7), None, "x=zeta") for i, g in enumerate((10.0, 1e3, 1e5, 1e7))]),
+    3: (np.geomspace(1e1, 1e9, 200), _ZETA_KEYS, "energy",
+        lambda s, x, _: [steady.steady_energy(p) for p in _at_zeta(s, x)],
+        [(f"Q{i:02d}", "fig3", _sc(1e7, q), None, "x=zeta") for i, q in enumerate((1e3, 1e5, 1e7))]),
+    4: (np.geomspace(1e5, 1e11, 200), _ZETA_KEYS, "q2",
+        lambda s, x, _: [steady.steady_moments(p).q2 for p in _at_zeta(s, x)],
+        [(f"g{i:02d}", "fig4", _sc(g, 1e4), None, "x=zeta") for i, g in enumerate((1e7, 1e9))]),
+    # gamma_m T_m = 10 sets the overall scale only, kept in the stationary regime
+    5: (None, _FIGURE_KEYS, "SNR",
+        lambda s, w, win: spectra.stationary_snr(s, 1.0, w, win.t_m),
+        [(f"g{i:02d}", "fig5", _cd(g, 1e5), 10.0, "gmTm=10") for i, g in enumerate((0.0, 1e4, 1e5))]),
+    6: (None, _FIGURE_KEYS, "DetectedNoise",
+        lambda s, w, win: nonstat.nonstationary_noise(s, win, w),
+        [(f"Tm{i:02d}", "fig6", _cd(1e3, 1e4), t, f"gmTm={t:g}") for i, t in enumerate((1e-1, 1e-2, 1e-3, 1e-4))]),
+    7: (None, _FIGURE_KEYS, "DetectedNoise",
+        lambda s, w, win: nonstat.nonstationary_noise(s, win, w),
+        [(f"{panel}_g{i:02d}", f"fig7{panel}", _cd(g, 1e4), t, f"gmTm={t:g}")
+         for panel, t in (("a", 1e-3), ("b", 1e-1)) for i, g in enumerate((1.0, 10.0, 1e2, 1e3))]),
+    8: (None, _FIGURE_KEYS, "SNR",
+        lambda s, w, win: nonstat.nonstationary_snr(s, _FORCE, win, w),
+        [(name, f"fig8;{name}", s, t, f"gmTm={t:g}")
+         for name, s, t in (("cooled", _COOLED, 1e-3), ("bare_short", _BARE, 1e-3), ("bare_long", _BARE, 10.0))]),
+    # the window is kept above the force duration
+    9: (np.geomspace(1e-3, 10.0, 60), _FIGURE_KEYS, "SNR",
+        lambda s, x, _: [nonstat.nonstationary_snr(s, _FORCE, MeasurementWindow(t / s.gamma_m), 1.0)
+                         for t in x.tolist()],
+        [(name, f"fig9;{name}", s, None, "x=gmTm") for name, s in (("cooled", _COOLED), ("bare", _BARE))]),
+    # the cooled mirror spends T_cool = 1e-3 T_m cooling; the bare one measures back to back
+    10: (None, _FIGURE_KEYS, "SNR",
+         lambda s, w, win: nonstat.cyclic_avg_snr(s, _FORCE, win, 1e-3 * win.t_m if s is _COOLED else 0.0, w),
+         [("cyclic", "fig10;cyclic", _COOLED, 1e-3, "gmTm=0.001;Tcool=0.001Tm"),
+          ("bare", "fig10;bare", _BARE, 1e-3, "gmTm=0.001")]),
 }
+
+
+def _figure_curves(n: int) -> list:
+    """(name, SpectrumSeries) for each curve of figure ``n``; provenance is head, parameters, tail."""
+    x, keys, kind, value, curves = _FIGURES[n]
+    x = spectra.default_grid() if x is None else x
+    out = []
+    for name, head, s, gtm, tail in curves:
+        vals = value(s, x, None if gtm is None else MeasurementWindow(gtm / s.gamma_m))
+        out.append((name, SpectrumSeries(x, vals, kind, _provenance(s, tail, head=head, keys=keys))))
+    return out
 
 
 def _run_figure(args) -> None:
     if args.id not in _FIGURES:
         raise ConfigError(f"figure id must be in 2..10, got {args.id}")
-    texts = {f"fig{args.id}_{name}.csv": series.to_csv() for name, series in _FIGURES[args.id]()}
+    texts = {f"fig{args.id}_{name}.csv": series.to_csv() for name, series in _figure_curves(args.id)}
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     for filename, text in texts.items():
@@ -512,7 +474,7 @@ def main(argv=None) -> int:
     except (QuadratureError, InstabilityError, FloatingPointError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 1
 

@@ -157,7 +157,8 @@ def stationary_snr(s: SchemeParams, f_abs, omega, t_m: float, thermal: str = "ex
     """Stationary spectral signal-to-noise ratio for force spectrum |f~(omega)|.
 
     Valid when the measurement lasts many relaxation times; a warning is
-    issued when gamma_m (1 + g) t_m < 10.  Scales as |f~| / sqrt(t_m).
+    issued when gamma_m (1 + g) t_m < 10.  Equals |f~| |chi~| / sqrt(t_m N),
+    N the ``detected_noise_spectrum``.
     """
     if not 0 < t_m < math.inf:
         raise ValueError(f"measurement time t_m must be finite and > 0, got {t_m}")
@@ -170,12 +171,7 @@ def stationary_snr(s: SchemeParams, f_abs, omega, t_m: float, thermal: str = "ex
         )
     omega = np.asarray(omega, dtype=float)
     f_abs = np.broadcast_to(np.asarray(f_abs, dtype=float), omega.shape)
-    gm = s.gamma_m
-    chi2 = np.abs(chi_freq(s, omega)) ** 2
-    th = _thermal_density(s, omega, thermal)
-    fb = s.g**2 * _feedback_weight(s, omega)
-    bracket = th + s.zeta / 4.0 + (fb + 1.0 / (gm**2 * chi2)) / (4.0 * s.eta * s.zeta)
-    out = f_abs / np.sqrt(gm * t_m * bracket)
+    out = f_abs * np.abs(chi_freq(s, omega)) / np.sqrt(t_m * detected_noise_spectrum(s, omega, thermal))
     return out if out.ndim else float(out)
 
 

@@ -487,6 +487,26 @@ def test_figure_outputs_match_pins(tmp_path, capsys):
         assert digests == pins[f"figure {n}"]
 
 
+@pytest.mark.parametrize(
+    "target, figure, calls", [("steady.steady_energy", "2", 4 * 200), ("nonstat.cyclic_avg_snr", "10", 2)]
+)
+def test_figures_call_the_library_at_call_time(tmp_path, capsys, monkeypatch, target, figure, calls):
+    # patched and traced library functions must reach the figure table
+    import mirrorfb
+
+    module, name = target.split(".")
+    original = getattr(getattr(mirrorfb, module), name)
+    seen = []
+
+    def counting(*args, **kwargs):
+        seen.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(f"mirrorfb.{target}", counting)
+    assert run_cli(capsys, "figure", figure, "--out", str(tmp_path))[0] == 0
+    assert len(seen) == calls
+
+
 def test_figure_4_squeezing_dip(tmp_path, capsys):
     assert run_cli(capsys, "figure", "4", "--out", str(tmp_path))[0] == 0
     high = read_rows(tmp_path / "fig4_g01.csv")  # g1 = 1e9
@@ -511,6 +531,20 @@ def test_figure_id_validation(capsys):
     code, _, err = run_cli(capsys, "figure", "11")
     assert code == 1
     assert "figure id" in err
+
+
+@pytest.mark.parametrize("subcommand", ["steady", "figure"])
+def test_unwritable_out_exit_code(tmp_path, capsys, subcommand):
+    # a --out in a missing directory, and a figure directory that is a file
+    existing = tmp_path / "file"
+    existing.write_text("")
+    argv = ("steady", "--out", str(tmp_path / "missing" / "x.json"))
+    if subcommand == "figure":
+        argv = ("figure", "2", "--out", str(existing))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: invalid configuration: ")
+    assert not (tmp_path / "missing").exists() and existing.read_text() == ""
 
 
 def test_montecarlo_spectrum_estimator_writes_csv(tmp_path, capsys):
