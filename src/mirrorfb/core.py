@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -165,19 +165,15 @@ class PhysicalParams:
     temperature: float = 0.0  # K
 
     def __post_init__(self):
-        positive = {
-            "mass": self.mass,
-            "omega_m": self.omega_m,
-            "gamma_m": self.gamma_m,
-            "cavity_length": self.cavity_length,
-            "gamma_c": self.gamma_c,
-            "laser_power": self.laser_power,
-            "laser_omega0": self.laser_omega0,
-            "cavity_omega_c": self.cavity_omega_c,
-        }
-        for name, value in positive.items():
-            if not value > 0:
-                raise ValueError(f"{name} must be > 0, got {value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        positive = ("mass", "omega_m", "gamma_m", "cavity_length", "gamma_c", "laser_power", "laser_omega0",
+                    "cavity_omega_c")
+        for name in positive:
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if not 0 < self.efficiency <= 1:
             raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
         if self.temperature < 0:
@@ -226,6 +222,8 @@ def classical_steady_amplitude(p: PhysicalParams, detuning: float = 0.0) -> Bist
     cavity-laser detuning omega_c - omega_0 in rad/s.  With three roots the
     middle one sits on the negative-slope branch and is flagged unstable.
     """
+    if not math.isfinite(detuning):
+        raise ValueError(f"detuning must be finite, got {detuning}")
     g2 = p.coupling**2
     e2 = p.drive**2
     hw2 = (p.gamma_c / 2.0) ** 2
@@ -281,8 +279,8 @@ def to_dimensionless(
     cooling (the sign convention makes g1 >= 0 for a cooling loop) and
     g2 = 4 G beta omega_m g_cd / (gamma_m gamma_c) for cold damping.
     """
-    if beta <= 0:
-        raise ValueError(f"field amplitude beta must be > 0, got {beta}")
+    if not 0 < beta < math.inf:
+        raise ValueError(f"field amplitude beta must be finite and > 0, got {beta}")
     G = p.coupling
     zeta = 16.0 * G**2 * beta**2 / (p.gamma_m * p.gamma_c)
     if zeta <= 0:

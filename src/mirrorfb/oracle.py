@@ -71,9 +71,12 @@ class SimConfig:
     None), crossed in one exact jump of length burn_in_steps * dt.  The band
     force noise fills the scheme's ``feedback_band()``; its response is stored
     for the averaging window only, at most 2 GiB per batch.  The spectrum
-    estimator averages Hann-tapered periodograms of duration ``seg_time`` (a
-    boxcar would leak the resonance peak into the wings) and keeps bins
-    inside ``spectrum_band``.
+    estimator takes one Hann-tapered periodogram per trajectory over the
+    whole window (a boxcar would leak the resonance peak into the wings),
+    keeps bins inside ``spectrum_band`` and refuses windows under 16 steps.
+    Its window lasts ``seg_time`` (48 pi relaxation times when None), which
+    sets n_steps = round(seg_time / dt) when ``n_steps`` is None; given both,
+    they must agree for any estimator.
     """
 
     dt: float | None = None
@@ -173,6 +176,8 @@ def _resolve_config(s: SchemeParams, cfg: SimConfig) -> tuple[float, int, int]:
     burn = cfg.burn_in_steps if cfg.burn_in_steps is not None else math.ceil(12.0 * relax / dt)
     if cfg.n_steps is not None:
         n_steps = cfg.n_steps
+        if cfg.seg_time is not None and round(cfg.seg_time / dt) != n_steps:
+            raise ValueError(f"seg_time = {cfg.seg_time:g} is not n_steps = {n_steps} steps of dt = {dt:g}")
     elif cfg.estimator == "spectrum":
         seg = cfg.seg_time if cfg.seg_time is not None else 48.0 * math.pi * relax
         n_steps = int(round(seg / dt))
@@ -299,42 +304,32 @@ def _drive_response(force, a: np.ndarray, h: float, n_steps: int) -> np.ndarray:
 
 
 class _Periodogram:
-    """Tapered periodograms of consecutive post-burn-in q segments, kept bins only.
+    """Hann-tapered periodogram of each trajectory's q over the whole averaging window, kept bins only.
 
-    The DFT of the current segment is accumulated chunk by chunk as a matrix
-    product with the tapered cos/sin rows of the kept bins, so segments are
-    never stored.
+    The window is the run's n_steps averaging steps, which ``seg_time`` sets
+    when given, and :func:`_spectrum_bins` refuses one under 16 steps.  Its
+    DFT is accumulated chunk by chunk as a matrix product with the tapered
+    cos/sin rows of the kept bins, so the window is never stored.
     """
 
-    def __init__(self, bins: np.ndarray, taper: np.ndarray, n_seg: int, norm: float, nb: int):
+    def __init__(self, bins: np.ndarray, n_steps: int, nb: int):
         self.bins = bins
-        self.taper = taper
-        self.n_seg = n_seg
-        self.norm = norm
+        self.taper = np.hanning(n_steps)
         self.dft = np.zeros((2 * len(bins), nb))
-        self.power = np.zeros((len(bins), nb))
+        self.steps = 0
 
-    def add(self, q: np.ndarray, start: int) -> None:
-        """Fold in post-burn-in q rows, the first at post-burn-in index ``start``."""
-        seg_len = len(self.taper)
-        end = min(len(q), self.n_seg * seg_len - start)
-        i = 0
-        while i < end:
-            pos = (start + i) % seg_len
-            take = min(end - i, seg_len - pos)
-            idx = np.arange(pos, pos + take)
-            angle = (np.outer(self.bins, idx) % seg_len) * (2.0 * math.pi / seg_len)
-            basis = np.concatenate((np.cos(angle), np.sin(angle))) * self.taper[idx]
-            self.dft += basis @ q[i : i + take]
-            if pos + take == seg_len:
-                k = len(self.bins)
-                self.power += self.dft[:k] ** 2 + self.dft[k:] ** 2
-                self.dft[:] = 0.0
-            i += take
+    def add(self, q: np.ndarray) -> None:
+        """Fold in the next (step, traj) rows of q."""
+        n_steps = len(self.taper)
+        idx = np.arange(self.steps, self.steps + len(q))
+        angle = (np.outer(self.bins, idx) % n_steps) * (2.0 * math.pi / n_steps)
+        self.dft += np.concatenate((np.cos(angle), np.sin(angle))) * self.taper[idx] @ q
+        self.steps += len(q)
 
-    def mean(self) -> np.ndarray:
-        """Per-trajectory mean periodogram, shape (nb, kept bins)."""
-        return (self.power * (self.norm / self.n_seg)).T
+    def power(self, dt: float) -> np.ndarray:
+        """Per-trajectory periodogram dt |DFT|^2 / sum(taper^2), shape (nb, kept bins)."""
+        k = len(self.bins)
+        return ((self.dft[:k] ** 2 + self.dft[k:] ** 2) * (dt / float(np.sum(self.taper**2)))).T
 
 
 class _Chain:
@@ -346,26 +341,17 @@ class _Chain:
     chunk, its states plus the (step, 2, traj or 1) input response, if any,
     are reduced into the sums of q^2, p^2, qp, q and p, kept apart by step
     index modulo ``k``; with k = 2 the odd ones sample every second step, so
-    one chain serves both samplings of a paired run.  The periodogram sees
-    every reduced state.
+    one chain serves both samplings of a paired run.
     """
 
-    def __init__(
-        self,
-        matrix: np.ndarray,
-        nb: int,
-        capacity: int,
-        k: int = 1,
-        periodogram: _Periodogram | None = None,
-    ):
+    def __init__(self, matrix: np.ndarray, nb: int, capacity: int, k: int = 1):
         self.matrix = matrix
         self.rows = np.zeros((capacity + 1, 4, nb))
         self.steps = 0
         self.sums = np.zeros((k, 5, nb))
-        self.periodogram = periodogram
 
     def advance(self, normals: np.ndarray, response: np.ndarray | None = None) -> np.ndarray:
-        """Take len(normals) steps with (step, 2, traj) normals; return the last reduced q."""
+        """Take len(normals) steps of (step, 2, traj) normals; return the reduced states, valid until the next."""
         n = len(normals)
         y = self.rows
         y[:n, 2:] = normals
@@ -383,26 +369,20 @@ class _Chain:
             sums[2] += np.einsum("ij,ij->j", q, p)
             sums[3] += q.sum(axis=0)
             sums[4] += p.sum(axis=0)
-        if self.periodogram is not None:
-            self.periodogram.add(x[:, 0], self.steps)
         y[0, :2] = y[n, :2]
         self.steps += n
-        return x[-1, 0]
+        return x
 
 
-def _segment_layout(cfg: SimConfig, dt: float, n_steps: int):
-    """(omegas, bins, taper, n_seg, norm) of the spectrum estimator."""
-    seg_len = n_steps if cfg.seg_time is None else int(round(cfg.seg_time / dt))
-    seg_len = max(min(seg_len, n_steps), 16)
-    n_seg = n_steps // seg_len
-    if n_seg < 1:
+def _spectrum_bins(cfg: SimConfig, dt: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(omegas, bins): the window's DFT bins inside ``spectrum_band``."""
+    if n_steps < 16:
         raise ValueError("n_steps too short for one spectrum segment")
-    freqs = 2.0 * math.pi * np.fft.rfftfreq(seg_len, d=dt)
+    freqs = 2.0 * math.pi * np.fft.rfftfreq(n_steps, d=dt)
     bins = np.flatnonzero((freqs >= cfg.spectrum_band[0]) & (freqs <= cfg.spectrum_band[1]))
     if len(bins) == 0:
         raise ValueError(f"spectrum_band {cfg.spectrum_band} keeps no bin (spacing {freqs[1]:.3g})")
-    taper = np.hanning(seg_len)
-    return freqs[bins], bins, taper, n_seg, dt / float(np.sum(taper**2))
+    return freqs[bins], bins
 
 
 def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleStats]:
@@ -425,9 +405,9 @@ def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleS
     ref = steady_moments(s, ThermalModel.CLASSICAL_DELTA)
     guard = 1e6 * math.sqrt(max(ref.q2, 1.0))
 
-    layout = None
-    if cfg.estimator == "spectrum":
-        omegas, *layout = _segment_layout(cfg, dt, n_steps)
+    spectral = cfg.estimator == "spectrum"
+    if spectral:
+        omegas, bins = _spectrum_bins(cfg, dt, n_steps)
 
     sums: list[np.ndarray] = []
     spec_rows: list[np.ndarray] = []
@@ -441,16 +421,18 @@ def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleS
             x0 = -x_p0
             if drive is not None:
                 response += drive
-        pgram = _Periodogram(*layout, nb) if layout is not None else None
-        chain = _Chain(matrix, nb, min(_CHUNK, n_fine - n_burn), sub, pgram)
+        pgram = _Periodogram(bins, n_steps, nb) if spectral else None
+        chain = _Chain(matrix, nb, min(_CHUNK, n_fine - n_burn), sub)
         if n_burn:
             x0 = jump[:, 2:] @ rng.standard_normal((2, nb)) + jump[:, :2] @ x0
         chain.rows[0, :2] = x0
         for j in range(0, n_fine - n_burn, _CHUNK):
             n = min(_CHUNK, n_fine - n_burn - j)
             normals = rng.standard_normal((n, 2, nb))  # fine step, normal, traj
-            q = chain.advance(normals, None if response is None else response[j : j + n])
-            peak = float(np.max(np.abs(q)))
+            x = chain.advance(normals, None if response is None else response[j : j + n])
+            if pgram is not None:
+                pgram.add(x[:, 0])
+            peak = float(np.max(np.abs(x[-1, 0])))
             if not math.isfinite(peak) or peak > guard:
                 raise InstabilityError(
                     f"|Q| reached {peak:.3g} (guard {guard:.3g}) at step {(n_burn + j + n) // sub} "
@@ -459,10 +441,10 @@ def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleS
                 )
         sums.append(chain.sums)
         if pgram is not None:
-            spec_rows.append(pgram.mean())
+            spec_rows.append(pgram.power(dt))
 
     spectrum = None
-    if layout is not None:
+    if spectral:
         rows = np.concatenate(spec_rows, axis=0)
         spectrum = SpectrumEstimate(
             omegas=omegas,

@@ -453,6 +453,44 @@ def test_unread_flag_or_empty_sweep_is_config_error(capsys, argv, message):
     assert message in err
 
 
+# (argv, config file text or None, message); "{cfg}" is the config file, "{dir}" a directory
+CONFIG_ERRORS = [
+    pytest.param(("steady", "--g", "abc"), None, "invalid float value: 'abc'", id="flag_not_a_float"),
+    pytest.param(("steady", "--config", "{dir}"), None, "cannot read config file", id="config_is_a_directory"),
+    pytest.param(("steady", "--config", "{cfg}"), "zeta\n", "expected 'key = value'", id="config_key_without_value"),
+    pytest.param(("steady", "--config", "{cfg}"), "quality = -1\n", "quality factor must be > 0",
+                 id="working_units_invalid"),
+    pytest.param(("steady", "--config", "{cfg}"), "".join(f"{k} = {v}\n" for k, v in {**LAB, "mass": -1}.items()),
+                 "mass must be > 0", id="lab_units_invalid"),
+    pytest.param(("steady", "--sweep", "zeta:1:10"), None, "sweep spec must be var:lo:hi:n[:log]", id="sweep_too_short"),
+    pytest.param(("steady", "--sweep", "zeta:1:10:3:lin"), None, "unknown sweep mode 'lin'", id="sweep_mode"),
+    pytest.param(("spectrum", "--omin", "0"), None, "invalid frequency grid", id="grid_at_zero"),
+]
+
+
+@pytest.mark.parametrize("argv, config, message", CONFIG_ERRORS)
+def test_config_errors_exit_code(tmp_path, capsys, argv, config, message):
+    cfg = tmp_path / "run.cfg"
+    if config is not None:
+        cfg.write_text(config)
+    code, out, err = run_cli(capsys, *(a.format(cfg=cfg, dir=tmp_path) for a in argv))
+    assert (code, out) == (1, "")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("gamma_c", "inf"), ("mass", "inf"), ("temperature", "nan"), ("detuning", "nan"), ("beta", "inf"),
+     ("omega_m", "nan"), ("efficiency", "inf"), ("feedback_gain_raw", "-inf"), ("reservoir_cutoff", "inf"),
+     ("feedback_bandwidth", "inf")],
+)
+def test_non_finite_lab_units_name_the_field(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path / "lab.cfg", {**LAB, "scheme": "cd", key: value})
+    code, out, err = run_cli(capsys, "steady", "--config", cfg)
+    assert (code, out) == (1, "")
+    assert f"{key} must be finite" in err
+
+
 def test_montecarlo_deterministic_output(tmp_path, capsys):
     args = (
         "montecarlo", "--scheme", "sc", "--g", "4", "--Q", "40", "--zeta", "5",

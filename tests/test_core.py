@@ -107,6 +107,27 @@ def test_non_finite_scheme_params_rejected(field, value):
         SchemeParams(scheme=Scheme.COLD_DAMPING, **{field: value})
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: SchemeParams(scheme="cd"), "must be a Scheme", id="scheme_not_a_Scheme"),
+        pytest.param(lambda: SchemeParams(quality=0.0), "quality factor must be > 0", id="quality_zero"),
+        pytest.param(lambda: SchemeParams(theta=-1.0), "theta must be >= 0", id="theta_negative"),
+        pytest.param(lambda: SchemeParams(cutoff_reservoir=0.0), "reservoir cutoff must be > 0",
+                     id="cutoff_reservoir_zero"),
+        pytest.param(lambda: lab_params(temperature=-1.0), "temperature must be >= 0", id="temperature_negative"),
+        pytest.param(lambda: to_dimensionless(lab_params(), 0.0), "beta must be finite and > 0", id="beta_zero"),
+        pytest.param(lambda: to_dimensionless(lab_params(), -1.0), "beta must be finite and > 0",
+                     id="beta_negative"),
+        pytest.param(lambda: to_dimensionless(lab_params(feedback_gain_raw=-1e-6), 10.0, Scheme.COLD_DAMPING),
+                     "g2 = .* is negative", id="cold_damping_gain_negative"),
+    ],
+)
+def test_library_validation_raises(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_feedback_band_forms():
     s = SchemeParams(scheme=Scheme.COLD_DAMPING, g=10.0, quality=100.0)
     lo, hi = s.feedback_band()
@@ -191,7 +212,7 @@ def test_linear_cavity_limit():
     p = lab_params(mass=1e6)
     det = 0.3 * p.gamma_c
     res = classical_steady_amplitude(p, det)
-    assert len(res.roots) == 1
+    assert len(res.roots) == 1 and not res.bistable
     linear = p.drive**2 / ((p.gamma_c / 2) ** 2 + det**2)
     assert res.roots[0] == pytest.approx(linear, rel=1e-6)
 
@@ -218,7 +239,7 @@ def test_bistable_roots_match_scan_oracle():
     p = bistable_lab_params()
     det = 3.0
     res = classical_steady_amplitude(p, det)
-    assert len(res.roots) == 3
+    assert len(res.roots) == 3 and res.bistable
     assert res.stable == (True, False, True)
     scanned = _scan_roots(p, det, x_max=20.0)
     assert len(scanned) == 3

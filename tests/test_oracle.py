@@ -201,6 +201,19 @@ def test_sim_config_rejects_short_runs(kwargs):
 
 
 @pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        pytest.param({"n_traj": 1}, "n_traj must be >= 2", id="one_trajectory"),
+        pytest.param({"estimator": "welch"}, "estimator must be 'moments' or 'spectrum', got 'welch'",
+                     id="unknown_estimator"),
+    ],
+)
+def test_library_validation_raises(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        SimConfig(**{"n_traj": 4, **kwargs})
+
+
+@pytest.mark.parametrize(
     "kwargs",
     [
         {"dt": math.nan},
@@ -215,6 +228,22 @@ def test_sim_config_rejects_short_runs(kwargs):
 def test_sim_config_rejects_non_finite_times_and_bands(kwargs):
     with pytest.raises(ValueError, match="must be finite"):
         SimConfig(n_traj=4, **kwargs)
+
+
+def test_seg_time_sets_or_must_match_n_steps():
+    # seg_time alone sets the spectrum window's n_steps; given with n_steps,
+    # a disagreement is a configuration error, not a silent override
+    s = SchemeParams(scheme=CD, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
+    dt = 0.2  # 64 steps put bins 0.49 apart, two of them in the default band
+    cfg = SimConfig(n_traj=4, dt=dt, burn_in_steps=0, estimator="spectrum", seg_time=64.4 * dt)
+    assert _resolve_config(s, cfg)[2] == 64
+    stats = simulate(s, cfg)
+    np.testing.assert_allclose(np.diff(stats.spectrum.omegas), 2.0 * math.pi / (64 * dt))
+    assert _resolve_config(s, replace(cfg, n_steps=64))[2] == 64
+    with pytest.raises(ValueError, match="seg_time .* is not n_steps = 65"):
+        simulate(s, replace(cfg, n_steps=65))
+    with pytest.raises(ValueError, match="is not n_steps"):
+        simulate(s, replace(cfg, n_steps=65, estimator="moments"))
 
 
 def test_spectrum_band_without_bins_rejected():
@@ -358,7 +387,7 @@ def test_band_response_is_the_stepped_impulse_response(burn, n_steps, sub):
     np.testing.assert_allclose(got, want[ks], rtol=0, atol=1e-12 * np.abs(want).max())
 
 
-def _reference_loop(s, dt, stride, xi, response, start, seg_len, bins):
+def _reference_loop(s, dt, stride, xi, response, start, bins):
     """Plain per-fine-step recurrence of the exact step, Phi and Sigma from SciPy; running sums.
 
     The states y carry the white noise from ``start``; the reduced states
@@ -380,38 +409,38 @@ def _reference_loop(s, dt, stride, xi, response, start, seg_len, bins):
         q, p = y + response[k, -1]
         sums += (q * q, p * p, q * p, q, p)
         post.append(q)
-    segs = np.array(post[: len(post) // seg_len * seg_len]).reshape(-1, seg_len, y.shape[1])
-    spec = np.fft.rfft(segs * np.hanning(seg_len)[:, None], axis=1)[:, bins]
-    return y, sums, (np.abs(spec) ** 2).sum(axis=0), q
+    spec = np.fft.rfft(np.array(post) * np.hanning(len(post))[:, None], axis=0)[bins]
+    return y, sums, np.abs(spec) ** 2, q
 
 
 @pytest.mark.parametrize("stride", [1, 2])
 def test_chunked_stepper_matches_plain_loop(stride):
     # pre-drawn normals and input response rows crossing chunk boundaries;
-    # the periodogram spans chunks too.  At stride 2 the chain steps dt/2,
-    # and its odd states are the loop's dt states.  The chain starts after
-    # burn-in, so every state counts
+    # the periodogram's one window spans all n_total rows, so it crosses
+    # them too.  At stride 2 the chain steps dt/2, and its odd states are
+    # the loop's dt states.  The chain starts after burn-in, so every state
+    # counts
     s = SchemeParams(scheme=SC, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
     nb, dt = 6, 0.5 * dt_bound(s)
-    n_total, seg_len = 3 * (_CHUNK // stride) + 50, 64
+    n_total = 3 * (_CHUNK // stride) + 50
     rng = np.random.default_rng(5)
     xi = rng.standard_normal((n_total, stride, 2, nb))
     response = 3.0 * rng.standard_normal((n_total, stride, 2, nb))
     start = 10.0 * rng.standard_normal((2, nb))
     bins = np.arange(3, 12)
-    y, sums, power, q = _reference_loop(s, dt, stride, xi, response, start, seg_len, bins)
+    y, sums, power, q = _reference_loop(s, dt, stride, xi, response, start, bins)
 
-    pgram = None
-    if stride == 1:
-        pgram = _Periodogram(bins, np.hanning(seg_len), n_total // seg_len, 1.0, nb)
-    chain = _Chain(_step_matrix(s, noise_strengths(s), dt / stride), nb, _CHUNK, stride, pgram)
+    pgram = _Periodogram(bins, n_total, nb) if stride == 1 else None
+    chain = _Chain(_step_matrix(s, noise_strengths(s), dt / stride), nb, _CHUNK, stride)
     chain.rows[0, :2] = start
     xi, response = (u.reshape(stride * n_total, 2, nb) for u in (xi, response))
     for j in range(0, stride * n_total, _CHUNK):
-        last = chain.advance(xi[j : j + _CHUNK], response[j : j + _CHUNK])
-    checks = [(chain.rows[0, :2], y), (chain.sums[stride - 1], sums), (last, q)]
-    if pgram is not None:
-        checks.append((pgram.power, power))
+        x = chain.advance(xi[j : j + _CHUNK], response[j : j + _CHUNK])
+        if pgram is not None:
+            pgram.add(x[:, 0])
+    checks = [(chain.rows[0, :2], y), (chain.sums[stride - 1], sums), (x[-1, 0], q)]
+    if pgram is not None:  # power(dt) is dt |DFT|^2 / sum(taper^2)
+        checks.append((pgram.power(1.0).T * np.sum(pgram.taper**2), power))
     for got, want in checks:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 

@@ -207,6 +207,20 @@ def test_snr_short_measurement_warns():
 # ---------------------------------------------------------------- series/CSV
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: SpectrumSeries(np.array([0.5, 1.0]), np.array([1.0]), "PositionNoise", "x"),
+                     "1-d arrays of equal length", id="series_shape_mismatch"),
+        pytest.param(lambda: position_noise_spectrum(make(CD, g=1.0), 1.0, thermal="quantum"),
+                     "thermal must be 'exact' or 'classical', got 'quantum'", id="unknown_thermal"),
+    ],
+)
+def test_library_validation_raises(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_series_validation():
     with pytest.raises(ValueError, match="increasing"):
         SpectrumSeries(np.array([1.0, 0.5]), np.array([1.0, 1.0]), "PositionNoise", "x")

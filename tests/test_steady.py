@@ -154,6 +154,20 @@ def test_log_correction_model():
     assert logm.q2 == base.q2
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: steady_moments(make(CD, g=1.0, theta=0.0), ThermalModel.CLASSICAL_PLUS_LOG),
+                     "requires theta > 0", id="log_correction_at_zero_theta"),
+        pytest.param(lambda: optimal_input_power(make(CD, g=0.0)), "requires a positive feedback gain",
+                     id="power_optimum_at_zero_gain"),
+    ],
+)
+def test_library_validation_raises(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_zero_temperature_classical_warns():
     with pytest.warns(UserWarning, match="theta = 0"):
         steady_moments(make(CD, g=1.0, theta=0.0))
