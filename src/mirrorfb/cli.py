@@ -75,13 +75,21 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _parse_cutoff_feedback(text: str):
+def _number(kind, text: str, where: str):
+    """kind(text), or a ConfigError that names ``where`` (flag and field) and the text."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"{where} must be {'an integer' if kind is int else 'a number'}, got {text!r}") from None
+
+
+def _parse_cutoff_feedback(text: str, flag: str = "--fb-band"):
     if text in ("narrow", "wide"):
         return text
     if ":" in text:
         lo, _, hi = text.partition(":")
-        return (float(lo), float(hi))
-    return float(text)
+        return (_number(float, lo, f"{flag} lo"), _number(float, hi, f"{flag} hi"))
+    return _number(float, text, f"{flag} halfwidth")
 
 
 def _params_from_mapping(kv: dict[str, str]) -> SchemeParams:
@@ -98,7 +106,7 @@ def _params_from_mapping(kv: dict[str, str]) -> SchemeParams:
     kwargs: dict = {"scheme": _SCHEMES[scheme]}
     for key, val in kv.items():
         if key == "cutoff_feedback":
-            kwargs[key] = _parse_cutoff_feedback(val)
+            kwargs[key] = _parse_cutoff_feedback(val, key)
         else:
             kwargs[key] = float(val)
     try:
@@ -139,7 +147,9 @@ def _parse_sweep(text: str) -> tuple[str, np.ndarray]:
     parts = text.split(":")
     if len(parts) not in (4, 5):
         raise ConfigError("sweep spec must be var:lo:hi:n[:log]")
-    var, lo, hi, n = parts[0], float(parts[1]), float(parts[2]), int(parts[3])
+    var = parts[0]
+    lo, hi = _number(float, parts[1], "--sweep lo"), _number(float, parts[2], "--sweep hi")
+    n = _number(int, parts[3], "--sweep n")
     if var not in _SCHEME_KEYS or var in ("scheme", "cutoff_feedback"):
         raise ConfigError(f"sweep variable must name a numeric parameter, got {var!r}")
     if n < 1:

@@ -19,7 +19,9 @@ without the loop's own band limit.  Per trajectory only its in-band rfft
 coefficients are drawn, with the law the rfft of white noise has.  Inputs
 are not stepped: the equations are linear, so their responses add to the
 white-noise chain's states.  Weighting each bin by (i omega - A)^{-1} b, one
-irfft samples the periodic response x_p; the response from rest is
+irfft samples the periodic response x_p, or, when only a few rows are read
+from few bins, a direct sum over the bins evaluates just those rows (the
+same numbers to rounding); the response from rest is
 x_p(t) - e^{A t} x_p(0), so the chain starts from -x_p(0).  A deterministic
 drive enters as its response from rest.  Nothing is biased by the step, so
 :func:`dt_bound` is a resolution bound.
@@ -32,13 +34,16 @@ spectrum's kept-bin DFT is accumulated per chunk.  A paired dt / dt/2 run
 steps the chain at dt/2 and reduces it twice: every state gives the dt/2
 statistics, every second one the dt statistics.
 
-Trajectories are independent work units on counter-based (Philox) streams,
-one stream per fixed-size batch, so results are bit-reproducible for a
-given (seed, n_traj, dt) regardless of how the batches are executed.
+Trajectories are independent work units on SFC64 streams, one per
+fixed-size batch, seeded by spawned children of one SeedSequence(seed), so
+results are bit-reproducible for a given (seed, n_traj, dt) regardless of
+how the batches are executed.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -51,9 +56,9 @@ from .response import drift, propagator
 from .spectra import SpectrumSeries
 from .steady import MomentSet, NoiseStrengths, ThermalModel, noise_strengths, steady_moments
 
-_BATCH = 2048  # trajectories per Philox stream
+_BATCH = 2048  # trajectories per SFC64 stream
 _CHUNK = 256  # fine steps of noise drawn, and of (q, p) rows stored, at a time
-_FFT_BLOCK = 1 << 20  # rfft bins per row block of the band-noise synthesis
+_FFT_BLOCK = 1 << 20  # rfft bins per row block of the band-noise irfft; cap on the direct sum's basis
 _BAND_BUDGET = 2 << 30  # bytes of band-force response one batch may hold
 
 
@@ -91,6 +96,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_traj < 2:
             raise ValueError("n_traj must be >= 2 to estimate standard errors")
+        if self.seed < 0:  # SeedSequence entropy is a non-negative integer
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.estimator not in ("moments", "spectrum"):
             raise ValueError(f"estimator must be 'moments' or 'spectrum', got {self.estimator!r}")
         if self.n_steps is not None and self.n_steps < 2:
@@ -186,11 +193,28 @@ def _resolve_config(s: SchemeParams, cfg: SimConfig) -> tuple[float, int, int]:
     return dt, burn, n_steps
 
 
+@functools.cache
+def _smooth_numbers() -> tuple[int, ...]:
+    """Sorted 2^a 3^b 5^c up to the longest band window the budget admits, built on first use."""
+    top, out, p5 = _BAND_BUDGET // 16, [], 1
+    while p5 <= top:
+        p35 = p5
+        while p35 <= top:
+            out.extend(p35 << k for k in range((top // p35).bit_length()))
+            p35 *= 3
+        p5 *= 5
+    return tuple(sorted(out))
+
+
 def _fast_len(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n, as scipy.fft.next_fast_len(n, real=True).
 
-    Written out so the Monte Carlo path imports no SciPy.
+    Written out so the Monte Carlo path imports no SciPy: a bisect into a
+    table, and beyond the table a search over the powers of 3 and 5.
     """
+    table = _smooth_numbers()
+    if n <= table[-1]:
+        return table[bisect.bisect_left(table, n)]
     best = 1 << (n - 1).bit_length()
     p5 = 1
     while p5 < best:
@@ -251,7 +275,9 @@ def _band_response(
     Only the in-band coefficients are drawn, with the law the rfft of white
     unit normals has: independent N(0, n/2) real and imaginary parts.  The
     band lies below the Nyquist bin (see :func:`dt_bound`).  Weighted by the
-    resolvent (i w - A)^{-1} b, the irfft samples x_p at the step points.
+    resolvent (i w - A)^{-1} b, the irfft samples x_p at the step points;
+    when the rows read cost fewer operations as a direct sum over the bins
+    (see :func:`_direct_sum`), they are evaluated as one matrix product.
     Returns x_p(0), shape (2, nb), and the window rows k = n_burn + 1 .. n_fine,
     time-major (n_fine - n_burn, 2, nb) as the chain reads them.
     """
@@ -260,19 +286,45 @@ def _band_response(
     lo = int(np.searchsorted(omega, band[0], side="left"))
     hi = int(np.searchsorted(omega, band[1], side="right"))
     gain = np.sqrt(0.5 * n_fft * coeff / h) * omega[lo:hi]
-    coef = rng.standard_normal((nb, 2 * (hi - lo))).view(np.complex128) * gain
+    draws = rng.standard_normal((nb, 2 * (hi - lo)))
     kernel = np.linalg.solve(1j * omega[lo:hi, None, None] * np.eye(2) - a, np.array([0.0, 1.0])).T
-    window = np.arange(n_burn + 1, n_fine + 1) % n_fft  # x_p repeats every n_fft steps
+    n_rows = n_fine - n_burn
+    if _direct_sum(n_rows, hi - lo, n_fft):
+        # x_p(j) = sum_k w_k Re(c_k K_k e^{2 pi i j k / n_fft}), w_k = 2 / n_fft
+        # (1 / n_fft at bin 0), as the irfft weighs the bins below Nyquist
+        k = np.arange(lo, hi)
+        steps = np.concatenate(([0], np.arange(n_burn + 1, n_fine + 1)))
+        phase = np.exp(2j * math.pi * (np.outer(steps, k) % n_fft) / n_fft)
+        weight = np.where(k == 0, 1.0, 2.0) / n_fft * gain
+        basis = phase[:, None] * (kernel * weight)  # (row, component, bin)
+        basis = np.stack((basis.real, -basis.imag), axis=-1).reshape(2 * len(steps), -1)
+        x = (basis @ draws.T).reshape(len(steps), 2, nb)
+        return x[0], x[1:]
+    coef = draws.view(np.complex128) * gain
     rows = max(1, _FFT_BLOCK // (2 * len(omega)))
-    spec = np.zeros((min(rows, nb), 2, len(omega)), dtype=np.complex128)
-    start, out = np.empty((2, nb)), np.empty((len(window), 2, nb))
+    spec = np.zeros((min(rows, nb), 2, hi), dtype=np.complex128)  # irfft zero-pads the bins above hi
+    start, out = np.empty((2, nb)), np.empty((n_rows, 2, nb))
+    tail = n_fine + 1 - (n_fine == n_fft)  # x_p repeats every n_fft steps: row n_fft is row 0
     for r in range(0, nb, rows):
         m = min(rows, nb - r)
         spec[:m, :, lo:hi] = coef[r : r + m, None] * kernel
         wave = np.fft.irfft(spec[:m], n=n_fft)
         start[:, r : r + m] = wave[..., 0].T
-        out[..., r : r + m] = wave[..., window].transpose(2, 1, 0)
+        out[: tail - n_burn - 1, :, r : r + m] = wave[..., n_burn + 1 : tail].transpose(2, 1, 0)
+        out[tail - n_burn - 1 :, :, r : r + m] = wave[..., : n_fine + 1 - tail].transpose(2, 1, 0)
     return start, out
+
+
+def _direct_sum(n_rows: int, n_bins: int, n_fft: int) -> bool:
+    """Whether x_p at step 0 and ``n_rows`` window steps costs less as a direct sum over ``n_bins`` bins.
+
+    Per trajectory and component the sum costs about (n_rows + 1) n_bins
+    operations and one irfft n_fft log2 n_fft.  The sum's basis has
+    (n_rows + 1) n_bins entries per component, held to ``_FFT_BLOCK`` as the
+    irfft's blocks are.
+    """
+    cost = (n_rows + 1) * n_bins
+    return cost <= n_fft * math.log2(n_fft) and cost <= _FFT_BLOCK
 
 
 def _check_band_budget(n_rows: int, nb: int) -> None:
@@ -385,6 +437,11 @@ def _spectrum_bins(cfg: SimConfig, dt: float, n_steps: int) -> tuple[np.ndarray,
     return freqs[bins], bins
 
 
+def _batch_rng(seed: int, b: int) -> np.random.Generator:
+    """Batch b's stream: SFC64 seeded by the b-th child of the run's SeedSequence."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
+
+
 def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleStats]:
     """Integrate the ensemble; one EnsembleStats per sampling (dt first when paired)."""
     dt, burn, n_steps = _resolve_config(s, cfg)
@@ -411,10 +468,9 @@ def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleS
 
     sums: list[np.ndarray] = []
     spec_rows: list[np.ndarray] = []
-    base = np.random.Philox(key=cfg.seed)
     for b, start in enumerate(range(0, cfg.n_traj, _BATCH)):
         nb = min(_BATCH, cfg.n_traj - start)
-        rng = np.random.Generator(base.jumped(b))
+        rng = _batch_rng(cfg.seed, b)
         x0, response = np.zeros((2, nb)), drive
         if needs_fb:  # the chain starts at the band response's transient, -x_p(0)
             x_p0, response = _band_response(rng, nb, n_fine, n_burn, h, s.feedback_band(), ns.d_fb_cd, a)

@@ -88,6 +88,24 @@ def test_sweep_unknown_variable_is_config_error(capsys):
     assert "invalid configuration" in err
 
 
+@pytest.mark.parametrize(
+    "flag, spec, field, bad",
+    [
+        ("--sweep", "zeta:abc:10:3", "lo", "abc"),
+        ("--sweep", "zeta:1:x:3", "hi", "x"),
+        ("--sweep", "zeta:1:10:2.5", "n", "2.5"),
+        ("--fb-band", "abc", "halfwidth", "abc"),
+        ("--fb-band", "1:b", "hi", "b"),
+    ],
+)
+def test_unparsable_spec_names_flag_and_field(capsys, flag, spec, field, bad):
+    code, out, err = run_cli(capsys, "steady", "--scheme", "cd", flag, spec)
+    assert code == 1
+    assert out == ""
+    assert f"{flag} {field} must be" in err
+    assert repr(bad) in err
+
+
 def test_config_file_with_overrides(tmp_path, capsys):
     cfg = tmp_path / "params.cfg"
     cfg.write_text(

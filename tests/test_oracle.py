@@ -19,7 +19,9 @@ from mirrorfb.oracle import (
     _Chain,
     _Periodogram,
     _band_response,
+    _batch_rng,
     _check_band_budget,
+    _direct_sum,
     _drive_response,
     _fast_len,
     _resolve_config,
@@ -206,6 +208,7 @@ def test_sim_config_rejects_short_runs(kwargs):
         pytest.param({"n_traj": 1}, "n_traj must be >= 2", id="one_trajectory"),
         pytest.param({"estimator": "welch"}, "estimator must be 'moments' or 'spectrum', got 'welch'",
                      id="unknown_estimator"),
+        pytest.param({"seed": -1}, "seed must be >= 0, got -1", id="negative_seed"),
     ],
 )
 def test_library_validation_raises(kwargs, message):
@@ -387,6 +390,109 @@ def test_band_response_is_the_stepped_impulse_response(burn, n_steps, sub):
     np.testing.assert_allclose(got, want[ks], rtol=0, atol=1e-12 * np.abs(want).max())
 
 
+def _bin_band(lo, hi, n_fft, h):
+    """Band edges halfway between rfft bins, so the band holds bins lo .. hi - 1 exactly."""
+    step = 2.0 * math.pi / (n_fft * h)
+    return max(0.0, (lo - 0.5) * step), (hi - 0.5) * step
+
+
+@pytest.mark.parametrize(
+    "n_fine, n_burn, bins, direct",
+    [(300, 0, (0, 6), True), (292, 40, (5, 12), True), (64, 0, (3, 8), True), (64, 0, (3, 9), False)],
+    ids=["bin-0-wrapped", "padded-burn-in", "just-below-threshold", "just-above-threshold"],
+)
+def test_direct_band_sum_is_the_irfft(n_fine, n_burn, bins, direct, monkeypatch):
+    # both evaluators turn the same draws into the same rows; the rule picks
+    # the direct sum while (rows + 1) x bins <= n_fft log2 n_fft: at n_fft = 64,
+    # 65 x 5 = 325 <= 384 < 65 x 6
+    s = SchemeParams(scheme=CD, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
+    a, coeff, h, nb = _drift(s), noise_strengths(s).d_fb_cd, 0.5 * dt_bound(s), 5
+    n_fft = _fast_len(n_fine)
+    assert _direct_sum(n_fine - n_burn, bins[1] - bins[0], n_fft) is direct
+    band = _bin_band(*bins, n_fft, h)
+    for b in range(3):
+        got = {}
+        for choice in (True, False):
+            monkeypatch.setattr("mirrorfb.oracle._direct_sum", lambda *args, choice=choice: choice)
+            got[choice] = _band_response(_batch_rng(17, b), nb, n_fine, n_burn, h, band, coeff, a)
+        (start, rows), (want_start, want_rows) = got[True], got[False]
+        assert rows.shape == want_rows.shape == (n_fine - n_burn, 2, nb)
+        scale = max(np.abs(want_rows).max(), np.abs(want_start).max())
+        assert scale > 0
+        np.testing.assert_allclose(start, want_start, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(rows, want_rows, rtol=0, atol=1e-12 * scale)
+
+
+def test_direct_sum_basis_stays_within_one_fft_block():
+    # a long burn-in makes n_fft log2 n_fft large; the direct sum's basis,
+    # (rows + 1) x bins, still stops at 2^20 entries
+    n_fft = 2**20
+    assert _direct_sum(1023, 1024, n_fft)
+    assert not _direct_sum(1023, 1025, n_fft)
+    assert (1023 + 1) * 1025 < n_fft * math.log2(n_fft)
+
+
+def _irfft_band_response(rng, nb, n_fine, n_burn, h, band, coeff, a):
+    """The band synthesis as one blocked irfft per trajectory, for a byte-level comparison."""
+    n_fft = _fast_len(n_fine)
+    omega = 2.0 * math.pi * np.fft.rfftfreq(n_fft, d=h)
+    lo = int(np.searchsorted(omega, band[0], side="left"))
+    hi = int(np.searchsorted(omega, band[1], side="right"))
+    gain = np.sqrt(0.5 * n_fft * coeff / h) * omega[lo:hi]
+    coef = rng.standard_normal((nb, 2 * (hi - lo))).view(np.complex128) * gain
+    kernel = np.linalg.solve(1j * omega[lo:hi, None, None] * np.eye(2) - a, np.array([0.0, 1.0])).T
+    window = np.arange(n_burn + 1, n_fine + 1) % n_fft
+    rows = max(1, (1 << 20) // (2 * len(omega)))
+    spec = np.zeros((min(rows, nb), 2, len(omega)), dtype=np.complex128)
+    start, out = np.empty((2, nb)), np.empty((len(window), 2, nb))
+    for r in range(0, nb, rows):
+        m = min(rows, nb - r)
+        spec[:m, :, lo:hi] = coef[r : r + m, None] * kernel
+        wave = np.fft.irfft(spec[:m], n=n_fft)
+        start[:, r : r + m] = wave[..., 0].T
+        out[..., r : r + m] = wave[..., window].transpose(2, 1, 0)
+    return start, out
+
+
+def test_long_window_band_response_keeps_the_irfft_bytes():
+    # the benchmark's spectrum run (cold damping, Q = 100, 256 trajectories,
+    # 6 relaxation times burned, a 24 pi relaxation-time window) reads most
+    # rows, so it keeps the irfft, byte for byte
+    s = SchemeParams(scheme=CD, g=10.0, quality=100.0, zeta=10.0, theta=1e5, eta=0.8)
+    a, coeff, h, nb = _drift(s), noise_strengths(s).d_fb_cd, dt_bound(s), 256
+    n_steps = round(24.0 * math.pi / s.damping / h)
+    burn = math.ceil(6.0 / s.damping / h)
+    n_fft, (lo, hi) = _fast_len(burn + n_steps), s.feedback_band()
+    omega = 2.0 * math.pi * np.fft.rfftfreq(n_fft, d=h)
+    n_bins = np.count_nonzero((omega >= lo) & (omega <= hi))
+    assert not _direct_sum(n_steps, n_bins, n_fft)
+    args = (nb, burn + n_steps, burn, h, s.feedback_band(), coeff, a)
+    got = _band_response(_batch_rng(3, 0), *args)
+    want = _irfft_band_response(_batch_rng(3, 0), *args)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+
+
+def test_batches_draw_apart_and_runs_repeat(monkeypatch):
+    # three batches of at most 4: the same seed repeats every statistic, the
+    # batches' first normals differ, and the direct band sum gives the
+    # irfft's statistics to rounding
+    monkeypatch.setattr("mirrorfb.oracle._BATCH", 4)
+    monkeypatch.setattr("mirrorfb.oracle._Chain", _StartRecorder)
+    monkeypatch.setattr(_StartRecorder, "starts", [])
+    s = SchemeParams(scheme=CD, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
+    cfg = SimConfig(n_traj=10, seed=8, n_steps=64, burn_in_steps=16)
+    first = simulate(s, cfg)
+    assert simulate(s, cfg) == first
+    normals = [xi[0, :, 0] for _, xi, _ in _StartRecorder.starts[:3]]
+    assert len({tuple(x) for x in normals}) == 3
+    assert first != simulate(s, replace(cfg, seed=9))
+    for choice in (True, False):
+        monkeypatch.setattr("mirrorfb.oracle._direct_sum", lambda *args, choice=choice: choice)
+        forced = simulate(s, cfg)
+        for name in ("q2", "p2", "qp", "mean_q", "mean_p"):
+            assert getattr(forced, name) == pytest.approx(getattr(first, name), rel=1e-12, abs=1e-12)
+
+
 def _reference_loop(s, dt, stride, xi, response, start, bins):
     """Plain per-fine-step recurrence of the exact step, Phi and Sigma from SciPy; running sums.
 
@@ -480,7 +586,7 @@ def test_burn_in_jump_is_the_stepped_burn_in(scheme, g, quality, monkeypatch):
     np.testing.assert_allclose(chol @ chol.T, sigma, rtol=1e-12, atol=1e-12 * np.abs(sigma).max())
 
     def expected_start(n_burn, n_steps):
-        rng, x_p0 = np.random.Generator(np.random.Philox(key=seed)), np.zeros((2, nb))
+        rng, x_p0 = _batch_rng(seed, 0), np.zeros((2, nb))
         if ns.d_fb_cd > 0:
             band, n_fine = s.feedback_band(), n_burn + n_steps
             x_p0, _ = _band_response(rng, nb, n_fine, n_burn, h, band, ns.d_fb_cd, a)
