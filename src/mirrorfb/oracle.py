@@ -195,8 +195,8 @@ def _resolve_config(s: SchemeParams, cfg: SimConfig) -> tuple[float, int, int]:
 
 @functools.cache
 def _smooth_numbers() -> tuple[int, ...]:
-    """Sorted 2^a 3^b 5^c up to the longest band window the budget admits, built on first use."""
-    top, out, p5 = _BAND_BUDGET // 16, [], 1
+    """Sorted 2^a 3^b 5^c up to 2^63, built on first use."""
+    top, out, p5 = 1 << 63, [], 1
     while p5 <= top:
         p35 = p5
         while p35 <= top:
@@ -207,24 +207,12 @@ def _smooth_numbers() -> tuple[int, ...]:
 
 
 def _fast_len(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= n, as scipy.fft.next_fast_len(n, real=True).
+    """Smallest 2^a 3^b 5^c >= n (n <= 2^63), as scipy.fft.next_fast_len(n, real=True).
 
-    Written out so the Monte Carlo path imports no SciPy: a bisect into a
-    table, and beyond the table a search over the powers of 3 and 5.
+    Written out, as a bisect into a table, so the Monte Carlo path imports no SciPy.
     """
     table = _smooth_numbers()
-    if n <= table[-1]:
-        return table[bisect.bisect_left(table, n)]
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # smallest p35 * 2^k >= n
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
+    return table[bisect.bisect_left(table, n)]
 
 
 def _quadrature(a: np.ndarray, h: float):

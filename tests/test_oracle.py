@@ -485,7 +485,8 @@ def test_batches_draw_apart_and_runs_repeat(monkeypatch):
     assert simulate(s, cfg) == first
     normals = [xi[0, :, 0] for _, xi, _ in _StartRecorder.starts[:3]]
     assert len({tuple(x) for x in normals}) == 3
-    assert first != simulate(s, replace(cfg, seed=9))
+    other = simulate(s, replace(cfg, seed=9))
+    assert (other.q2, other.p2, other.qp) != (first.q2, first.p2, first.qp)
     for choice in (True, False):
         monkeypatch.setattr("mirrorfb.oracle._direct_sum", lambda *args, choice=choice: choice)
         forced = simulate(s, cfg)
