@@ -108,7 +108,7 @@ def _params_from_mapping(kv: dict[str, str]) -> SchemeParams:
         if key == "cutoff_feedback":
             kwargs[key] = _parse_cutoff_feedback(val, key)
         else:
-            kwargs[key] = float(val)
+            kwargs[key] = _number(float, val, f"config key {key!r}")
     try:
         return SchemeParams(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -116,14 +116,15 @@ def _params_from_mapping(kv: dict[str, str]) -> SchemeParams:
 
 
 def _physical_params(kv: dict[str, str], scheme: Scheme) -> SchemeParams:
-    detuning = float(kv.pop("detuning", "0"))
-    beta_override = kv.pop("beta", None)
+    values = {k: _number(float, v, f"config key {k!r}") for k, v in kv.items()}
+    detuning = values.pop("detuning", 0.0)
+    beta_override = values.pop("beta", None)
     try:
-        p = PhysicalParams(**{k: float(v) for k, v in kv.items()})
+        p = PhysicalParams(**values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     if beta_override is not None:
-        beta = float(beta_override)
+        beta = beta_override
     else:
         result = classical_steady_amplitude(p, detuning)
         stable = [x for x, ok in zip(result.roots, result.stable) if ok]

@@ -28,9 +28,13 @@ drive enters as its response from rest.  Nothing is biased by the step, so
 
 Each batch jumps over burn-in in one exact step of burn * dt, then steps a
 chunked chain over the averaging window, the only rows of the band response
-stored.  Each step is one product of [Phi, L] with a stacked (q, p, xi) row;
-a chunk's states plus the input responses are reduced after it, and the
-spectrum's kept-bin DFT is accumulated per chunk.  A paired dt / dt/2 run
+stored.  The irfft runs a block of trajectories at a time, at most 2 MiB of
+output, and copies each block's window rows into a trajectory-major buffer
+that the chain reads time-major through a transposed view, so neither the
+whole period nor a transposed copy is held.  Each step is one product of
+[Phi, L] with a stacked (q, p, xi) row; a chunk's input responses are added
+into its states in place, which are then reduced, and the spectrum's
+kept-bin DFT is accumulated per chunk.  A paired dt / dt/2 run
 steps the chain at dt/2 and reduces it twice: every state gives the dt/2
 statistics, every second one the dt statistics.
 
@@ -58,7 +62,7 @@ from .steady import MomentSet, NoiseStrengths, ThermalModel, noise_strengths, st
 
 _BATCH = 2048  # trajectories per SFC64 stream
 _CHUNK = 256  # fine steps of noise drawn, and of (q, p) rows stored, at a time
-_FFT_BLOCK = 1 << 20  # rfft bins per row block of the band-noise irfft; cap on the direct sum's basis
+_FFT_BLOCK = 1 << 20  # cap on the direct sum's basis; 2 x _FFT_BLOCK bytes of irfft output per row block
 _BAND_BUDGET = 2 << 30  # bytes of band-force response one batch may hold
 
 
@@ -266,15 +270,20 @@ def _band_response(
     resolvent (i w - A)^{-1} b, the irfft samples x_p at the step points;
     when the rows read cost fewer operations as a direct sum over the bins
     (see :func:`_direct_sum`), they are evaluated as one matrix product.
+    The irfft takes blocks of trajectories whose m x 2 x n_fft output stays
+    within 2 MiB, drawing each block's coefficients in stream order, and
+    copies each block's window rows, a contiguous time slice, into an
+    (nb, 2, n_rows) buffer.  Beyond the window one block is held at a time,
+    never the batch's whole period, however long the burn-in.
     Returns x_p(0), shape (2, nb), and the window rows k = n_burn + 1 .. n_fine,
-    time-major (n_fine - n_burn, 2, nb) as the chain reads them.
+    time-major (n_fine - n_burn, 2, nb) as the chain reads them: after the
+    irfft a transposed view of that buffer.
     """
     n_fft = _fast_len(n_fine)  # truncating a stationary process is harmless
     omega = 2.0 * math.pi * np.fft.rfftfreq(n_fft, d=h)
     lo = int(np.searchsorted(omega, band[0], side="left"))
     hi = int(np.searchsorted(omega, band[1], side="right"))
     gain = np.sqrt(0.5 * n_fft * coeff / h) * omega[lo:hi]
-    draws = rng.standard_normal((nb, 2 * (hi - lo)))
     kernel = np.linalg.solve(1j * omega[lo:hi, None, None] * np.eye(2) - a, np.array([0.0, 1.0])).T
     n_rows = n_fine - n_burn
     if _direct_sum(n_rows, hi - lo, n_fft):
@@ -286,21 +295,22 @@ def _band_response(
         weight = np.where(k == 0, 1.0, 2.0) / n_fft * gain
         basis = phase[:, None] * (kernel * weight)  # (row, component, bin)
         basis = np.stack((basis.real, -basis.imag), axis=-1).reshape(2 * len(steps), -1)
-        x = (basis @ draws.T).reshape(len(steps), 2, nb)
+        x = (basis @ rng.standard_normal((nb, 2 * (hi - lo))).T).reshape(len(steps), 2, nb)
         return x[0], x[1:]
-    coef = draws.view(np.complex128) * gain
-    rows = max(1, _FFT_BLOCK // (2 * len(omega)))
+    rows = max(1, _FFT_BLOCK // (16 * len(omega)))  # m x 2 x n_fft doubles of output: <= 2 MiB
     spec = np.zeros((min(rows, nb), 2, hi), dtype=np.complex128)  # irfft zero-pads the bins above hi
-    start, out = np.empty((2, nb)), np.empty((n_rows, 2, nb))
+    start, out = np.empty((2, nb)), np.empty((nb, 2, n_rows))
     tail = n_fine + 1 - (n_fine == n_fft)  # x_p repeats every n_fft steps: row n_fft is row 0
     for r in range(0, nb, rows):
         m = min(rows, nb - r)
-        spec[:m, :, lo:hi] = coef[r : r + m, None] * kernel
+        coef = rng.standard_normal((m, 2 * (hi - lo))).view(np.complex128)  # the same stream, block by block
+        coef *= gain
+        spec[:m, :, lo:hi] = coef[:, None] * kernel
         wave = np.fft.irfft(spec[:m], n=n_fft)
         start[:, r : r + m] = wave[..., 0].T
-        out[: tail - n_burn - 1, :, r : r + m] = wave[..., n_burn + 1 : tail].transpose(2, 1, 0)
-        out[tail - n_burn - 1 :, :, r : r + m] = wave[..., : n_fine + 1 - tail].transpose(2, 1, 0)
-    return start, out
+        out[r : r + m, :, : tail - n_burn - 1] = wave[..., n_burn + 1 : tail]
+        out[r : r + m, :, tail - n_burn - 1 :] = wave[..., : n_fine + 1 - tail]
+    return start, out.transpose(2, 1, 0)
 
 
 def _direct_sum(n_rows: int, n_bins: int, n_fft: int) -> bool:
@@ -391,14 +401,21 @@ class _Chain:
         self.sums = np.zeros((k, 5, nb))
 
     def advance(self, normals: np.ndarray, response: np.ndarray | None = None) -> np.ndarray:
-        """Take len(normals) steps of (step, 2, traj) normals; return the reduced states, valid until the next."""
+        """Take len(normals) steps of (step, 2, traj) normals; return the reduced states, valid until the next.
+
+        The states are the buffer's rows 1 .. n with ``response`` added in
+        place, after row n, the chain's own state, is kept as the next row 0.
+        """
         n = len(normals)
         y = self.rows
         y[:n, 2:] = normals
         m, matmul = self.matrix, np.matmul
         for k in range(n):
             matmul(m, y[k], out=y[k + 1, :2])
-        x = y[1 : n + 1, :2] if response is None else y[1 : n + 1, :2] + response
+        y[0, :2] = y[n, :2]  # the next chunk starts from the chain's own state
+        x = y[1 : n + 1, :2]
+        if response is not None:
+            x += response
 
         k = len(self.sums)
         for r, sums in enumerate(self.sums):
@@ -409,7 +426,6 @@ class _Chain:
             sums[2] += np.einsum("ij,ij->j", q, p)
             sums[3] += q.sum(axis=0)
             sums[4] += p.sum(axis=0)
-        y[0, :2] = y[n, :2]
         self.steps += n
         return x
 

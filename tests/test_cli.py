@@ -509,6 +509,18 @@ def test_non_finite_lab_units_name_the_field(tmp_path, capsys, key, value):
     assert f"{key} must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "values, key, text",
+    [({"scheme": "cd", "g": "abc"}, "g", "abc"), ({**LAB, "detuning": "x"}, "detuning", "x"),
+     ({**LAB, "beta": "1e"}, "beta", "1e"), ({**LAB, "mass": "abc"}, "mass", "abc")],
+    ids=["working_units", "detuning", "beta", "lab_units"],
+)
+def test_unparsable_config_value_names_the_key(tmp_path, capsys, values, key, text):
+    code, out, err = run_cli(capsys, "steady", "--config", write_config(tmp_path / "bad.cfg", values))
+    assert (code, out) == (1, "")
+    assert f"config key {key!r} must be a number, got {text!r}" in err
+
+
 def test_montecarlo_deterministic_output(tmp_path, capsys):
     args = (
         "montecarlo", "--scheme", "sc", "--g", "4", "--Q", "40", "--zeta", "5",

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -454,22 +455,79 @@ def _irfft_band_response(rng, nb, n_fine, n_burn, h, band, coeff, a):
     return start, out
 
 
-def test_long_window_band_response_keeps_the_irfft_bytes():
-    # the benchmark's spectrum run (cold damping, Q = 100, 256 trajectories,
-    # 6 relaxation times burned, a 24 pi relaxation-time window) reads most
-    # rows, so it keeps the irfft, byte for byte
+def _spectrum_shape():
+    """The benchmark's spectrum run: cold damping, Q = 100, 256 trajectories at dt_bound,
+    6 relaxation times burned and a 24 pi relaxation-time window."""
     s = SchemeParams(scheme=CD, g=10.0, quality=100.0, zeta=10.0, theta=1e5, eta=0.8)
-    a, coeff, h, nb = _drift(s), noise_strengths(s).d_fb_cd, dt_bound(s), 256
+    h = dt_bound(s)
     n_steps = round(24.0 * math.pi / s.damping / h)
     burn = math.ceil(6.0 / s.damping / h)
-    n_fft, (lo, hi) = _fast_len(burn + n_steps), s.feedback_band()
-    omega = 2.0 * math.pi * np.fft.rfftfreq(n_fft, d=h)
-    n_bins = np.count_nonzero((omega >= lo) & (omega <= hi))
-    assert not _direct_sum(n_steps, n_bins, n_fft)
-    args = (nb, burn + n_steps, burn, h, s.feedback_band(), coeff, a)
-    got = _band_response(_batch_rng(3, 0), *args)
-    want = _irfft_band_response(_batch_rng(3, 0), *args)
-    assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+    return s, _drift(s), noise_strengths(s).d_fb_cd, h, 256, n_steps, burn
+
+
+def test_long_window_band_response_keeps_the_irfft_bytes():
+    # the benchmark's spectrum run reads most rows, so it keeps the irfft,
+    # byte for byte; its 2961 fine steps pad to n_fft = 3000, and a burn-in
+    # of 258 steps makes n_fine = n_fft, so row n_fft wraps to row 0
+    s, a, coeff, h, nb, n_steps, padded_burn = _spectrum_shape()
+    drive = ForcePulse(f0=5.0, sigma=6.0, t1=20.0, omega_f=1.1)
+    for burn, wrapped in ((padded_burn, False), (3000 - n_steps, True)):
+        n_fft, (lo, hi) = _fast_len(burn + n_steps), s.feedback_band()
+        assert (n_fft == burn + n_steps) is wrapped
+        omega = 2.0 * math.pi * np.fft.rfftfreq(n_fft, d=h)
+        n_bins = np.count_nonzero((omega >= lo) & (omega <= hi))
+        assert not _direct_sum(n_steps, n_bins, n_fft)
+        args = (nb, burn + n_steps, burn, h, s.feedback_band(), coeff, a)
+        (start, rows), (want_start, want_rows) = (
+            f(_batch_rng(3, 0), *args) for f in (_band_response, _irfft_band_response))
+        assert start.tobytes() == want_start.tobytes()
+        assert rows.tobytes() == want_rows.tobytes()
+        # the window is a time-major view of a trajectory-major buffer, and
+        # a drive added through it lands on the same rows
+        assert rows.shape == (n_steps, 2, nb) and rows.T.flags.c_contiguous and not rows.flags.owndata
+        push = _drive_response(drive, a, h, burn + n_steps)[burn + 1 :, :, None]
+        rows += push
+        assert rows.tobytes() == (want_rows + push).tobytes()
+
+
+@pytest.mark.parametrize("burn", [None, 60_000], ids=["spectrum-run", "long-burn-in"])
+def test_band_response_holds_the_window_and_one_irfft_block(burn):
+    # beyond the window, one irfft block of at most 2 MiB and its inputs are
+    # held at a time, never the whole period, so a long burn-in (n_fft =
+    # 60 750 for a 300-step window) stays within the same 8 MiB over the
+    # window as the benchmark's spectrum run
+    s, a, coeff, h, nb, n_steps, spectrum_burn = _spectrum_shape()
+    if burn is None:
+        burn = spectrum_burn
+    else:
+        n_steps = 300
+    tracemalloc.start()
+    try:
+        _, rows = _band_response(_batch_rng(3, 0), nb, burn + n_steps, burn, h, s.feedback_band(), coeff, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (n_steps, 2, nb)
+    assert peak <= n_steps * 2 * nb * 8 + 8 * 2**20
+
+
+def test_chain_adds_the_response_in_place():
+    # a chunk with an input response allocates well under one (n, 2, nb)
+    # chunk: the response is added into the chain's buffer, read through the
+    # band response's time-major view
+    s, nb = SchemeParams(scheme=CD, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8), 256
+    chain = _Chain(_step_matrix(s, noise_strengths(s), 0.5 * dt_bound(s)), nb, _CHUNK)
+    rng = np.random.default_rng(2)
+    normals = rng.standard_normal((_CHUNK, 2, nb))
+    response = rng.standard_normal((nb, 2, _CHUNK)).transpose(2, 1, 0)
+    chain.advance(normals, response)  # settle first-call allocations
+    tracemalloc.start()
+    try:
+        chain.advance(normals, response)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _CHUNK * 2 * nb * 8 / 2
 
 
 def test_batches_draw_apart_and_runs_repeat(monkeypatch):
