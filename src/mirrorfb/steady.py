@@ -182,23 +182,21 @@ def brownian_exact(s: SchemeParams) -> BrownianMoments:
     w = omega^2 + (g gamma_m)^2 for stochastic cooling and omega^2 for cold
     damping.  Integrands are even, so only [0, varpi] is sampled, by the
     adaptive 21-point Gauss-Kronrod rule of :func:`mirrorfb._quad.quad_spectrum`:
-    it pre-splits at the resonance and the coth knee 2 theta, and evaluates
-    each integrand on an omega array once per refinement round.
+    it pre-splits at the resonance and the coth knee 2 theta.  Both moments
+    are one stacked integrand on one set of panels, so each refinement round
+    evaluates the density once, on an omega array, and each moment still
+    meets its own tolerance.
     """
     gm = s.gamma_m
     wshift = 0.0 if s.scheme is Scheme.COLD_DAMPING else (s.g * gm) ** 2
 
-    def density(w):
-        return (gm / 2.0) * _omega_coth(w, s.theta) * np.abs(chi_freq(s, w)) ** 2
+    def moments(w):
+        density = (gm / 2.0) * _omega_coth(w, s.theta) * np.abs(chi_freq(s, w)) ** 2
+        return np.stack([density / (2.0 * math.pi), density * (w * w + wshift) / (2.0 * math.pi)])
 
     knee = (2.0 * s.theta,)  # coth crossover from classical to quantum
-    q2_bm = quad_spectrum(
-        lambda w: density(w) / (2.0 * math.pi), s, knee, "brownian q2 quadrature"
-    )
-    p2_bm = quad_spectrum(
-        lambda w: density(w) * (w * w + wshift) / (2.0 * math.pi), s, knee, "brownian p2 quadrature"
-    )
-    return BrownianMoments(q2_bm=q2_bm, p2_bm=p2_bm)
+    q2_bm, p2_bm = quad_spectrum(moments, s, knee, "brownian q2, p2 quadrature")
+    return BrownianMoments(q2_bm=float(q2_bm), p2_bm=float(p2_bm))
 
 
 def steady_energy(s: SchemeParams) -> float:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mirrorfb import _quad
+from mirrorfb import _quad, steady
 from mirrorfb._quad import QuadratureError, gauss_kronrod, quad_spectrum
 from mirrorfb.core import Scheme, SchemeParams
 from mirrorfb.spectra import integrated_position_variance
@@ -55,10 +55,13 @@ def test_agrees_with_quadpack_on_the_same_breakpoints(monkeypatch, kind):
     seen = []
 
     def with_quadpack(integrand, edges):
+        # the exact moments stack q2 and p2: each component is checked on its own
         value, abserr = gauss_kronrod(integrand, edges)
-        ref, _ = quad(lambda w: float(integrand(np.array([w]))[0]), edges[0], edges[-1],
-                      points=edges[1:-1], limit=400, epsabs=0.0, epsrel=1e-9)
-        seen.append((value, abserr, ref))
+        for c, (v, e) in enumerate(zip(np.atleast_1d(value), np.atleast_1d(abserr))):
+            ref, _ = quad(lambda w: float(np.atleast_2d(integrand(np.array([w])))[c, 0]),
+                          edges[0], edges[-1], points=edges[1:-1], limit=400, epsabs=0.0,
+                          epsrel=1e-9)
+            seen.append((v, e, ref))
         return value, abserr
 
     monkeypatch.setattr(_quad, "gauss_kronrod", with_quadpack)
@@ -82,6 +85,82 @@ def test_narrow_lorentzian_matches_arctan():
     got = quad_spectrum(lambda w: hw / ((w - 1.0) ** 2 + hw**2), s, (), "lorentzian")
     exact = 2.0 * (math.atan((s.cutoff_reservoir - 1.0) / hw) + math.atan(1.0 / hw))
     assert got == pytest.approx(exact, rel=1e-10)
+
+
+def test_stacked_components_each_meet_their_own_tolerance():
+    # the second component is 1e-8 of the first's scale; ranking panels by
+    # error over each component's own target resolves it as well
+    s = SchemeParams(scheme=SC, g=0.0, quality=5e5, zeta=1.0, theta=10.0, cutoff_reservoir=1e3)
+    hw = 0.5 * s.damping
+
+    def stacked(w):
+        lorentzian = hw / ((w - 1.0) ** 2 + hw**2)
+        return np.stack([lorentzian, 1e-8 * w * w * lorentzian])
+
+    got = quad_spectrum(stacked, s, (), "stacked lorentzian")
+    assert isinstance(got, np.ndarray) and got.shape == (2,)
+
+    def antiderivatives(w):
+        # w^2 = x^2 + 2x + 1 with x = w - 1
+        x = w - 1.0
+        atan = math.atan(x / hw)
+        w2_lorentzian = hw * x + hw * math.log(x * x + hw * hw) + (1.0 - hw * hw) * atan
+        return np.array([atan, 1e-8 * w2_lorentzian])
+
+    exact = 2.0 * (antiderivatives(s.cutoff_reservoir) - antiderivatives(0.0))
+    assert abs(got[1]) < 1e-7 * abs(got[0])
+    np.testing.assert_allclose(got, exact, rtol=1e-10, atol=0.0)
+
+
+def test_a_converged_component_does_not_change_the_refinement():
+    # a flat component of large value next to a small peaked one: ranking
+    # panels by raw error would cut wide flat panels for their roundoff floor
+    # and stopping on the flat one would end after the first round
+    s = SchemeParams(scheme=SC, g=0.0, quality=5e5, zeta=1.0, theta=10.0, cutoff_reservoir=1e3)
+    hw = 0.5 * s.damping
+
+    def lorentzian(w):
+        return hw / ((w - 1.0) ** 2 + hw**2)
+
+    alone, alone_calls = _counting(lorentzian)
+    stacked, stacked_calls = _counting(lambda w: np.stack([np.ones_like(w), 1e-8 * lorentzian(w)]))
+    quad_spectrum(alone, s, (), "lorentzian")
+    got = quad_spectrum(stacked, s, (), "flat and lorentzian")
+    assert stacked_calls == alone_calls
+    exact = 2.0 * (math.atan((s.cutoff_reservoir - 1.0) / hw) + math.atan(1.0 / hw))
+    np.testing.assert_allclose(got, [2.0 * s.cutoff_reservoir, 1e-8 * exact], rtol=1e-10, atol=0.0)
+
+
+def test_scalar_integrand_returns_floats_at_unchanged_values():
+    # 9091.140613296831 is C04's first set under four-way cuts and two
+    # separate Brownian integrals; the eight-way rule keeps it to rounding
+    got = integrated_position_variance(next(c04_sets()))
+    assert type(got) is float
+    assert got == pytest.approx(9091.140613296831, rel=1e-14, abs=0.0)
+    value, abserr = gauss_kronrod(lambda w: np.exp(-w) * np.cos(3.0 * w), [0.0, 1.0, 10.0])
+    assert type(value) is float and type(abserr) is float
+    exact = 0.1 * (1.0 - math.exp(-10.0) * (math.cos(30.0) - 3.0 * math.sin(30.0)))
+    assert value == pytest.approx(exact, rel=1e-14)
+
+
+@pytest.mark.parametrize("kind, most", [("c04", 5), ("c10", 4)])
+def test_each_integral_takes_few_rounds(monkeypatch, kind, most):
+    # C10's exact moments are one stacked quad_spectrum call each; separate
+    # q2 and p2 integrals with four-way cuts took 5-12 rounds, C04's 2-7
+    rounds, calls = [], []
+    gk21 = _quad._gk21
+    monkeypatch.setattr(_quad, "_gk21", lambda *args: rounds.append(1) or gk21(*args))
+    monkeypatch.setattr(steady, "quad_spectrum", lambda *args: calls.append(1) or quad_spectrum(*args))
+    for s in c04_sets() if kind == "c04" else c10_sets():
+        rounds.clear()
+        calls.clear()
+        if kind == "c04":
+            assert type(integrated_position_variance(s)) is float
+        else:
+            bm = steady.brownian_exact(s)
+            assert type(bm.q2_bm) is float and type(bm.p2_bm) is float
+            assert len(calls) == 1
+        assert 1 <= len(rounds) <= most
 
 
 def test_gated_step_with_jumps_on_breakpoints():
@@ -112,18 +191,22 @@ def _inverse_sqrt(w):
 
 
 @pytest.mark.parametrize(
-    "f",
+    "f, message",
     [
-        _inverse_sqrt,  # unsplit singularity: refined until an abscissa lands on it
-        lambda w: np.sin(1e6 * w),  # 1.6e7 periods on [0, 100]: the panel cap ends it
-        lambda w: np.sin(1e6 * w) ** 2,
+        (_inverse_sqrt, "not met"),  # unsplit singularity: refined until an abscissa lands on it
+        # 1.6e7 periods on [0, 100]: the panel cap ends it
+        (lambda w: np.sin(1e6 * w), "not met"),
+        (lambda w: np.sin(1e6 * w) ** 2, "not met"),
+        # only the second component fails; both are named in the message
+        (lambda w: np.stack([np.ones_like(w), np.sin(1e6 * w)]),
+         r"not met \(value \[200, \S+\], achieved abs\. err \[\S+, \S+\]\)"),
     ],
-    ids=["inverse-sqrt", "sin", "sin-squared"],
+    ids=["inverse-sqrt", "sin", "sin-squared", "stacked-sin"],
 )
-def test_unresolvable_integrand_fails_within_the_panel_cap(f):
+def test_unresolvable_integrand_fails_within_the_panel_cap(f, message):
     s = SchemeParams(scheme=SC, g=1.0, quality=100.0, zeta=1.0, theta=10.0, cutoff_reservoir=1e2)
     integrand, calls = _counting(f)
-    with pytest.raises(QuadratureError, match="not met"):
+    with pytest.raises(QuadratureError, match=message):
         quad_spectrum(integrand, s, (), "unresolvable")
     # every round after the first adds at least split - 1 panels, up to 400 in all
     split, limit = _quad._SPLIT, _quad._LIMIT
@@ -152,9 +235,14 @@ def test_singularity_off_the_breakpoints_stops_at_the_narrowest_panel():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("where", ["everywhere", "beyond 50"])
+@pytest.mark.parametrize("where", ["everywhere", "beyond 50", "second component beyond 50"])
 def test_non_finite_integrand_is_a_quadrature_error(bad, where):
     s = SchemeParams(scheme=SC, g=1.0, quality=100.0, zeta=1.0, theta=10.0, cutoff_reservoir=1e2)
     edge = 0.0 if where == "everywhere" else 50.0
+
+    def integrand(w):
+        f = np.where(w < edge, 1.0, bad)
+        return np.stack([np.ones_like(w), f]) if where.startswith("second") else f
+
     with pytest.raises(QuadratureError, match="value nan"):
-        quad_spectrum(lambda w: np.where(w < edge, 1.0, bad), s, (), "non-finite")
+        quad_spectrum(integrand, s, (), "non-finite")
