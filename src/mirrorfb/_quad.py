@@ -104,7 +104,7 @@ def gauss_kronrod(integrand, edges):
     error / target over the components, so a small component is refined as
     far as a large one.  The loop also stops when a panel is too narrow to
     cut; the caller judges the returned error.  A non-finite integrand value
-    gives (nan, inf).
+    gives the scalars (nan, inf), whatever the integrand's shape.
     """
     edges = np.asarray(edges, dtype=float)
     a, b = edges[:-1], edges[1:]
@@ -118,12 +118,10 @@ def gauss_kronrod(integrand, edges):
         tol, room = _EPSREL * np.abs(value), (_LIMIT - len(a)) // (_SPLIT - 1)
         if (abserr <= tol).all() or room <= 0:
             break
-        if scalar:  # ranked by the error itself, which no division rounds
-            order = np.argsort(err[0])[::-1]
-        else:
-            # a component whose value is exactly zero has zero error too
-            urgency = np.divide(err, tol[:, None], out=np.zeros_like(err), where=tol[:, None] > 0)
-            order = np.argsort(urgency.max(axis=0))[::-1]
+        # a zero target cannot be divided by, so that component ranks at zero;
+        # the caller's check still reports its error
+        urgency = np.divide(err, tol[:, None], out=np.zeros_like(err), where=tol[:, None] > 0)
+        order = np.argsort(urgency.max(axis=0))[::-1]
         left = abserr[:, None] - np.cumsum(err[:, order], axis=1)  # kept after cutting order[:k + 1]
         k = min(int(np.count_nonzero((left > 0.5 * tol[:, None]).any(axis=0))) + 1, room)
         pick, keep = order[:k], order[k:]

@@ -77,6 +77,29 @@ def test_agrees_with_quadpack_on_the_same_breakpoints(monkeypatch, kind):
         assert abs(value - ref) <= abserr
 
 
+def test_exact_moments_match_a_tight_panelwise_quadpack_sum(monkeypatch):
+    # QUADPACK at its tightest epsrel on each panel of the same breakpoints;
+    # the joint q2, p2 pass must agree far below the 1e-9 it is asked for
+    seen = []
+
+    def recorded(integrand, edges):
+        value, abserr = gauss_kronrod(integrand, edges)
+        seen.append((integrand, list(edges), np.copy(np.atleast_1d(value))))
+        return value, abserr
+
+    monkeypatch.setattr(_quad, "gauss_kronrod", recorded)
+    for s in c10_sets():
+        steady_moments(s, ThermalModel.EXACT_COTH)
+    assert len(seen) == 6
+    for integrand, edges, value in seen:
+        for c, v in enumerate(value):
+            ref = math.fsum(
+                quad(lambda w: float(np.atleast_2d(integrand(np.array([w])))[c, 0]), lo, hi,
+                     limit=400, epsabs=0.0, epsrel=1.2e-14)[0]
+                for lo, hi in zip(edges[:-1], edges[1:]))
+            assert abs(v - ref) <= 2e-14 * abs(ref)
+
+
 def test_narrow_lorentzian_matches_arctan():
     # half-width gamma_m / 2 = 1e-6: the resonance breakpoints resolve it
     s = SchemeParams(scheme=SC, g=0.0, quality=5e5, zeta=1.0, theta=10.0, cutoff_reservoir=1e3)
