@@ -376,8 +376,7 @@ _FIGURES = {
          for name, s, t in (("cooled", _COOLED, 1e-3), ("bare_short", _BARE, 1e-3), ("bare_long", _BARE, 10.0))]),
     # the window is kept above the force duration
     9: (np.geomspace(1e-3, 10.0, 60), _FIGURE_KEYS, "SNR",
-        lambda s, x, _: [nonstat.nonstationary_snr(s, _FORCE, MeasurementWindow(t / s.gamma_m), 1.0)
-                         for t in x.tolist()],
+        lambda s, x, _: nonstat.nonstationary_snr(s, _FORCE, MeasurementWindow(x / s.gamma_m), 1.0),
         [(name, f"fig9;{name}", s, None, "x=gmTm") for name, s in (("cooled", _COOLED), ("bare", _BARE))]),
     # the cooled mirror spends T_cool = 1e-3 T_m cooling; the bare one measures back to back
     10: (None, _FIGURE_KEYS, "SNR",

@@ -11,6 +11,14 @@ units) cancels between signal and noise; all exported quantities are
 calibration-free: the signal is reported per unit calibration, the noise is
 rescaled to a position spectrum exactly as the stationary detected spectrum,
 and the SNR contains no free factor.
+
+Curves are evaluated as whole arrays.  A window may hold a 1-d array of
+measurement times, which broadcasts against the frequency grid (one row per
+window), so a sweep over T_m is one call.  The arrival-time average of
+:func:`cyclic_avg_snr` evaluates the pulse transform for a block of arrival
+nodes at once; blocks, rather than all nodes, bound its memory.  Every
+broadcast performs the same elementwise operations, in the same order, as
+the scalar call, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from .steady import ThermalModel, steady_moments
 #: default number of arrival-time nodes for the cyclic average
 CYCLIC_ARRIVAL_NODES = 64
 _ARRIVAL_RTOL = 1e-2  # estimated relative error of that average above which it warns
+_NODE_BLOCK = 8  # arrival nodes per broadcast in cyclic_avg_snr
 
 
 @dataclass(frozen=True)
@@ -72,13 +81,35 @@ class ForcePulse:
 
 @dataclass(frozen=True)
 class MeasurementWindow:
-    """Exponential measurement filter of effective duration t_m."""
+    """Exponential measurement filter of effective duration t_m.
 
-    t_m: float
+    ``t_m`` is a finite positive scalar, kept as given, or a non-empty 1-d
+    array of them, stored as a read-only float copy.  An array window is a
+    sweep: the windowed functions return one row per entry, shape
+    ``t_m.shape + omega.shape``.
+    """
+
+    t_m: float | np.ndarray
 
     def __post_init__(self):
-        if not 0 < self.t_m < math.inf:
-            raise ValueError(f"measurement time must be finite and > 0, got {self.t_m}")
+        t_m = np.asarray(self.t_m)
+        if t_m.dtype.kind not in "iuf" or t_m.ndim > 1 or t_m.size == 0:
+            raise ValueError(
+                "measurement time must be a real scalar or a non-empty 1-d array, "
+                f"got {t_m.dtype} of shape {t_m.shape}"
+            )
+        bad = ~((t_m > 0) & (t_m < math.inf))
+        if bad.any():
+            raise ValueError(f"measurement time must be finite and > 0, got {t_m[bad].flat[0]}")
+        if t_m.ndim:
+            t_m = t_m.astype(float)  # a copy, even of a float array
+            t_m.flags.writeable = False
+            object.__setattr__(self, "t_m", t_m)
+
+    def over(self, omega):
+        """t_m shaped to broadcast against ``omega``: a scalar as given, an array as a column."""
+        t_m = self.t_m
+        return t_m.reshape(t_m.shape + (1,) * np.ndim(omega)) if np.ndim(t_m) else t_m
 
     def filter(self, t):
         t = np.asarray(t, dtype=float)
@@ -94,13 +125,44 @@ def _warn_impulsive(s: SchemeParams, force: ForcePulse, win: MeasurementWindow) 
             UserWarning,
             stacklevel=3,
         )
-    if force.sigma > 0.3 * win.t_m:
+    t_m = np.min(win.t_m)  # the shortest window of a sweep
+    if force.sigma > 0.3 * t_m:
         warnings.warn(
             f"force duration sigma = {force.sigma:.3g} is not small against the "
-            f"measurement time t_m = {win.t_m:.3g}",
+            f"{'shortest ' if np.ndim(win.t_m) else ''}measurement time t_m = {t_m:.3g}",
             UserWarning,
             stacklevel=3,
         )
+
+
+def _halfline(force: ForcePulse, t1, t_m, omega):
+    """The transform of ``force`` arriving at t1, broadcast over t1, t_m and omega."""
+    # local import: scipy.special adds ~0.3 s to start-up and only this transform needs it
+    from scipy.special import erfcx
+
+    omega = np.asarray(omega, dtype=complex)
+    s_lap = 1.0 / (2.0 * t_m) + 1j * omega
+    sig = force.sigma
+    # float_power is libm's pow, as Python's float ** is; an array's ** 2
+    # squares instead, which differs in the last bit for about 1 in 1000
+    gauss = np.exp(-np.float_power(t1, 2) / (2.0 * sig**2))
+    total = 0.0
+    for sign in (+1.0, -1.0):
+        a = s_lap - 1j * sign * force.omega_f
+        z = (a * sig**2 - t1) / (sig * math.sqrt(2.0))
+        # erfcx(z) ~ 2 exp(z^2) for Re z << 0, where gauss * erfcx(z) would
+        # form 0 * inf; those entries take the stable reflection instead
+        refl = np.real(z) < -20.0
+        if not refl.any():
+            main = gauss * erfcx(z)
+        else:
+            g, ar, tr = (np.broadcast_to(x, z.shape) for x in (gauss, a, t1))
+            main = np.empty_like(z)
+            main[~refl] = g[~refl] * erfcx(z[~refl])
+            ar, tr = ar[refl], tr[refl]
+            main[refl] = 2.0 * np.exp(ar**2 * sig**2 / 2.0 - ar * tr) - g[refl] * erfcx(-z[refl])
+        total = total + main
+    return 0.5 * force.f0 * sig * math.sqrt(math.pi / 2.0) * total
 
 
 def force_halfline_transform(force: ForcePulse, win: MeasurementWindow, omega):
@@ -108,28 +170,10 @@ def force_halfline_transform(force: ForcePulse, win: MeasurementWindow, omega):
 
     Written through erfcx so the Gaussian x oscillatory pieces never
     overflow; falls back to the reflected expansion where erfcx itself
-    would blow up (force support far inside the window).
+    would blow up (force support far inside the window).  An array window
+    gives one row per measurement time.
     """
-    # local import: scipy.special adds ~0.3 s to start-up and only this transform needs it
-    from scipy.special import erfcx
-
-    omega = np.asarray(omega, dtype=complex)
-    s_lap = 1.0 / (2.0 * win.t_m) + 1j * omega
-    sig, t1 = force.sigma, force.t1
-    total = np.zeros_like(omega, dtype=complex)
-    gauss = np.exp(-(t1**2) / (2.0 * sig**2))
-    for sign in (+1.0, -1.0):
-        a = s_lap - 1j * sign * force.omega_f
-        z = (a * sig**2 - t1) / (sig * math.sqrt(2.0))
-        # erfcx(z) ~ 2 exp(z^2) for Re z << 0, where gauss * erfcx(z) would
-        # form 0 * inf; those entries take the stable reflection instead
-        refl = np.real(z) < -20.0
-        main = np.empty_like(z)
-        main[~refl] = gauss * erfcx(z[~refl])
-        ar = a[refl]
-        main[refl] = 2.0 * np.exp(ar**2 * sig**2 / 2.0 - ar * t1) - gauss * erfcx(-z[refl])
-        total = total + main
-    out = 0.5 * force.f0 * sig * math.sqrt(math.pi / 2.0) * total
+    out = _halfline(force, force.t1, win.over(omega), omega)
     return out if out.ndim else complex(out)
 
 
@@ -142,7 +186,7 @@ def signal_spectrum(s: SchemeParams, force: ForcePulse, win: MeasurementWindow, 
     """
     _warn_impulsive(s, force, win)
     omega = np.asarray(omega, dtype=float)
-    chi0 = chi_freq(s.bare(), omega - 0.5j / win.t_m)
+    chi0 = chi_freq(s.bare(), omega - 0.5j / win.over(omega))
     out = np.abs(chi0) * np.abs(force_halfline_transform(force, win, omega))
     return out if out.ndim else float(out)
 
@@ -160,16 +204,17 @@ def nonstationary_noise(s: SchemeParams, win: MeasurementWindow, omega):
     """
     moments = steady_moments(s, ThermalModel.CLASSICAL_DELTA)
     omega = np.asarray(omega, dtype=float)
+    t_m = win.over(omega)
     gm = s.gamma_m
-    half = 0.5 / win.t_m
+    half = 0.5 / t_m
     chi0_sq = np.abs(chi_freq(s.bare(), omega - 1j * half)) ** 2
     bracket = (
-        (omega**2 + (half + gm) ** 2) * moments.q2
+        (omega**2 + np.float_power(half + gm, 2)) * moments.q2  # libm pow, see _halfline
         + moments.p2
         + (gm + half) * (2.0 * moments.qp)
-        + gm * win.t_m * (s.zeta / 4.0 + s.theta)
+        + gm * t_m * (s.zeta / 4.0 + s.theta)
     )
-    out = chi0_sq * bracket / win.t_m + shot_noise_floor(s)
+    out = chi0_sq * bracket / t_m + shot_noise_floor(s)
     return out if out.ndim else float(out)
 
 
@@ -180,7 +225,7 @@ def nonstationary_snr(s: SchemeParams, force: ForcePulse, win: MeasurementWindow
     noise, as in :func:`nonstationary_noise`) and measured with it open.
     """
     sig = signal_spectrum(s, force, win, omega)
-    noise_sq = win.t_m * nonstationary_noise(s, win, omega)
+    noise_sq = win.over(omega) * nonstationary_noise(s, win, omega)
     return sig / np.sqrt(noise_sq)
 
 
@@ -200,8 +245,16 @@ def cyclic_avg_snr(
     the (negligible) SNR accrued during the cooling stage is dropped.  The
     stored t1 of ``force`` is ignored.  A no-feedback comparator is the
     same call with g = 0 and t_cool = 0.  Warns when the average's
-    estimated relative error exceeds 1%.
+    estimated relative error exceeds 1%.  The window must hold one
+    measurement time.
+
+    The pulse transform of the arrival nodes comes from one broadcast over
+    a (node, omega) grid per block of ``_NODE_BLOCK`` nodes.  Blocks keep the
+    complex temporaries to that many rows: all 64 nodes of a 400-point grid
+    at once would raise a figure-10 process's peak memory by about 2.3 MiB.
     """
+    if np.ndim(win.t_m):
+        raise ValueError(f"cyclic averaging takes one measurement time, got {np.size(win.t_m)} of them")
     if not t_cool >= 0:
         raise ValueError(f"cooling time must be >= 0, got {t_cool}")
     if n_arrival < 1:
@@ -221,10 +274,10 @@ def cyclic_avg_snr(
     t1_nodes = (np.arange(n_arrival) + 0.5) * win.t_m / n_arrival
     shift = omega - 0.5j / win.t_m
     chi0_abs = np.abs(chi_freq(s.bare(), shift))
-    sig = np.zeros((n_arrival,) + omega.shape)
-    for i, t1 in enumerate(t1_nodes):
-        pulse = ForcePulse(f0=force.f0, sigma=force.sigma, t1=float(t1), omega_f=force.omega_f)
-        sig[i] = chi0_abs * np.abs(force_halfline_transform(pulse, win, omega))
+    sig = np.empty((n_arrival,) + omega.shape)
+    for lo in range(0, n_arrival, _NODE_BLOCK):
+        t1 = t1_nodes[lo : lo + _NODE_BLOCK].reshape((-1,) + (1,) * omega.ndim)
+        sig[lo : lo + _NODE_BLOCK] = chi0_abs * np.abs(_halfline(force, t1, win.t_m, omega))
     snr_nodes = sig / np.sqrt(noise_sq)
 
     # the midpoint rule's error is its end correction (h^2/24) [R'(T_m) - R'(0)];

@@ -363,17 +363,39 @@ def test_impulsive_regime_warnings():
             signal_spectrum(s, ForcePulse(f0=1.0, sigma=sigma, t1=0.0), MeasurementWindow(t_m), 1.0)
         messages = [str(w.message) for w in record]
         assert {key for key in ("relaxation", "measurement time") for m in messages if key in m} == expected
+    # a sweep warns once, naming its shortest window
+    with pytest.warns(UserWarning, match=r"shortest measurement time t_m = 10\b"):
+        got = signal_spectrum(s, ForcePulse(f0=1.0, sigma=5.0, t1=0.0), MeasurementWindow([100.0, 10.0, 50.0]), 1.0)
+    assert got.shape == (3,)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        signal_spectrum(s, ForcePulse(f0=1.0, sigma=5.0, t1=0.0), MeasurementWindow([100.0, 20.0]), 1.0)
 
 
 def test_non_finite_window_force_and_cooling_time_rejected():
     for t_m in (math.nan, math.inf):
         with pytest.raises(ValueError, match="measurement time"):
             MeasurementWindow(t_m)
+    for t_m, bad in (([1.0, math.nan], "nan"), ([math.inf, 2.0], "inf"), ([1.0, 0.0], "0.0"), ([2.0, -3.0], "-3.0")):
+        with pytest.raises(ValueError, match=f"measurement time must be finite and > 0, got {bad}"):
+            MeasurementWindow(np.array(t_m))
+    for t_m in (np.array(1.0, dtype=object), np.ones((2, 2)), np.array([]), [], "1.0", np.array([1.0 + 0j])):
+        with pytest.raises(ValueError, match="measurement time must be a real scalar or a non-empty 1-d array"):
+            MeasurementWindow(t_m)
+    # a scalar is kept as given; an array becomes a read-only float copy
+    assert type(MeasurementWindow(10).t_m) is int
+    given = np.array([1, 2])
+    win = MeasurementWindow(given)
+    assert win.t_m.dtype == float and not win.t_m.flags.writeable
+    given[0] = 5
+    assert win.t_m[0] == 1.0
     for bad in ({"f0": math.nan}, {"t1": math.inf}, {"omega_f": -math.inf}, {"sigma": math.nan}, {"sigma": math.inf}):
         with pytest.raises(ValueError, match="force"):
             ForcePulse(**{"f0": 1.0, "sigma": 1.0, "t1": 0.0, **bad})
     with pytest.raises(ValueError, match="cooling time"):
         cyclic_avg_snr(make(Scheme.NONE), ForcePulse(1.0, 1.0, 0.0), MeasurementWindow(10.0), math.nan, 1.0)
+    with pytest.raises(ValueError, match="one measurement time"):
+        cyclic_avg_snr(make(Scheme.NONE), ForcePulse(1.0, 1.0, 0.0), MeasurementWindow([10.0, 20.0]), 0.0, 1.0)
 
 
 def test_cyclic_needs_an_arrival_node():
@@ -405,3 +427,71 @@ def test_cyclic_error_estimate_fires_when_under_resolved(n_arrival):
         with pytest.warns(UserWarning, match=f"the {n_arrival}-point arrival-time average"):
             coarse = cyclic_avg_snr(s, force, win, t_cool, grid, n_arrival=n_arrival)
         assert np.max(np.abs(coarse / reference - 1.0)) > 0.01
+
+
+# ------------------------------------------------ whole arrays, bit for bit
+
+
+def _per_node_average(s, force, win, t_cool, omega, n_arrival):
+    """The arrival average as one force_halfline_transform call per node, same operations."""
+    omega = np.asarray(omega, dtype=float)
+    noise_sq = win.t_m * nonstationary_noise(s, win, omega)
+    chi0_abs = np.abs(chi_freq(s.bare(), omega - 0.5j / win.t_m))
+    nodes = (np.arange(n_arrival) + 0.5) * win.t_m / n_arrival
+    sig = np.array([chi0_abs * np.abs(force_halfline_transform(replace(force, t1=t1), win, omega))
+                    for t1 in nodes.tolist()])
+    return (sig / np.sqrt(noise_sq)).mean(axis=0) * win.t_m / (win.t_m + t_cool)
+
+
+def _pow_differs(x):
+    """Mask of the entries of x whose square libm's pow (Python's float **) rounds unlike x * x."""
+    return np.array([a**2 != a * a for a in np.asarray(x).tolist()], dtype=bool)
+
+
+def _reflection_curve():
+    """A window long against the pulse: late nodes take the reflected branch, early ones do not.
+
+    T_m is the first above 400 for which the pulse weight exp(-t1^2 / 2 sigma^2)
+    of some of the 64 nodes changes when t1^2 is squared instead of taken by pow.
+    """
+    def weight_differs(t_m):
+        nodes = (np.arange(64) + 0.5) * t_m / 64
+        return np.any(np.exp(-np.float_power(nodes, 2) / 200.0) != np.exp(-np.square(nodes) / 200.0))
+
+    t_m = next(t for t in np.linspace(400.0, 450.0, 501).tolist() if weight_differs(t))
+    yield make(Scheme.NONE, quality=1e3), ForcePulse(f0=1.0, sigma=10.0, t1=0.0), MeasurementWindow(t_m), 0.0
+
+
+@pytest.mark.parametrize("n_arrival", [1, 2, 9, 64])
+@pytest.mark.parametrize("omega", [default_grid(), 1.0], ids=["grid", "scalar"])
+def test_cyclic_average_is_the_per_node_loop_bit_for_bit(n_arrival, omega):
+    # 9 nodes leave a partial block
+    for s, force, win, t_cool in (*_figure_10_curves(), *_reflection_curve()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = cyclic_avg_snr(s, force, win, t_cool, omega, n_arrival=n_arrival)
+            want = _per_node_average(s, force, win, t_cool, omega, n_arrival)
+        assert np.array_equal(got, want)
+        assert np.shape(got) == np.shape(omega)
+
+
+def test_window_sweep_is_the_scalar_loop_bit_for_bit():
+    # figure 9: 60 windows at the carrier, for the cooled and the bare mirror, and
+    # short windows whose (1/2T_m + gamma_m)^2 squares differently under pow
+    for s, force, _, _ in _figure_10_curves():
+        dense = np.geomspace(1e-6, 1e-4, 4000)
+        x = np.concatenate([np.geomspace(1e-3, 10.0, 60), dense[_pow_differs(0.5 / (dense / s.gamma_m) + s.gamma_m)]])
+        assert x.size > 60
+        sweep = MeasurementWindow(x / s.gamma_m)
+        for fn, args in ((nonstationary_snr, (s, force)), (signal_spectrum, (s, force)), (nonstationary_noise, (s,))):
+            for omega in (1.0, 0.0):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    want = np.array([fn(*args, MeasurementWindow(t / s.gamma_m), omega) for t in x.tolist()])
+                    assert np.array_equal(fn(*args, sweep, omega), want)
+    # against a grid, one row per window
+    grid = default_grid(50)
+    rows = nonstationary_snr(s, force, MeasurementWindow(x[:60:12] / s.gamma_m), grid)
+    assert rows.shape == (5, 50)
+    for row, t in zip(rows, x[:60:12].tolist()):
+        assert np.array_equal(row, nonstationary_snr(s, force, MeasurementWindow(t / s.gamma_m), grid))

@@ -257,6 +257,28 @@ def test_csv_format():
     assert rows[0]["kind"] == "SNR"
 
 
+def test_csv_writer_matches_per_row_format():
+    # the one-pass writer against a plain per-row str.format, byte for byte,
+    # on signs, subnormals, huge values, integers and a % in kind and provenance
+    rows = [
+        (0.0, -0.0, "SNR", "p"),
+        (-1.5, -2.5e-7, "DetectedNoise", "g=1e3;x=zeta"),
+        (5e-324, 2.2250738585072014e-308, "SNR", "100% cooled"),
+        (1e300, -1.7976931348623157e308, "%s%%", "%.3g;%d"),
+        (3, 10**20, "q2", "int"),
+        (np.float64(1.234567890123456), np.float64(math.pi), "SNR", "numpy scalars"),
+    ]
+
+    def per_row(rows):
+        return "omega,value,kind,provenance\n" + "".join("{:.12g},{:.12g},{},{}\n".format(*r) for r in rows)
+
+    assert rows_to_csv(rows) == per_row(rows)
+    assert rows_to_csv([]) == per_row([])
+    omegas, values = default_grid(50), -np.geomspace(1e-300, 1e300, 50)
+    series = SpectrumSeries(omegas, values, "SNR", "fig;50%")
+    assert series.to_csv() == per_row(zip(omegas, values, ["SNR"] * 50, ["fig;50%"] * 50))
+
+
 @pytest.mark.parametrize("x, v", [(1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf)])
 def test_csv_rejects_non_finite_cells(x, v):
     with pytest.raises(FloatingPointError, match="non-finite output"):
