@@ -454,12 +454,14 @@ def _reflection_curve():
     T_m is the first above 400 for which the pulse weight exp(-t1^2 / 2 sigma^2)
     of some of the 64 nodes changes when t1^2 is squared instead of taken by pow.
     """
+    sigma = 10.0
+
     def weight_differs(t_m):
         nodes = (np.arange(64) + 0.5) * t_m / 64
-        return np.any(np.exp(-np.float_power(nodes, 2) / 200.0) != np.exp(-np.square(nodes) / 200.0))
+        return np.any(np.exp(-np.float_power(nodes, 2) / (2.0 * sigma**2)) != np.exp(-np.square(nodes) / (2.0 * sigma**2)))
 
     t_m = next(t for t in np.linspace(400.0, 450.0, 501).tolist() if weight_differs(t))
-    yield make(Scheme.NONE, quality=1e3), ForcePulse(f0=1.0, sigma=10.0, t1=0.0), MeasurementWindow(t_m), 0.0
+    yield make(Scheme.NONE, quality=1e3), ForcePulse(f0=1.0, sigma=sigma, t1=0.0), MeasurementWindow(t_m), 0.0
 
 
 @pytest.mark.parametrize("n_arrival", [1, 2, 9, 64])
