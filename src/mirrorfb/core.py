@@ -174,6 +174,9 @@ class PhysicalParams:
         for name in positive:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("reservoir_cutoff", "feedback_bandwidth"):  # None picks the default
+            if getattr(self, name) is not None and not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0 when given, got {getattr(self, name)}")
         if not 0 < self.efficiency <= 1:
             raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
         if self.temperature < 0:
@@ -303,14 +306,8 @@ def to_dimensionless(
     else:
         g = 0.0
 
-    cutoff_res = (
-        p.reservoir_cutoff / p.omega_m
-        if p.reservoir_cutoff
-        else DEFAULT_RESERVOIR_CUTOFF
-    )
-    cutoff_fb: object = "narrow"
-    if p.feedback_bandwidth:
-        cutoff_fb = p.feedback_bandwidth / p.omega_m
+    cutoff_res = DEFAULT_RESERVOIR_CUTOFF if p.reservoir_cutoff is None else p.reservoir_cutoff / p.omega_m
+    cutoff_fb: object = "narrow" if p.feedback_bandwidth is None else p.feedback_bandwidth / p.omega_m
 
     return SchemeParams(
         scheme=scheme,

@@ -21,10 +21,12 @@ are not stepped: the equations are linear, so their responses add to the
 white-noise chain's states.  Weighting each bin by (i omega - A)^{-1} b, one
 irfft samples the periodic response x_p, or, when only a few rows are read
 from few bins, a direct sum over the bins evaluates just those rows (the
-same numbers to rounding); the response from rest is
-x_p(t) - e^{A t} x_p(0), so the chain starts from -x_p(0).  A deterministic
-drive enters as its response from rest.  Nothing is biased by the step, so
-:func:`dt_bound` is a resolution bound.
+same numbers to rounding).  A random-phase Fourier series is stationary
+(Shinozuka & Deodatis 1991), so x_p is a stationary periodic input whose
+rows are read from the start of its period, and burn-in only forgets the
+white chain's x = 0 start.  A deterministic drive enters as its response
+from rest.  Nothing is biased by the step, so :func:`dt_bound` is a
+resolution bound.
 
 Each batch jumps over burn-in in one exact step of burn * dt, then steps a
 chunked chain over the averaging window, the only rows of the band response
@@ -83,9 +85,9 @@ class SimConfig:
     estimator takes one Hann-tapered periodogram per trajectory over the
     whole window (a boxcar would leak the resonance peak into the wings),
     keeps bins inside ``spectrum_band`` and refuses windows under 16 steps.
-    Its window lasts ``seg_time`` (48 pi relaxation times when None), which
-    sets n_steps = round(seg_time / dt) when ``n_steps`` is None; given both,
-    they must agree for any estimator.
+    Its window lasts 48 pi relaxation times unless ``seg_time`` or ``n_steps``
+    is given.  For either estimator a ``seg_time`` sets n_steps =
+    round(seg_time / dt) when ``n_steps`` is None; given both, they must agree.
     """
 
     dt: float | None = None
@@ -189,9 +191,12 @@ def _resolve_config(s: SchemeParams, cfg: SimConfig) -> tuple[float, int, int]:
         n_steps = cfg.n_steps
         if cfg.seg_time is not None and round(cfg.seg_time / dt) != n_steps:
             raise ValueError(f"seg_time = {cfg.seg_time:g} is not n_steps = {n_steps} steps of dt = {dt:g}")
+    elif cfg.seg_time is not None:
+        n_steps = round(cfg.seg_time / dt)
+        if n_steps < 2:
+            raise ValueError(f"seg_time = {cfg.seg_time:g} is under two steps of dt = {dt:g}")
     elif cfg.estimator == "spectrum":
-        seg = cfg.seg_time if cfg.seg_time is not None else 48.0 * math.pi * relax
-        n_steps = int(round(seg / dt))
+        n_steps = round(48.0 * math.pi * relax / dt)
     else:
         n_steps = math.ceil(150.0 * relax / dt)
     return dt, burn, n_steps
@@ -255,29 +260,29 @@ def _band_response(
     rng: np.random.Generator,
     nb: int,
     n_fine: int,
-    n_burn: int,
+    n_rows: int,
     h: float,
     band: tuple[float, float],
     coeff: float,
     a: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Periodic (q, p) response x_p to a Gaussian force with two-sided PSD coeff * w^2 in ``band``.
 
-    Circular spectral synthesis, <f(t) f(t')> = int (dw/2pi) S(w) e^{i w (t - t')}.
-    Only the in-band coefficients are drawn, with the law the rfft of white
-    unit normals has: independent N(0, n/2) real and imaginary parts.  The
-    band lies below the Nyquist bin (see :func:`dt_bound`).  Weighted by the
-    resolvent (i w - A)^{-1} b, the irfft samples x_p at the step points;
-    when the rows read cost fewer operations as a direct sum over the bins
-    (see :func:`_direct_sum`), they are evaluated as one matrix product.
-    The irfft takes blocks of trajectories whose m x 2 x n_fft output stays
-    within 2 MiB, drawing each block's coefficients in stream order, and
-    copies each block's window rows, a contiguous time slice, into an
-    (nb, 2, n_rows) buffer.  Beyond the window one block is held at a time,
-    never the batch's whole period, however long the burn-in.
-    Returns x_p(0), shape (2, nb), and the window rows k = n_burn + 1 .. n_fine,
-    time-major (n_fine - n_burn, 2, nb) as the chain reads them: after the
-    irfft a transposed view of that buffer.
+    Circular spectral synthesis, <f(t) f(t')> = int (dw/2pi) S(w) e^{i w (t - t')},
+    over a period of _fast_len(n_fine) steps.  Only the in-band coefficients
+    are drawn, with the law the rfft of white unit normals has: independent
+    N(0, n/2) real and imaginary parts.  Their phases are uniform, so x_p is
+    stationary and any n_rows consecutive rows have one law; the first are
+    read.  The band lies below the Nyquist bin (see :func:`dt_bound`).
+    Weighted by the resolvent (i w - A)^{-1} b, the irfft samples x_p at the
+    step points; when the rows cost fewer operations as a direct sum over
+    the bins (see :func:`_direct_sum`), they are evaluated as one matrix
+    product.  The irfft takes blocks of trajectories whose m x 2 x n_fft
+    output stays within 2 MiB, drawing each block's coefficients in stream
+    order, and copies each block's first n_rows into an (nb, 2, n_rows)
+    buffer, so one block of the period is held at a time, never the batch's.
+    Returns rows 0 .. n_rows - 1, time-major (n_rows, 2, nb) as the chain
+    reads them: after the irfft a transposed view of that buffer.
     """
     n_fft = _fast_len(n_fine)  # truncating a stationary process is harmless
     omega = 2.0 * math.pi * np.fft.rfftfreq(n_fft, d=h)
@@ -285,43 +290,36 @@ def _band_response(
     hi = int(np.searchsorted(omega, band[1], side="right"))
     gain = np.sqrt(0.5 * n_fft * coeff / h) * omega[lo:hi]
     kernel = np.linalg.solve(1j * omega[lo:hi, None, None] * np.eye(2) - a, np.array([0.0, 1.0])).T
-    n_rows = n_fine - n_burn
     if _direct_sum(n_rows, hi - lo, n_fft):
         # x_p(j) = sum_k w_k Re(c_k K_k e^{2 pi i j k / n_fft}), w_k = 2 / n_fft
         # (1 / n_fft at bin 0), as the irfft weighs the bins below Nyquist
         k = np.arange(lo, hi)
-        steps = np.concatenate(([0], np.arange(n_burn + 1, n_fine + 1)))
-        phase = np.exp(2j * math.pi * (np.outer(steps, k) % n_fft) / n_fft)
+        phase = np.exp(2j * math.pi * (np.outer(np.arange(n_rows), k) % n_fft) / n_fft)
         weight = np.where(k == 0, 1.0, 2.0) / n_fft * gain
         basis = phase[:, None] * (kernel * weight)  # (row, component, bin)
-        basis = np.stack((basis.real, -basis.imag), axis=-1).reshape(2 * len(steps), -1)
-        x = (basis @ rng.standard_normal((nb, 2 * (hi - lo))).T).reshape(len(steps), 2, nb)
-        return x[0], x[1:]
+        basis = np.stack((basis.real, -basis.imag), axis=-1).reshape(2 * n_rows, -1)
+        return (basis @ rng.standard_normal((nb, 2 * (hi - lo))).T).reshape(n_rows, 2, nb)
     rows = max(1, _FFT_BLOCK // (16 * len(omega)))  # m x 2 x n_fft doubles of output: <= 2 MiB
     spec = np.zeros((min(rows, nb), 2, hi), dtype=np.complex128)  # irfft zero-pads the bins above hi
-    start, out = np.empty((2, nb)), np.empty((nb, 2, n_rows))
-    tail = n_fine + 1 - (n_fine == n_fft)  # x_p repeats every n_fft steps: row n_fft is row 0
+    out = np.empty((nb, 2, n_rows))
     for r in range(0, nb, rows):
         m = min(rows, nb - r)
         coef = rng.standard_normal((m, 2 * (hi - lo))).view(np.complex128)  # the same stream, block by block
         coef *= gain
         spec[:m, :, lo:hi] = coef[:, None] * kernel
-        wave = np.fft.irfft(spec[:m], n=n_fft)
-        start[:, r : r + m] = wave[..., 0].T
-        out[r : r + m, :, : tail - n_burn - 1] = wave[..., n_burn + 1 : tail]
-        out[r : r + m, :, tail - n_burn - 1 :] = wave[..., : n_fine + 1 - tail]
-    return start, out.transpose(2, 1, 0)
+        out[r : r + m] = np.fft.irfft(spec[:m], n=n_fft)[..., :n_rows]
+    return out.transpose(2, 1, 0)
 
 
 def _direct_sum(n_rows: int, n_bins: int, n_fft: int) -> bool:
-    """Whether x_p at step 0 and ``n_rows`` window steps costs less as a direct sum over ``n_bins`` bins.
+    """Whether ``n_rows`` rows of x_p cost less as a direct sum over ``n_bins`` bins.
 
-    Per trajectory and component the sum costs about (n_rows + 1) n_bins
+    Per trajectory and component the sum costs about n_rows n_bins
     operations and one irfft n_fft log2 n_fft.  The sum's basis has
-    (n_rows + 1) n_bins entries per component, held to ``_FFT_BLOCK`` as the
+    n_rows n_bins entries per component, held to ``_FFT_BLOCK`` as the
     irfft's blocks are.
     """
-    cost = (n_rows + 1) * n_bins
+    cost = n_rows * n_bins
     return cost <= n_fft * math.log2(n_fft) and cost <= _FFT_BLOCK
 
 
@@ -460,8 +458,8 @@ def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleS
         _check_band_budget(n_fine - n_burn, min(_BATCH, cfg.n_traj))
     drive = None if force is None else _drive_response(force, a, h, n_fine)[n_burn + 1 :, :, None]
     matrix = _step_matrix(s, ns, h)
-    if n_burn:  # burn-in: one exact jump from rest
-        jump = _step_matrix(s, ns, n_burn * h)
+    if n_burn:  # burn-in: one exact jump of the white chain from rest; only its noise remains
+        jump = _step_matrix(s, ns, n_burn * h)[:, 2:]
 
     ref = steady_moments(s, ThermalModel.CLASSICAL_DELTA)
     guard = 1e6 * math.sqrt(max(ref.q2, 1.0))
@@ -475,17 +473,15 @@ def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleS
     for b, start in enumerate(range(0, cfg.n_traj, _BATCH)):
         nb = min(_BATCH, cfg.n_traj - start)
         rng = _batch_rng(cfg.seed, b)
-        x0, response = np.zeros((2, nb)), drive
-        if needs_fb:  # the chain starts at the band response's transient, -x_p(0)
-            x_p0, response = _band_response(rng, nb, n_fine, n_burn, h, s.feedback_band(), ns.d_fb_cd, a)
-            x0 = -x_p0
+        response = drive
+        if needs_fb:  # a stationary input: the window reads the first rows of its period
+            response = _band_response(rng, nb, n_fine, n_fine - n_burn, h, s.feedback_band(), ns.d_fb_cd, a)
             if drive is not None:
                 response += drive
         pgram = _Periodogram(bins, n_steps, nb) if spectral else None
         chain = _Chain(matrix, nb, min(_CHUNK, n_fine - n_burn), sub)
         if n_burn:
-            x0 = jump[:, 2:] @ rng.standard_normal((2, nb)) + jump[:, :2] @ x0
-        chain.rows[0, :2] = x0
+            chain.rows[0, :2] = jump @ rng.standard_normal((2, nb))
         for j in range(0, n_fine - n_burn, _CHUNK):
             n = min(_CHUNK, n_fine - n_burn - j)
             normals = rng.standard_normal((n, 2, nb))  # fine step, normal, traj
@@ -536,8 +532,9 @@ def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleS
 def simulate(s: SchemeParams, cfg: SimConfig, force=None) -> EnsembleStats:
     """Integrate the ensemble and estimate stationary moments (and spectrum).
 
-    Burn-in is one exact step of burn_in_steps * dt from rest; the band force
-    and ``force`` add their exact responses to the stepped states.
+    Burn-in is one exact step of burn_in_steps * dt of the white chain from
+    rest; the band force adds its stationary response to the stepped states,
+    and ``force`` its response from rest.
     Independent per-trajectory time averages over the window after burn-in
     give the means and their standard errors.  Raises :class:`InstabilityError` when any |Q|
     exceeds 1e6 standard deviations of the analytic prediction.

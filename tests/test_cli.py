@@ -480,6 +480,12 @@ CONFIG_ERRORS = [
                  id="working_units_invalid"),
     pytest.param(("steady", "--config", "{cfg}"), "".join(f"{k} = {v}\n" for k, v in {**LAB, "mass": -1}.items()),
                  "mass must be > 0", id="lab_units_invalid"),
+    pytest.param(("steady", "--config", "{cfg}", "--scheme", "cd", "--format", "json"),
+                 "".join(f"{k} = {v}\n" for k, v in {**LAB, "reservoir_cutoff": 0}.items()),
+                 "reservoir_cutoff must be > 0", id="lab_reservoir_cutoff_zero"),
+    pytest.param(("steady", "--config", "{cfg}", "--scheme", "cd", "--format", "json"),
+                 "".join(f"{k} = {v}\n" for k, v in {**LAB, "feedback_bandwidth": 0}.items()),
+                 "feedback_bandwidth must be > 0", id="lab_feedback_bandwidth_zero"),
     pytest.param(("steady", "--sweep", "zeta:1:10"), None, "sweep spec must be var:lo:hi:n[:log]", id="sweep_too_short"),
     pytest.param(("steady", "--sweep", "zeta:1:10:3:lin"), None, "unknown sweep mode 'lin'", id="sweep_mode"),
     pytest.param(("spectrum", "--omin", "0"), None, "invalid frequency grid", id="grid_at_zero"),

@@ -82,9 +82,12 @@ def test_adiabaticity_warning():
 
 @pytest.mark.parametrize(
     "field,value",
-    [("mass", 0.0), ("omega_m", -1.0), ("efficiency", 0.0), ("efficiency", 1.5)],
+    [("mass", 0.0), ("omega_m", -1.0), ("efficiency", 0.0), ("efficiency", 1.5),
+     ("reservoir_cutoff", 0.0), ("reservoir_cutoff", -1.0), ("feedback_bandwidth", 0.0),
+     ("feedback_bandwidth", -1.0)],
 )
 def test_invalid_physical_params(field, value):
+    # None picks a default cutoff or band; a zero is an error, not the default
     with pytest.raises(ValueError):
         lab_params(**{field: value})
 

@@ -235,7 +235,7 @@ def test_sim_config_rejects_non_finite_times_and_bands(kwargs):
 
 
 def test_seg_time_sets_or_must_match_n_steps():
-    # seg_time alone sets the spectrum window's n_steps; given with n_steps,
+    # seg_time alone sets n_steps for either estimator; given with n_steps,
     # a disagreement is a configuration error, not a silent override
     s = SchemeParams(scheme=CD, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
     dt = 0.2  # 64 steps put bins 0.49 apart, two of them in the default band
@@ -248,6 +248,14 @@ def test_seg_time_sets_or_must_match_n_steps():
         simulate(s, replace(cfg, n_steps=65))
     with pytest.raises(ValueError, match="is not n_steps"):
         simulate(s, replace(cfg, n_steps=65, estimator="moments"))
+    # the moments estimator reads it too: C09's sc point, 5.0 / dt = 40 steps, not 150 relaxation times
+    sc = replace(s, scheme=SC)
+    assert _resolve_config(sc, SimConfig(seg_time=5.0))[2] == 40
+    moments = replace(cfg, estimator="moments")
+    assert _resolve_config(s, moments)[2] == 64
+    assert simulate(s, moments).n_traj == 4
+    with pytest.raises(ValueError, match="under two steps"):
+        simulate(s, replace(moments, seg_time=1.4 * dt))
 
 
 def test_spectrum_band_without_bins_rejected():
@@ -309,9 +317,8 @@ def test_band_noise_statistics():
     rng = np.random.Generator(np.random.Philox(key=1))
     band, coeff = (0.5, 1.5), 0.04
     n_total = 4000  # already a fast FFT length, so the synthesis is not truncated
-    x0, rows = _band_response(rng, 256, n_total, 0, h, band, coeff, a)
+    rows = _band_response(rng, 256, n_total, n_total, h, band, coeff, a)
     assert rows.shape == (n_total, 2, 256)
-    np.testing.assert_array_equal(rows[-1], x0)  # row n_total wraps to row 0
     u = rows.transpose(2, 1, 0)
 
     def expect(i, j, lag):
@@ -339,12 +346,12 @@ def test_band_noise_statistics():
         assert abs(corr) < 4.0 / math.sqrt(u[:, i].size)
 
 
-def _stepped_band_force(rng, nb, n_fine, h, band, coeff, a):
-    """From-rest (q, p) states of the band force by a plain loop over its step impulses.
+def _stepped_band_force(rng, nb, n_fine, n_rows, h, band, coeff, a, start):
+    """(q, p) states of the band force by a plain loop over its step impulses from ``start``.
 
     The coefficients are drawn as _band_response draws them; each bin kicks a
     step by its exact step integral K(w) = (i w - A)^{-1} (e^{i w h} - e^{A h}) b,
-    and the states are stepped with SciPy's e^{A h}.  Shape (n_fine + 1, 2, nb).
+    and the states are stepped with SciPy's e^{A h}.  Shape (n_rows, 2, nb).
     """
     from scipy.linalg import expm
 
@@ -359,9 +366,10 @@ def _stepped_band_force(rng, nb, n_fine, h, band, coeff, a):
     kernel = np.array([np.linalg.solve(1j * w * np.eye(2) - a, v) for w, v in zip(omega[lo:hi], lift)])
     spec = np.zeros((nb, 2, len(omega)), dtype=np.complex128)
     spec[:, :, lo:hi] = coef[:, None] * kernel.T
-    impulses = np.fft.irfft(spec, n=n_fft)[..., :n_fine]
-    x = np.zeros((n_fine + 1, 2, nb))
-    for k in range(n_fine):
+    impulses = np.fft.irfft(spec, n=n_fft)
+    x = np.empty((n_rows, 2, nb))
+    x[0] = start
+    for k in range(n_rows - 1):
         x[k + 1] = phi @ x[k] + impulses[..., k].T
     return x
 
@@ -373,22 +381,19 @@ def _stepped_band_force(rng, nb, n_fine, h, band, coeff, a):
          "paired-burn-in-wrapped"],
 )
 def test_band_response_is_the_stepped_impulse_response(burn, n_steps, sub):
-    # the response from rest, x_p(k h) - e^{A k h} x_p(0), is what stepping
-    # the band force's exact impulses from rest gives, on the window rows;
-    # n_fine = 300 and 600 are FFT lengths (row n_fine wraps to row 0), 291
-    # and 584 are padded to 300 and 600
-    from scipy.linalg import expm
-
+    # the periodic response is what stepping the band force's exact impulses
+    # from its own first row gives, on every later window row; the period is
+    # n_fine's FFT length whatever the burn-in: n_fine = 300 and 600 are FFT
+    # lengths, so the window of the unburned runs spans a whole period, and
+    # 291 and 584 are padded to 300 and 600
     s = SchemeParams(scheme=CD, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
     a, coeff, band = _drift(s), noise_strengths(s).d_fb_cd, s.feedback_band()
     h, nb = 0.5 * dt_bound(s) / sub, 5
-    n_burn, n_fine = sub * burn, sub * (burn + n_steps)
-    want = _stepped_band_force(np.random.default_rng(11), nb, n_fine, h, band, coeff, a)
-    x0, rows = _band_response(np.random.default_rng(11), nb, n_fine, n_burn, h, band, coeff, a)
-    assert rows.shape == (n_fine - n_burn, 2, nb)
-    ks = np.arange(n_burn + 1, n_fine + 1)
-    got = rows - np.array([expm(a * k * h) for k in ks]) @ x0
-    np.testing.assert_allclose(got, want[ks], rtol=0, atol=1e-12 * np.abs(want).max())
+    n_rows, n_fine = sub * n_steps, sub * (burn + n_steps)
+    rows = _band_response(np.random.default_rng(11), nb, n_fine, n_rows, h, band, coeff, a)
+    assert rows.shape == (n_rows, 2, nb)
+    want = _stepped_band_force(np.random.default_rng(11), nb, n_fine, n_rows, h, band, coeff, a, rows[0])
+    np.testing.assert_allclose(rows, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def _bin_band(lo, hi, n_fft, h):
@@ -399,13 +404,14 @@ def _bin_band(lo, hi, n_fft, h):
 
 @pytest.mark.parametrize(
     "n_fine, n_burn, bins, direct",
-    [(300, 0, (0, 6), True), (292, 40, (5, 12), True), (64, 0, (3, 8), True), (64, 0, (3, 9), False)],
+    [(300, 0, (0, 6), True), (292, 40, (5, 12), True), (64, 0, (3, 9), True), (64, 0, (3, 10), False)],
     ids=["bin-0-wrapped", "padded-burn-in", "just-below-threshold", "just-above-threshold"],
 )
 def test_direct_band_sum_is_the_irfft(n_fine, n_burn, bins, direct, monkeypatch):
     # both evaluators turn the same draws into the same rows; the rule picks
-    # the direct sum while (rows + 1) x bins <= n_fft log2 n_fft: at n_fft = 64,
-    # 65 x 5 = 325 <= 384 < 65 x 6
+    # the direct sum while rows x bins <= n_fft log2 n_fft: at n_fft = 64,
+    # 64 x 6 = 384 <= 384 < 64 x 7.  At n_fine = 300 = n_fft the rows span
+    # the whole period
     s = SchemeParams(scheme=CD, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
     a, coeff, h, nb = _drift(s), noise_strengths(s).d_fb_cd, 0.5 * dt_bound(s), 5
     n_fft = _fast_len(n_fine)
@@ -415,25 +421,24 @@ def test_direct_band_sum_is_the_irfft(n_fine, n_burn, bins, direct, monkeypatch)
         got = {}
         for choice in (True, False):
             monkeypatch.setattr("mirrorfb.oracle._direct_sum", lambda *args, choice=choice: choice)
-            got[choice] = _band_response(_batch_rng(17, b), nb, n_fine, n_burn, h, band, coeff, a)
-        (start, rows), (want_start, want_rows) = got[True], got[False]
+            got[choice] = _band_response(_batch_rng(17, b), nb, n_fine, n_fine - n_burn, h, band, coeff, a)
+        rows, want_rows = got[True], got[False]
         assert rows.shape == want_rows.shape == (n_fine - n_burn, 2, nb)
-        scale = max(np.abs(want_rows).max(), np.abs(want_start).max())
+        scale = np.abs(want_rows).max()
         assert scale > 0
-        np.testing.assert_allclose(start, want_start, rtol=0, atol=1e-12 * scale)
         np.testing.assert_allclose(rows, want_rows, rtol=0, atol=1e-12 * scale)
 
 
 def test_direct_sum_basis_stays_within_one_fft_block():
     # a long burn-in makes n_fft log2 n_fft large; the direct sum's basis,
-    # (rows + 1) x bins, still stops at 2^20 entries
+    # rows x bins, still stops at 2^20 entries
     n_fft = 2**20
-    assert _direct_sum(1023, 1024, n_fft)
-    assert not _direct_sum(1023, 1025, n_fft)
-    assert (1023 + 1) * 1025 < n_fft * math.log2(n_fft)
+    assert _direct_sum(1024, 1024, n_fft)
+    assert not _direct_sum(1024, 1025, n_fft)
+    assert 1024 * 1025 < n_fft * math.log2(n_fft)
 
 
-def _irfft_band_response(rng, nb, n_fine, n_burn, h, band, coeff, a):
+def _irfft_band_response(rng, nb, n_fine, n_rows, h, band, coeff, a):
     """The band synthesis as one blocked irfft per trajectory, for a byte-level comparison."""
     n_fft = _fast_len(n_fine)
     omega = 2.0 * math.pi * np.fft.rfftfreq(n_fft, d=h)
@@ -442,17 +447,15 @@ def _irfft_band_response(rng, nb, n_fine, n_burn, h, band, coeff, a):
     gain = np.sqrt(0.5 * n_fft * coeff / h) * omega[lo:hi]
     coef = rng.standard_normal((nb, 2 * (hi - lo))).view(np.complex128) * gain
     kernel = np.linalg.solve(1j * omega[lo:hi, None, None] * np.eye(2) - a, np.array([0.0, 1.0])).T
-    window = np.arange(n_burn + 1, n_fine + 1) % n_fft
     rows = max(1, (1 << 20) // (2 * len(omega)))
     spec = np.zeros((min(rows, nb), 2, len(omega)), dtype=np.complex128)
-    start, out = np.empty((2, nb)), np.empty((len(window), 2, nb))
+    out = np.empty((n_rows, 2, nb))
     for r in range(0, nb, rows):
         m = min(rows, nb - r)
         spec[:m, :, lo:hi] = coef[r : r + m, None] * kernel
         wave = np.fft.irfft(spec[:m], n=n_fft)
-        start[:, r : r + m] = wave[..., 0].T
-        out[..., r : r + m] = wave[..., window].transpose(2, 1, 0)
-    return start, out
+        out[..., r : r + m] = wave[..., :n_rows].transpose(2, 1, 0)
+    return out
 
 
 def _spectrum_shape():
@@ -468,19 +471,17 @@ def _spectrum_shape():
 def test_long_window_band_response_keeps_the_irfft_bytes():
     # the benchmark's spectrum run reads most rows, so it keeps the irfft,
     # byte for byte; its 2961 fine steps pad to n_fft = 3000, and a burn-in
-    # of 258 steps makes n_fine = n_fft, so row n_fft wraps to row 0
+    # of 258 steps makes n_fine = n_fft, unpadded
     s, a, coeff, h, nb, n_steps, padded_burn = _spectrum_shape()
     drive = ForcePulse(f0=5.0, sigma=6.0, t1=20.0, omega_f=1.1)
-    for burn, wrapped in ((padded_burn, False), (3000 - n_steps, True)):
+    for burn, unpadded in ((padded_burn, False), (3000 - n_steps, True)):
         n_fft, (lo, hi) = _fast_len(burn + n_steps), s.feedback_band()
-        assert (n_fft == burn + n_steps) is wrapped
+        assert (n_fft == burn + n_steps) is unpadded
         omega = 2.0 * math.pi * np.fft.rfftfreq(n_fft, d=h)
         n_bins = np.count_nonzero((omega >= lo) & (omega <= hi))
         assert not _direct_sum(n_steps, n_bins, n_fft)
-        args = (nb, burn + n_steps, burn, h, s.feedback_band(), coeff, a)
-        (start, rows), (want_start, want_rows) = (
-            f(_batch_rng(3, 0), *args) for f in (_band_response, _irfft_band_response))
-        assert start.tobytes() == want_start.tobytes()
+        args = (nb, burn + n_steps, n_steps, h, s.feedback_band(), coeff, a)
+        rows, want_rows = (f(_batch_rng(3, 0), *args) for f in (_band_response, _irfft_band_response))
         assert rows.tobytes() == want_rows.tobytes()
         # the window is a time-major view of a trajectory-major buffer, and
         # a drive added through it lands on the same rows
@@ -503,7 +504,7 @@ def test_band_response_holds_the_window_and_one_irfft_block(burn):
         n_steps = 300
     tracemalloc.start()
     try:
-        _, rows = _band_response(_batch_rng(3, 0), nb, burn + n_steps, burn, h, s.feedback_band(), coeff, a)
+        rows = _band_response(_batch_rng(3, 0), nb, burn + n_steps, n_steps, h, s.feedback_band(), coeff, a)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -630,8 +631,9 @@ class _StartRecorder(_Chain):
 def test_burn_in_jump_is_the_stepped_burn_in(scheme, g, quality, monkeypatch):
     # B steps of the exact step from rest are, in law, one step of length B h:
     # noise covariance sum_{j<B} Phi^j Sigma_h Phi^jT.  The chain starts at
-    # that jump's noise plus the band response's transient, -Phi^B x_p(0); a
-    # drive enters only through its response from rest, rows B + 1 on
+    # that jump's noise alone, drawn after the band coefficients: the band
+    # response is a stationary input, not a state.  A drive enters only
+    # through its response from rest, rows B + 1 on
     s = SchemeParams(scheme=scheme, g=g, quality=quality, zeta=10.0, theta=1e3, eta=0.8)
     ns, a, nb, seed = noise_strengths(s), _drift(s), 4, 31
     cfg = SimConfig(n_traj=nb, seed=seed, n_steps=2)
@@ -645,13 +647,12 @@ def test_burn_in_jump_is_the_stepped_burn_in(scheme, g, quality, monkeypatch):
     np.testing.assert_allclose(chol @ chol.T, sigma, rtol=1e-12, atol=1e-12 * np.abs(sigma).max())
 
     def expected_start(n_burn, n_steps):
-        rng, x_p0 = _batch_rng(seed, 0), np.zeros((2, nb))
+        rng = _batch_rng(seed, 0)
         if ns.d_fb_cd > 0:
-            band, n_fine = s.feedback_band(), n_burn + n_steps
-            x_p0, _ = _band_response(rng, nb, n_fine, n_burn, h, band, ns.d_fb_cd, a)
+            _band_response(rng, nb, n_burn + n_steps, n_steps, h, s.feedback_band(), ns.d_fb_cd, a)
         if n_burn:
-            return jump[:, 2:] @ rng.standard_normal((2, nb)) - jump[:, :2] @ x_p0, rng
-        return -x_p0, rng
+            return jump[:, 2:] @ rng.standard_normal((2, nb)), rng
+        return np.zeros((2, nb)), rng
 
     drive = ForcePulse(f0=1e3 * s.damping, sigma=burn * h / 20, t1=0.8 * burn * h, omega_f=1.0)
     monkeypatch.setattr("mirrorfb.oracle._Chain", _StartRecorder)
@@ -667,13 +668,13 @@ def test_burn_in_jump_is_the_stepped_burn_in(scheme, g, quality, monkeypatch):
     np.testing.assert_allclose(pushed - still, np.broadcast_to(push, pushed.shape),
                                rtol=0, atol=1e-12 * np.abs(push).max())
 
-    # burn_in_steps=0: no jump, and the first normals drawn feed the first
-    # step; 64 steps put band bins on the FFT grid
+    # burn_in_steps=0: no jump, so every scheme starts at zero, and the first
+    # normals drawn after the band coefficients feed the first step; 64 steps
+    # put band bins on the FFT grid
     monkeypatch.setattr(_StartRecorder, "starts", [])
     simulate(s, replace(cfg, burn_in_steps=0, n_steps=64), force=drive)
     (start, normals, _), = _StartRecorder.starts
     want, rng = expected_start(0, 64)
-    assert start.any() == (ns.d_fb_cd > 0)
     np.testing.assert_array_equal(start, want)
     np.testing.assert_array_equal(normals, rng.standard_normal((64, 2, nb)))
 
