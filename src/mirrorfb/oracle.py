@@ -34,16 +34,17 @@ stored.  The irfft runs a block of trajectories at a time, at most 2 MiB of
 output, and copies each block's window rows into a trajectory-major buffer
 that the chain reads time-major through a transposed view, so neither the
 whole period nor a transposed copy is held.  Each step is one product of
-[Phi, L] with a stacked (q, p, xi) row; a chunk's input responses are added
-into its states in place, which are then reduced, and the spectrum's
-kept-bin DFT is accumulated per chunk.  A paired dt / dt/2 run
-steps the chain at dt/2 and reduces it twice: every state gives the dt/2
-statistics, every second one the dt statistics.
+[Phi, L] with a stacked (q, p, xi) row, and a chunk is about 1 MiB of such
+rows; its input responses are added into its states in place, which are
+then reduced, and the spectrum's kept-bin DFT is accumulated per chunk.  A
+paired dt / dt/2 run steps the chain at dt/2 and reduces it twice: every
+state gives the dt/2 statistics, every second one the dt statistics.
 
 Trajectories are independent work units on SFC64 streams, one per
-fixed-size batch, seeded by spawned children of one SeedSequence(seed), so
-results are bit-reproducible for a given (seed, n_traj, dt) regardless of
-how the batches are executed.
+fixed-size batch, seeded by spawned children of one SeedSequence(seed).  A
+helper thread draws each batch's normals a few blocks ahead of the chain,
+in the order and shapes the batch reads them, so results are
+bit-reproducible for a given (seed, n_traj, dt), whatever the thread timing.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ import bisect
 import functools
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,7 +65,8 @@ from .spectra import SpectrumSeries
 from .steady import MomentSet, NoiseStrengths, ThermalModel, noise_strengths, steady_moments
 
 _BATCH = 2048  # trajectories per SFC64 stream
-_CHUNK = 256  # fine steps of noise drawn, and of (q, p) rows stored, at a time
+_CHUNK = 1 << 20  # bytes of (q, p, xi) rows stepped at a time: 16 steps of 2048 trajectories
+_AHEAD = 3  # blocks of normals the helper thread draws ahead of the chain
 _FFT_BLOCK = 1 << 20  # cap on the direct sum's basis; 2 x _FFT_BLOCK bytes of irfft output per row block
 _BAND_BUDGET = 2 << 30  # bytes of band-force response one batch may hold
 
@@ -81,7 +84,9 @@ class SimConfig:
     counts averaging steps after ``burn_in_steps`` (12 relaxation times when
     None), crossed in one exact jump of length burn_in_steps * dt.  The band
     force noise fills the scheme's ``feedback_band()``; its response is stored
-    for the averaging window only, at most 2 GiB per batch.  The spectrum
+    for the averaging window only, at most 2 GiB per batch.  The chain holds
+    about 1 MiB of steps at a time while a helper thread draws the next
+    normals; the draws depend only on seed, n_traj and dt.  The spectrum
     estimator takes one Hann-tapered periodogram per trajectory over the
     whole window (a boxcar would leak the resonance peak into the wings),
     keeps bins inside ``spectrum_band`` and refuses windows under 16 steps.
@@ -147,20 +152,8 @@ class EnsembleStats:
 
     def to_json(self) -> str:
         # wire format is fixed: exactly these nine fields
-        return json.dumps(
-            {
-                "q2": self.q2,
-                "q2_err": self.q2_err,
-                "p2": self.p2,
-                "p2_err": self.p2_err,
-                "qp": self.qp,
-                "qp_err": self.qp_err,
-                "seed": self.seed,
-                "n_traj": self.n_traj,
-                "dt": self.dt,
-            },
-            allow_nan=False,
-        )
+        keys = ("q2", "q2_err", "p2", "p2_err", "qp", "qp_err", "seed", "n_traj", "dt")
+        return json.dumps({k: getattr(self, k) for k in keys}, allow_nan=False)
 
 
 def dt_bound(s: SchemeParams) -> float:
@@ -257,14 +250,7 @@ def _step_matrix(s: SchemeParams, ns: NoiseStrengths, h: float) -> np.ndarray:
 
 
 def _band_response(
-    rng: np.random.Generator,
-    nb: int,
-    n_fine: int,
-    n_rows: int,
-    h: float,
-    band: tuple[float, float],
-    coeff: float,
-    a: np.ndarray,
+    rng, nb: int, n_fine: int, n_rows: int, h: float, band: tuple[float, float], coeff: float, a: np.ndarray
 ) -> np.ndarray:
     """Periodic (q, p) response x_p to a Gaussian force with two-sided PSD coeff * w^2 in ``band``.
 
@@ -277,20 +263,16 @@ def _band_response(
     Weighted by the resolvent (i w - A)^{-1} b, the irfft samples x_p at the
     step points; when the rows cost fewer operations as a direct sum over
     the bins (see :func:`_direct_sum`), they are evaluated as one matrix
-    product.  The irfft takes blocks of trajectories whose m x 2 x n_fft
-    output stays within 2 MiB, drawing each block's coefficients in stream
-    order, and copies each block's first n_rows into an (nb, 2, n_rows)
-    buffer, so one block of the period is held at a time, never the batch's.
+    product.  The irfft draws and transforms the blocks :func:`_band_grid`
+    plans and copies each one's first n_rows into an (nb, 2, n_rows) buffer,
+    so one block of the period is held at a time, never the batch's.
     Returns rows 0 .. n_rows - 1, time-major (n_rows, 2, nb) as the chain
     reads them: after the irfft a transposed view of that buffer.
     """
-    n_fft = _fast_len(n_fine)  # truncating a stationary process is harmless
-    omega = 2.0 * math.pi * np.fft.rfftfreq(n_fft, d=h)
-    lo = int(np.searchsorted(omega, band[0], side="left"))
-    hi = int(np.searchsorted(omega, band[1], side="right"))
+    n_fft, omega, lo, hi, direct, blocks = _band_grid(nb, n_fine, n_rows, h, band)
     gain = np.sqrt(0.5 * n_fft * coeff / h) * omega[lo:hi]
     kernel = np.linalg.solve(1j * omega[lo:hi, None, None] * np.eye(2) - a, np.array([0.0, 1.0])).T
-    if _direct_sum(n_rows, hi - lo, n_fft):
+    if direct:
         # x_p(j) = sum_k w_k Re(c_k K_k e^{2 pi i j k / n_fft}), w_k = 2 / n_fft
         # (1 / n_fft at bin 0), as the irfft weighs the bins below Nyquist
         k = np.arange(lo, hi)
@@ -299,16 +281,30 @@ def _band_response(
         basis = phase[:, None] * (kernel * weight)  # (row, component, bin)
         basis = np.stack((basis.real, -basis.imag), axis=-1).reshape(2 * n_rows, -1)
         return (basis @ rng.standard_normal((nb, 2 * (hi - lo))).T).reshape(n_rows, 2, nb)
-    rows = max(1, _FFT_BLOCK // (16 * len(omega)))  # m x 2 x n_fft doubles of output: <= 2 MiB
-    spec = np.zeros((min(rows, nb), 2, hi), dtype=np.complex128)  # irfft zero-pads the bins above hi
-    out = np.empty((nb, 2, n_rows))
-    for r in range(0, nb, rows):
-        m = min(rows, nb - r)
-        coef = rng.standard_normal((m, 2 * (hi - lo))).view(np.complex128)  # the same stream, block by block
+    spec = np.zeros((blocks[0][0], 2, hi), dtype=np.complex128)  # irfft zero-pads the bins above hi
+    out, r = np.empty((nb, 2, n_rows)), 0
+    for m, width in blocks:
+        coef = rng.standard_normal((m, width)).view(np.complex128)  # the same stream, block by block
         coef *= gain
         spec[:m, :, lo:hi] = coef[:, None] * kernel
         out[r : r + m] = np.fft.irfft(spec[:m], n=n_fft)[..., :n_rows]
+        r += m
     return out.transpose(2, 1, 0)
+
+
+def _band_grid(nb: int, n_fine: int, n_rows: int, h: float, band: tuple[float, float]):
+    """The band's draw plan, shared by _band_response and _run: (n_fft, omega, lo, hi, direct, blocks).
+
+    Bins lo .. hi - 1 of the period's rfft grid lie in the band; ``blocks`` are the coefficient draws'
+    shapes in stream order: one for the direct sum, else m x 2 x n_fft doubles of irfft output, <= 2 MiB.
+    """
+    n_fft = _fast_len(n_fine)  # truncating a stationary process is harmless
+    omega = 2.0 * math.pi * np.fft.rfftfreq(n_fft, d=h)
+    lo = int(np.searchsorted(omega, band[0], side="left"))
+    hi = int(np.searchsorted(omega, band[1], side="right"))
+    direct = _direct_sum(n_rows, hi - lo, n_fft)
+    rows = nb if direct else max(1, _FFT_BLOCK // (16 * len(omega)))
+    return n_fft, omega, lo, hi, direct, [(min(rows, nb - r), 2 * (hi - lo)) for r in range(0, nb, rows)]
 
 
 def _direct_sum(n_rows: int, n_bins: int, n_fft: int) -> bool:
@@ -361,10 +357,8 @@ class _Periodogram:
     """
 
     def __init__(self, bins: np.ndarray, n_steps: int, nb: int):
-        self.bins = bins
-        self.taper = np.hanning(n_steps)
+        self.bins, self.taper, self.steps = bins, np.hanning(n_steps), 0
         self.dft = np.zeros((2 * len(bins), nb))
-        self.steps = 0
 
     def add(self, q: np.ndarray) -> None:
         """Fold in the next (step, traj) rows of q."""
@@ -385,17 +379,17 @@ class _Chain:
 
     It starts after the burn-in jump, so every step counts.  Row k of the
     time-major buffer holds (q, p) before step k and that step's two normals,
-    so each step is one matmul writing the (q, p) of row k + 1.  After a
-    chunk, its states plus the (step, 2, traj or 1) input response, if any,
-    are reduced into the sums of q^2, p^2, qp, q and p, kept apart by step
-    index modulo ``k``; with k = 2 the odd ones sample every second step, so
-    one chain serves both samplings of a paired run.
+    so each step is one matmul writing the (q, p) of row k + 1.  The buffer
+    holds a chunk of about _CHUNK bytes, or the n_win-step window if shorter.
+    After a chunk, its states plus the (step, 2, traj or 1) input response,
+    if any, are reduced into the sums of q^2, p^2, qp, q and p, kept apart by
+    step index modulo ``k``; with k = 2 the odd ones sample every second
+    step, so one chain serves both samplings of a paired run.
     """
 
-    def __init__(self, matrix: np.ndarray, nb: int, capacity: int, k: int = 1):
-        self.matrix = matrix
-        self.rows = np.zeros((capacity + 1, 4, nb))
-        self.steps = 0
+    def __init__(self, matrix: np.ndarray, nb: int, n_win: int, k: int = 1):
+        self.matrix, self.steps = matrix, 0
+        self.rows = np.zeros((min(n_win, max(1, _CHUNK // (32 * nb))) + 1, 4, nb))  # 4 doubles a trajectory
         self.sums = np.zeros((k, 5, nb))
 
     def advance(self, normals: np.ndarray, response: np.ndarray | None = None) -> np.ndarray:
@@ -404,8 +398,7 @@ class _Chain:
         The states are the buffer's rows 1 .. n with ``response`` added in
         place, after row n, the chain's own state, is kept as the next row 0.
         """
-        n = len(normals)
-        y = self.rows
+        n, y = len(normals), self.rows
         y[:n, 2:] = normals
         m, matmul = self.matrix, np.matmul
         for k in range(n):
@@ -444,57 +437,113 @@ def _batch_rng(seed: int, b: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
 
 
+class _Normals:
+    """A batch's unit normals, drawn on a helper thread that keeps up to _AHEAD blocks ready.
+
+    ``plan`` lists the shapes read, in stream order: the band coefficients'
+    blocks, the burn-in jump's, then one per chunk.  A stream consumes its
+    normals one at a time whatever the shapes, so each block holds the values
+    serial calls give.  A draw's error is raised again in the reader's thread;
+    leaving the ``with`` block joins the thread, and a completed batch must
+    have read the whole plan.
+    """
+
+    def __init__(self, rng: np.random.Generator, plan: list[tuple[int, ...]]):
+        self.plan, self.served, self.ready, self.error, self.stop = plan, 0, [], None, False
+        self.cond = threading.Condition()
+        self.thread = threading.Thread(target=self._draw, args=(rng,), daemon=True)
+        self.thread.start()
+
+    def _draw(self, rng: np.random.Generator) -> None:
+        try:
+            for shape in self.plan:
+                block = rng.standard_normal(shape)
+                with self.cond:
+                    self.cond.wait_for(lambda: self.stop or len(self.ready) < _AHEAD)
+                    if self.stop:
+                        return
+                    self.ready.append(block)
+                    self.cond.notify()
+        except BaseException as exc:  # any error, MemoryError too, is the reader's to raise
+            with self.cond:
+                self.error = exc
+                self.cond.notify()
+
+    def standard_normal(self, shape: tuple[int, ...]) -> np.ndarray:
+        want = self.plan[self.served] if self.served < len(self.plan) else None
+        if tuple(shape) != want:
+            raise RuntimeError(f"read a {shape} block of normals where the plan has {want}")
+        with self.cond:
+            self.cond.wait_for(lambda: self.ready or self.error is not None)
+            if not self.ready:
+                raise self.error
+            self.served += 1
+            self.cond.notify()
+            return self.ready.pop(0)
+
+    def __enter__(self) -> _Normals:
+        return self
+
+    def __exit__(self, kind, *_) -> None:
+        with self.cond:
+            self.stop = True
+            self.cond.notify()
+        self.thread.join()
+        if kind is None and self.served != len(self.plan):
+            raise RuntimeError(f"read {self.served} of {len(self.plan)} planned blocks of normals")
+
+
 def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleStats]:
     """Integrate the ensemble; one EnsembleStats per sampling (dt first when paired)."""
     dt, burn, n_steps = _resolve_config(s, cfg)
     sub = 2 if paired else 1
-    h = dt / sub
-    n_burn, n_fine = sub * burn, sub * (burn + n_steps)
+    h, n_burn, n_fine = dt / sub, sub * burn, sub * (burn + n_steps)
+    n_win, band = n_fine - n_burn, s.feedback_band()
 
-    ns = noise_strengths(s)
-    a = drift(s)
+    ns, a = noise_strengths(s), drift(s)
     needs_fb = ns.d_fb_cd > 0
     if needs_fb:
-        _check_band_budget(n_fine - n_burn, min(_BATCH, cfg.n_traj))
+        _check_band_budget(n_win, min(_BATCH, cfg.n_traj))
     drive = None if force is None else _drive_response(force, a, h, n_fine)[n_burn + 1 :, :, None]
     matrix = _step_matrix(s, ns, h)
     if n_burn:  # burn-in: one exact jump of the white chain from rest; only its noise remains
         jump = _step_matrix(s, ns, n_burn * h)[:, 2:]
 
-    ref = steady_moments(s, ThermalModel.CLASSICAL_DELTA)
-    guard = 1e6 * math.sqrt(max(ref.q2, 1.0))
+    guard = 1e6 * math.sqrt(max(steady_moments(s, ThermalModel.CLASSICAL_DELTA).q2, 1.0))
 
     spectral = cfg.estimator == "spectrum"
     if spectral:
         omegas, bins = _spectrum_bins(cfg, dt, n_steps)
 
-    sums: list[np.ndarray] = []
-    spec_rows: list[np.ndarray] = []
+    sums, spec_rows = [], []  # per batch: (sub, 5, nb) sums, (nb, bins) periodograms
     for b, start in enumerate(range(0, cfg.n_traj, _BATCH)):
         nb = min(_BATCH, cfg.n_traj - start)
-        rng = _batch_rng(cfg.seed, b)
-        response = drive
-        if needs_fb:  # a stationary input: the window reads the first rows of its period
-            response = _band_response(rng, nb, n_fine, n_fine - n_burn, h, s.feedback_band(), ns.d_fb_cd, a)
-            if drive is not None:
-                response += drive
-        pgram = _Periodogram(bins, n_steps, nb) if spectral else None
-        chain = _Chain(matrix, nb, min(_CHUNK, n_fine - n_burn), sub)
-        if n_burn:
-            chain.rows[0, :2] = jump @ rng.standard_normal((2, nb))
-        for j in range(0, n_fine - n_burn, _CHUNK):
-            n = min(_CHUNK, n_fine - n_burn - j)
-            normals = rng.standard_normal((n, 2, nb))  # fine step, normal, traj
-            x = chain.advance(normals, None if response is None else response[j : j + n])
-            if pgram is not None:
-                pgram.add(x[:, 0])
-            peak = float(np.max(np.abs(x[-1, 0])))
-            if not math.isfinite(peak) or peak > guard:
-                raise InstabilityError(
-                    f"|Q| reached {peak:.3g} (guard {guard:.3g}) at step {(n_burn + j + n) // sub} "
-                    f"of {n_fine // sub}; dt = {dt:g}, scheme = {s.scheme.value}, g = {s.g:g}"
-                    + (", paired run" if paired else "")
-                )
+        chain = _Chain(matrix, nb, n_win, sub)
+        chunk = len(chain.rows) - 1
+        plan = _band_grid(nb, n_fine, n_win, h, band)[-1] if needs_fb else []
+        plan += [(2, nb)] * (n_burn > 0) + [(min(chunk, n_win - j), 2, nb) for j in range(0, n_win, chunk)]
+        with _Normals(_batch_rng(cfg.seed, b), plan) as rng:
+            response = drive
+            if needs_fb:  # a stationary input: the window reads the first rows of its period
+                response = _band_response(rng, nb, n_fine, n_win, h, band, ns.d_fb_cd, a)
+                if drive is not None:
+                    response += drive
+            pgram = _Periodogram(bins, n_steps, nb) if spectral else None
+            if n_burn:
+                chain.rows[0, :2] = jump @ rng.standard_normal((2, nb))
+            for j in range(0, n_win, chunk):
+                n = min(chunk, n_win - j)
+                normals = rng.standard_normal((n, 2, nb))  # fine step, normal, traj
+                x = chain.advance(normals, None if response is None else response[j : j + n])
+                if pgram is not None:
+                    pgram.add(x[:, 0])
+                peak = float(np.max(np.abs(x[-1, 0])))
+                if not math.isfinite(peak) or peak > guard:
+                    raise InstabilityError(
+                        f"|Q| reached {peak:.3g} (guard {guard:.3g}) at step {(n_burn + j + n) // sub} "
+                        f"of {n_fine // sub}; dt = {dt:g}, scheme = {s.scheme.value}, g = {s.g:g}"
+                        + (", paired run" if paired else "")
+                    )
         sums.append(chain.sums)
         if pgram is not None:
             spec_rows.append(pgram.power(dt))
@@ -516,16 +565,10 @@ def _run(s: SchemeParams, cfg: SimConfig, force, paired: bool) -> list[EnsembleS
     for vals, step in samplings:
         mu = vals.mean(axis=1)
         se = vals.std(axis=1, ddof=1) / math.sqrt(vals.shape[1])
-        stats.append(
-            EnsembleStats(
-                q2=float(mu[0]), q2_err=float(se[0]),
-                p2=float(mu[1]), p2_err=float(se[1]),
-                qp=float(mu[2]), qp_err=float(se[2]),
-                mean_q=float(mu[3]), mean_q_err=float(se[3]),
-                mean_p=float(mu[4]), mean_p_err=float(se[4]),
-                seed=cfg.seed, n_traj=cfg.n_traj, dt=step, spectrum=spectrum,
-            )
-        )
+        moments = {}
+        for name, m, e in zip(("q2", "p2", "qp", "mean_q", "mean_p"), mu, se):
+            moments.update({name: float(m), name + "_err": float(e)})
+        stats.append(EnsembleStats(**moments, seed=cfg.seed, n_traj=cfg.n_traj, dt=step, spectrum=spectrum))
     return stats
 
 

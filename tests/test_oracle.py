@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -18,7 +20,9 @@ from mirrorfb.oracle import (
     SpectrumEstimate,
     _CHUNK,
     _Chain,
+    _Normals,
     _Periodogram,
+    _band_grid,
     _band_response,
     _batch_rng,
     _check_band_budget,
@@ -515,12 +519,15 @@ def test_band_response_holds_the_window_and_one_irfft_block(burn):
 def test_chain_adds_the_response_in_place():
     # a chunk with an input response allocates well under one (n, 2, nb)
     # chunk: the response is added into the chain's buffer, read through the
-    # band response's time-major view
+    # band response's time-major view.  A long window gets one chunk of
+    # _CHUNK bytes of (q, p, xi) rows: 128 steps of 256 trajectories
     s, nb = SchemeParams(scheme=CD, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8), 256
-    chain = _Chain(_step_matrix(s, noise_strengths(s), 0.5 * dt_bound(s)), nb, _CHUNK)
+    chain = _Chain(_step_matrix(s, noise_strengths(s), 0.5 * dt_bound(s)), nb, 10**6)
+    n = len(chain.rows) - 1
+    assert n == 128 and n * 4 * nb * 8 == _CHUNK
     rng = np.random.default_rng(2)
-    normals = rng.standard_normal((_CHUNK, 2, nb))
-    response = rng.standard_normal((nb, 2, _CHUNK)).transpose(2, 1, 0)
+    normals = rng.standard_normal((n, 2, nb))
+    response = rng.standard_normal((nb, 2, n)).transpose(2, 1, 0)
     chain.advance(normals, response)  # settle first-call allocations
     tracemalloc.start()
     try:
@@ -528,7 +535,7 @@ def test_chain_adds_the_response_in_place():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < _CHUNK * 2 * nb * 8 / 2
+    assert peak < n * 2 * nb * 8 / 2
 
 
 def test_batches_draw_apart_and_runs_repeat(monkeypatch):
@@ -585,10 +592,13 @@ def test_chunked_stepper_matches_plain_loop(stride):
     # the periodogram's one window spans all n_total rows, so it crosses
     # them too.  At stride 2 the chain steps dt/2, and its odd states are
     # the loop's dt states.  The chain starts after burn-in, so every state
-    # counts
+    # counts; 1024 trajectories make a chunk of 32 steps
     s = SchemeParams(scheme=SC, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
-    nb, dt = 6, 0.5 * dt_bound(s)
-    n_total = 3 * (_CHUNK // stride) + 50
+    nb, dt = 1024, 0.5 * dt_bound(s)
+    chain = _Chain(_step_matrix(s, noise_strengths(s), dt / stride), nb, 10**6, stride)
+    chunk = len(chain.rows) - 1
+    assert chunk == 32
+    n_total = 3 * (chunk // stride) + 50
     rng = np.random.default_rng(5)
     xi = rng.standard_normal((n_total, stride, 2, nb))
     response = 3.0 * rng.standard_normal((n_total, stride, 2, nb))
@@ -597,11 +607,10 @@ def test_chunked_stepper_matches_plain_loop(stride):
     y, sums, power, q = _reference_loop(s, dt, stride, xi, response, start, bins)
 
     pgram = _Periodogram(bins, n_total, nb) if stride == 1 else None
-    chain = _Chain(_step_matrix(s, noise_strengths(s), dt / stride), nb, _CHUNK, stride)
     chain.rows[0, :2] = start
     xi, response = (u.reshape(stride * n_total, 2, nb) for u in (xi, response))
-    for j in range(0, stride * n_total, _CHUNK):
-        x = chain.advance(xi[j : j + _CHUNK], response[j : j + _CHUNK])
+    for j in range(0, stride * n_total, chunk):
+        x = chain.advance(xi[j : j + chunk], response[j : j + chunk])
         if pgram is not None:
             pgram.add(x[:, 0])
     checks = [(chain.rows[0, :2], y), (chain.sums[stride - 1], sums), (x[-1, 0], q)]
@@ -680,20 +689,23 @@ def test_burn_in_jump_is_the_stepped_burn_in(scheme, g, quality, monkeypatch):
 
 
 def test_chain_buffer_holds_at_most_the_window(monkeypatch):
-    # the (q, p, xi) buffer holds min(_CHUNK, window) steps: C09's paired
-    # window of 146 fine steps gets capacity 146, a long window one chunk
+    # the (q, p, xi) buffer holds the window or one chunk of _CHUNK bytes,
+    # whichever is shorter: C09's paired window of 146 fine steps gets 146
+    # steps, a long window 16 steps of 2048 trajectories or 128 of 256
     capacities = []
 
     class Recorder(_Chain):
-        def __init__(self, matrix, nb, capacity, *args):
-            capacities.append(capacity)
-            super().__init__(matrix, nb, capacity, *args)
+        def __init__(self, *args):
+            super().__init__(*args)
+            capacities.append(len(self.rows) - 1)
 
     monkeypatch.setattr("mirrorfb.oracle._Chain", Recorder)
     s = SchemeParams(scheme=SC, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
     paired_timestep_stats(s, SimConfig(n_traj=2, n_steps=73, burn_in_steps=16))
-    simulate(s, SimConfig(n_traj=2, n_steps=3 * _CHUNK, burn_in_steps=16))
-    assert capacities == [146, _CHUNK]
+    simulate(s, SimConfig(n_traj=2048, n_steps=50, burn_in_steps=16))
+    simulate(s, SimConfig(n_traj=256, n_steps=300, burn_in_steps=16))
+    assert capacities == [146, 16, 128]
+    assert 16 * 4 * 2048 * 8 == 128 * 4 * 256 * 8 == _CHUNK
 
 
 def test_zero_noise_drive_matches_fine_reference():
@@ -728,8 +740,146 @@ def test_zero_noise_drive_matches_fine_reference():
 def test_instability_guard_trips():
     s = SchemeParams(scheme=Scheme.NONE, quality=30.0, zeta=1.0, theta=10.0, eta=1.0)
     kick = ForcePulse(f0=1e12, sigma=5.0, t1=10.0, omega_f=1.0)
+    threads = set(threading.enumerate())
     with pytest.raises(InstabilityError, match="guard"):
         simulate(s, SimConfig(n_traj=4, seed=1, n_steps=4000), force=kick)
+    assert set(threading.enumerate()) == threads  # the batch's draw thread is joined
+
+
+def test_stream_draws_do_not_depend_on_the_shapes():
+    # the helper thread rests on this property of numpy's Generator: a
+    # stream's standard_normal consumes its normals one at a time, so any
+    # sequence of shapes reads the values of one flat draw
+    pick = np.random.default_rng(6)
+    shapes = [tuple(int(n) for n in pick.integers(1, 60, size=pick.integers(0, 4))) for _ in range(300)]
+    shapes += [(16, 2, 2048), (1,), (43, 2 * 33), (2, 3)]
+    stream = _batch_rng(12, 3)
+    parts = [np.ravel(stream.standard_normal(shape)) for shape in shapes]
+    flat = _batch_rng(12, 3).standard_normal(sum(len(u) for u in parts) + 1)
+    np.testing.assert_array_equal(np.concatenate(parts), flat[:-1])
+    assert stream.standard_normal() == flat[-1]
+
+
+class _ServedRecorder(_Normals):
+    """_Normals that keeps a copy of every block it serves and its plan when the batch ends."""
+
+    batches: list = []
+
+    def __init__(self, rng, plan):
+        super().__init__(rng, plan)
+        self.blocks = []
+
+    def standard_normal(self, shape):
+        block = super().standard_normal(shape)
+        self.blocks.append(block.copy())
+        return block
+
+    def __exit__(self, *exc):
+        super().__exit__(*exc)
+        self.batches.append((list(self.plan), self.served, self.blocks))
+
+
+@pytest.mark.parametrize("run", ["spectrum", "paired-cd"])
+def test_helper_serves_the_serial_stream(run, monkeypatch):
+    # the benchmark's spectrum run draws six irfft blocks of coefficients,
+    # the jump and 22 chunks of at most 128 steps.  A paired C09 cd run over
+    # two batches draws the direct sum's block, the jump, and its 146-step
+    # window as nine chunks of 16 steps and one of 2, then as one chunk for
+    # 52 trajectories.  Each batch reads its whole plan, and every block
+    # holds the serial stream's values
+    monkeypatch.setattr("mirrorfb.oracle._Normals", _ServedRecorder)
+    monkeypatch.setattr(_ServedRecorder, "batches", [])
+    if run == "spectrum":
+        s, a, coeff, h, nb, n_steps, burn = _spectrum_shape()
+        cfg = SimConfig(n_traj=nb, seed=21, dt=h, n_steps=n_steps, burn_in_steps=burn, estimator="spectrum")
+        simulate(s, cfg)
+        assert n_steps == 21 * 128 + 54
+        chunks, direct = [(128, 2, nb)] * 21 + [(54, 2, nb)], False
+    else:
+        s = SchemeParams(scheme=CD, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
+        h = 0.5 * dt_bound(s)
+        n_steps, burn = math.ceil(2.0 / s.damping / h), math.ceil(6.0 / s.damping / h)
+        cfg = SimConfig(n_traj=2048 + 52, seed=22, dt=h, n_steps=n_steps, burn_in_steps=burn)
+        paired_timestep_stats(s, cfg)
+        h, n_steps, burn, nb = h / 2, 2 * n_steps, 2 * burn, 2048
+        chunks, direct = [(16, 2, nb)] * 9 + [(2, 2, nb)], True
+    grid = _band_grid(nb, burn + n_steps, n_steps, h, s.feedback_band())
+    assert grid[4] is direct and len(grid[5]) == (1 if direct else 6)
+    assert _ServedRecorder.batches[0][0] == grid[5] + [(2, nb)] + chunks
+    assert len(_ServedRecorder.batches) == math.ceil(cfg.n_traj / 2048)
+    for b, (plan, served, blocks) in enumerate(_ServedRecorder.batches):
+        assert served == len(plan) == len(blocks)
+        stream = _batch_rng(cfg.seed, b)
+        for shape, block in zip(plan, blocks):
+            np.testing.assert_array_equal(block, stream.standard_normal(shape))
+
+
+def test_helper_serves_the_stream_under_thread_switching():
+    # four readers, each with its own draw thread, on two cores, with the
+    # interpreter switching threads every microsecond: every reader still
+    # gets its batch's serial stream, block for block
+    plan = [(int(n),) for n in np.random.default_rng(3).integers(1, 50, 400)]
+    served = {}
+
+    def read(b):
+        with _Normals(_batch_rng(5, b), plan) as rng:
+            served[b] = [rng.standard_normal(shape) for shape in plan]
+
+    readers = [threading.Thread(target=read, args=(b,)) for b in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for reader in readers:
+            reader.start()
+        for reader in readers:
+            reader.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(reader.is_alive() for reader in readers)
+    for b in range(4):
+        stream = _batch_rng(5, b)
+        for shape, block in zip(plan, served[b], strict=True):
+            np.testing.assert_array_equal(block, stream.standard_normal(shape))
+
+
+class _FailingStream:
+    """A stream whose second draw raises MemoryError."""
+
+    def __init__(self, seed, b):
+        self.rng, self.draws = _batch_rng(seed, b), 0
+
+    def standard_normal(self, shape):
+        self.draws += 1
+        if self.draws == 2:
+            raise MemoryError("second block")
+        return self.rng.standard_normal(shape)
+
+
+def test_helper_thread_ends_with_its_batch(monkeypatch):
+    # no draw thread outlives simulate or paired_timestep_stats, and a draw
+    # that raises reaches the caller with its own type after the thread ends
+    s = SchemeParams(scheme=CD, g=10.0, quality=50.0, zeta=10.0, theta=1e3, eta=0.8)
+    cfg = SimConfig(n_traj=10, seed=4, n_steps=64, burn_in_steps=16)
+    threads = set(threading.enumerate())
+    simulate(s, cfg)
+    paired_timestep_stats(s, cfg)
+    assert set(threading.enumerate()) == threads
+    # the guard trips in the first of 250 chunks of 16 steps, so the thread
+    # is stopped while it waits to draw ahead
+    quiet = SchemeParams(scheme=Scheme.NONE, quality=30.0, zeta=1.0, theta=10.0, eta=1.0)
+    kick = ForcePulse(f0=1e12, sigma=5.0, t1=10.0, omega_f=1.0)
+    with pytest.raises(InstabilityError, match="at step 2896 of"):
+        simulate(quiet, SimConfig(n_traj=2048, seed=1, n_steps=4000), force=kick)
+    assert set(threading.enumerate()) == threads
+    monkeypatch.setattr("mirrorfb.oracle._batch_rng", _FailingStream)
+    for run in (simulate, paired_timestep_stats):
+        with pytest.raises(MemoryError, match="second block") as failure:
+            run(s, cfg)
+        assert failure.type is MemoryError
+        assert set(threading.enumerate()) == threads
+    with pytest.raises(RuntimeError, match="where the plan has"):
+        with _Normals(_batch_rng(1, 0), [(2, 3)]) as rng:
+            rng.standard_normal((3, 2))
 
 
 def test_compare_identical_passes_and_offset_fails():

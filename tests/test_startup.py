@@ -1,5 +1,7 @@
 """Start-up contract: the package, the CLI, every kind of Monte Carlo run and
-the spectral quadratures load no SciPy.
+the spectral quadratures load no SciPy.  The Monte Carlo's draw threads use
+``threading`` alone (no concurrent.futures, queue or multiprocessing) and
+end with their runs.
 
 SciPy is imported only inside the nonstationary erfcx transform, so every
 other path starts without its ~0.6 s import.  The quadratures (integrated
@@ -14,7 +16,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 PROBE = """
-import sys, warnings
+import sys, threading, warnings
 warnings.simplefilter("ignore")
 import mirrorfb
 import mirrorfb.cli
@@ -32,6 +34,9 @@ code = mirrorfb.cli.main(
     ["steady", "--scheme", "cd", "--g", "10", "--Q", "50", "--zeta", "10", "--format", "json"]
 )
 assert code == 0, code
+print("threads:", threading.active_count())
+pools = ("concurrent", "queue", "multiprocessing")
+print("pools:" + ",".join(sorted(m for m in sys.modules if m.split(".")[0] in pools)))
 print("loaded:" + ",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
@@ -43,5 +48,7 @@ def test_common_paths_load_no_scipy():
         [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+    assert "threads: 1\n" in proc.stdout
+    assert "pools:\n" in proc.stdout, proc.stdout
     loaded = proc.stdout.rsplit("loaded:", 1)[-1].strip()
     assert loaded == "", f"scipy modules loaded: {loaded[:300]}"
