@@ -344,9 +344,9 @@ def _at_zeta(s: SchemeParams, zetas: np.ndarray) -> list:
             for z in zetas.tolist()]
 
 
-# id -> (x axis, None for spectra.default_grid(); provenance keys; kind; value rule;
-# curves as (name, provenance head, params, gamma_m T_m or None, provenance tail)).
-# value(s, x, window) is one curve, the window lasting T_m.  The rules look the
+# id -> (x axis, None for spectra.default_grid(); provenance keys; kind; value rule; curves as
+# (name, provenance head, params, gamma_m T_m or None, provenance tail)[; shared(x), once per call]).
+# value(s, x, window[, shared]) is one curve, the window lasting T_m.  The rules look the
 # library up at call time, so patched or traced versions are used.
 _ZETA_KEYS, _FIGURE_KEYS = "g Q theta eta", "g Q zeta theta eta"
 _FIGURES = {
@@ -378,21 +378,24 @@ _FIGURES = {
     9: (np.geomspace(1e-3, 10.0, 60), _FIGURE_KEYS, "SNR",
         lambda s, x, _: nonstat.nonstationary_snr(s, _FORCE, MeasurementWindow(x / s.gamma_m), 1.0),
         [(name, f"fig9;{name}", s, None, "x=gmTm") for name, s in (("cooled", _COOLED), ("bare", _BARE))]),
-    # the cooled mirror spends T_cool = 1e-3 T_m cooling; the bare one measures back to back
+    # the cooled mirror spends T_cool = 1e-3 T_m cooling, the bare one none; both share one arrival signal
     10: (None, _FIGURE_KEYS, "SNR",
-         lambda s, w, win: nonstat.cyclic_avg_snr(s, _FORCE, win, 1e-3 * win.t_m if s is _COOLED else 0.0, w),
+         lambda s, w, win, signal: nonstat.cyclic_avg_snr(
+             s, _FORCE, win, 1e-3 * win.t_m if s is _COOLED else 0.0, w, signal=signal),
          [("cyclic", "fig10;cyclic", _COOLED, 1e-3, "gmTm=0.001;Tcool=0.001Tm"),
-          ("bare", "fig10;bare", _BARE, 1e-3, "gmTm=0.001")]),
+          ("bare", "fig10;bare", _BARE, 1e-3, "gmTm=0.001")],
+         lambda w: nonstat.arrival_signal(_BARE, _FORCE, MeasurementWindow(1e-3 / _BARE.gamma_m), w)),
 }
 
 
 def _figure_curves(n: int) -> list:
     """(name, SpectrumSeries) for each curve of figure ``n``; provenance is head, parameters, tail."""
-    x, keys, kind, value, curves = _FIGURES[n]
+    x, keys, kind, value, curves, *shared = _FIGURES[n]
     x = spectra.default_grid() if x is None else x
+    shared = [f(x) for f in shared]
     out = []
     for name, head, s, gtm, tail in curves:
-        vals = value(s, x, None if gtm is None else MeasurementWindow(gtm / s.gamma_m))
+        vals = value(s, x, None if gtm is None else MeasurementWindow(gtm / s.gamma_m), *shared)
         out.append((name, SpectrumSeries(x, vals, kind, _provenance(s, tail, head=head, keys=keys))))
     return out
 

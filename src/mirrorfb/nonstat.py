@@ -14,11 +14,11 @@ and the SNR contains no free factor.
 
 Curves are evaluated as whole arrays.  A window may hold a 1-d array of
 measurement times, which broadcasts against the frequency grid (one row per
-window), so a sweep over T_m is one call.  The arrival-time average of
-:func:`cyclic_avg_snr` evaluates the pulse transform for a block of arrival
-nodes at once; blocks, rather than all nodes, bound its memory.  Every
-broadcast performs the same elementwise operations, in the same order, as
-the scalar call, so both give the same bits.
+window), so a sweep over T_m is one call.  :func:`arrival_signal` evaluates
+the pulse transform for blocks of arrival nodes at once, and every scheme
+with the same bare mirror, pulse, window and grid shares it in
+:func:`cyclic_avg_snr`.  Every broadcast performs the same elementwise
+operations, in the same order, as the scalar call, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -229,14 +229,30 @@ def nonstationary_snr(s: SchemeParams, force: ForcePulse, win: MeasurementWindow
     return sig / np.sqrt(noise_sq)
 
 
-def cyclic_avg_snr(
-    s: SchemeParams,
-    force: ForcePulse,
-    win: MeasurementWindow,
-    t_cool: float,
-    omega,
-    n_arrival: int = CYCLIC_ARRIVAL_NODES,
-):
+def _check_arrival(win: MeasurementWindow, n_arrival) -> None:
+    if np.ndim(win.t_m):
+        raise ValueError(f"cyclic averaging takes one measurement time, got {np.size(win.t_m)} of them")
+    if isinstance(n_arrival, bool) or not isinstance(n_arrival, (int, np.integer)) or n_arrival < 1:
+        raise ValueError(f"n_arrival must be an integer >= 1, got {n_arrival!r}")
+
+
+def arrival_signal(s: SchemeParams, force: ForcePulse, win: MeasurementWindow, omega, n_arrival=CYCLIC_ARRIVAL_NODES):
+    """Row k: :func:`signal_spectrum` of the bare mirror, ``force`` arriving at t1 = (k + 1/2) T_m / n_arrival."""
+    _check_arrival(win, n_arrival)
+    omega = np.asarray(omega, dtype=float)
+    # midpoint rule over the arrival time; R(omega, t1) is smooth on the
+    # filter scale T_m
+    t1_nodes = (np.arange(n_arrival) + 0.5) * win.t_m / n_arrival
+    chi0_abs = np.abs(chi_freq(s.bare(), omega - 0.5j / win.t_m))
+    sig = np.empty((n_arrival,) + omega.shape)
+    for lo in range(0, n_arrival, _NODE_BLOCK):
+        t1 = t1_nodes[lo : lo + _NODE_BLOCK].reshape((-1,) + (1,) * omega.ndim)
+        sig[lo : lo + _NODE_BLOCK] = chi0_abs * np.abs(_halfline(force, t1, win.t_m, omega))
+    return sig
+
+
+def cyclic_avg_snr(s: SchemeParams, force: ForcePulse, win: MeasurementWindow, t_cool: float, omega,
+                   n_arrival: int = CYCLIC_ARRIVAL_NODES, signal=None):
     """SNR averaged over a uniformly distributed arrival time in [0, T_m].
 
     Models cyclic cool-and-measure operation: each cycle cools with the
@@ -246,19 +262,15 @@ def cyclic_avg_snr(
     stored t1 of ``force`` is ignored.  A no-feedback comparator is the
     same call with g = 0 and t_cool = 0.  Warns when the average's
     estimated relative error exceeds 1%.  The window must hold one
-    measurement time.
-
-    The pulse transform of the arrival nodes comes from one broadcast over
-    a (node, omega) grid per block of ``_NODE_BLOCK`` nodes.  Blocks keep the
-    complex temporaries to that many rows: all 64 nodes of a 400-point grid
-    at once would raise a figure-10 process's peak memory by about 2.3 MiB.
+    measurement time.  ``signal``, if given, is this call's
+    :func:`arrival_signal`, the same for every scheme of one bare mirror.
     """
-    if np.ndim(win.t_m):
-        raise ValueError(f"cyclic averaging takes one measurement time, got {np.size(win.t_m)} of them")
-    if not t_cool >= 0:
-        raise ValueError(f"cooling time must be >= 0, got {t_cool}")
-    if n_arrival < 1:
-        raise ValueError(f"n_arrival must be >= 1, got {n_arrival}")
+    _check_arrival(win, n_arrival)
+    if not 0 <= t_cool < math.inf:
+        raise ValueError(f"cooling time must be finite and >= 0, got {t_cool}")
+    signal = arrival_signal(s, force, win, omega, n_arrival) if signal is None else signal
+    if np.shape(signal) != (n_arrival,) + np.shape(omega):
+        raise ValueError(f"signal must have shape (n_arrival,) + omega.shape = {(n_arrival,) + np.shape(omega)}")
     if t_cool > 0.1 * win.t_m:
         warnings.warn(
             f"cyclic averaging assumes t_cool << t_m (got t_cool = {t_cool:.3g}, "
@@ -266,19 +278,8 @@ def cyclic_avg_snr(
             UserWarning,
             stacklevel=2,
         )
-    omega = np.asarray(omega, dtype=float)
     noise_sq = win.t_m * nonstationary_noise(s, win, omega)
-
-    # midpoint rule over the arrival time; R(omega, t1) is smooth on the
-    # filter scale T_m
-    t1_nodes = (np.arange(n_arrival) + 0.5) * win.t_m / n_arrival
-    shift = omega - 0.5j / win.t_m
-    chi0_abs = np.abs(chi_freq(s.bare(), shift))
-    sig = np.empty((n_arrival,) + omega.shape)
-    for lo in range(0, n_arrival, _NODE_BLOCK):
-        t1 = t1_nodes[lo : lo + _NODE_BLOCK].reshape((-1,) + (1,) * omega.ndim)
-        sig[lo : lo + _NODE_BLOCK] = chi0_abs * np.abs(_halfline(force, t1, win.t_m, omega))
-    snr_nodes = sig / np.sqrt(noise_sq)
+    snr_nodes = signal / np.sqrt(noise_sq)
 
     # the midpoint rule's error is its end correction (h^2/24) [R'(T_m) - R'(0)];
     # each end slope h R' comes from the quadratic through the three nearest

@@ -562,7 +562,8 @@ def test_figure_outputs_match_pins(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "target, figure, calls", [("steady.steady_energy", "2", 4 * 200), ("nonstat.cyclic_avg_snr", "10", 2)]
+    "target, figure, calls",
+    [("steady.steady_energy", "2", 4 * 200), ("nonstat.cyclic_avg_snr", "10", 2), ("nonstat.arrival_signal", "10", 1)],
 )
 def test_figures_call_the_library_at_call_time(tmp_path, capsys, monkeypatch, target, figure, calls):
     # patched and traced library functions must reach the figure table
@@ -579,6 +580,36 @@ def test_figures_call_the_library_at_call_time(tmp_path, capsys, monkeypatch, ta
     monkeypatch.setattr(f"mirrorfb.{target}", counting)
     assert run_cli(capsys, "figure", figure, "--out", str(tmp_path))[0] == 0
     assert len(seen) == calls
+
+
+def test_figure_10_evaluates_erfcx_for_one_arrival_signal(tmp_path, capsys, monkeypatch):
+    # both curves average the bare mirror's signal: 64 arrival nodes x 400
+    # frequencies x 2 pulse terms of erfcx, computed once rather than per curve
+    import scipy.special
+
+    original, points = scipy.special.erfcx, []
+
+    def counting(z):
+        points.append(np.size(z))
+        return original(z)
+
+    monkeypatch.setattr(scipy.special, "erfcx", counting)
+    assert run_cli(capsys, "figure", "10", "--out", str(tmp_path))[0] == 0
+    assert sum(points) == 2 * 64 * 400
+
+
+def test_figure_10_curves_are_the_independent_library_calls():
+    # the shared signal changes no bit of either curve
+    from mirrorfb import cli, nonstat
+    from mirrorfb.spectra import default_grid
+
+    curves = dict(cli._figure_curves(10))
+    grid = default_grid()
+    for name, s, t_cool in (("cyclic", cli._COOLED, 1e-3), ("bare", cli._BARE, 0.0)):
+        win = nonstat.MeasurementWindow(1e-3 / s.gamma_m)
+        want = nonstat.cyclic_avg_snr(s, cli._FORCE, win, t_cool * win.t_m, grid)
+        assert np.array_equal(curves[name].omegas, grid)
+        assert np.array_equal(curves[name].values, want)
 
 
 def test_figure_4_squeezing_dip(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Windowed-measurement tests: signal, nonstationary noise, SNR, cyclic average."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from mirrorfb.core import Scheme, SchemeParams
 from mirrorfb.nonstat import (
     ForcePulse,
     MeasurementWindow,
+    arrival_signal,
     cyclic_avg_snr,
     force_halfline_transform,
     nonstationary_noise,
@@ -392,15 +394,40 @@ def test_non_finite_window_force_and_cooling_time_rejected():
     for bad in ({"f0": math.nan}, {"t1": math.inf}, {"omega_f": -math.inf}, {"sigma": math.nan}, {"sigma": math.inf}):
         with pytest.raises(ValueError, match="force"):
             ForcePulse(**{"f0": 1.0, "sigma": 1.0, "t1": 0.0, **bad})
-    with pytest.raises(ValueError, match="cooling time"):
-        cyclic_avg_snr(make(Scheme.NONE), ForcePulse(1.0, 1.0, 0.0), MeasurementWindow(10.0), math.nan, 1.0)
-    with pytest.raises(ValueError, match="one measurement time"):
-        cyclic_avg_snr(make(Scheme.NONE), ForcePulse(1.0, 1.0, 0.0), MeasurementWindow([10.0, 20.0]), 0.0, 1.0)
+    for t_cool in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="cooling time must be finite and >= 0"):
+            cyclic_avg_snr(make(Scheme.NONE), ForcePulse(1.0, 1.0, 0.0), MeasurementWindow(10.0), t_cool, 1.0)
+    for fn in (arrival_signal, lambda s, force, win, omega: cyclic_avg_snr(s, force, win, 0.0, omega),
+               lambda s, force, win, omega: cyclic_avg_snr(s, force, win, 0.0, omega, signal=np.ones(64))):
+        with pytest.raises(ValueError, match="one measurement time"):
+            fn(make(Scheme.NONE), ForcePulse(1.0, 1.0, 0.0), MeasurementWindow([10.0, 20.0]), 1.0)
 
 
 def test_cyclic_needs_an_arrival_node():
-    with pytest.raises(ValueError, match="n_arrival"):
-        cyclic_avg_snr(make(Scheme.NONE), ForcePulse(1.0, 1.0, 0.0), MeasurementWindow(10.0), 0.0, 1.0, n_arrival=0)
+    # an integer >= 1, NumPy's included; a bool or a float is not a node count
+    args = (make(Scheme.NONE), ForcePulse(1.0, 1.0, 0.0), MeasurementWindow(10.0))
+    for bad in (0, -3, 2.5, 3.0, True, np.float64(4.0), "8", None):
+        message = re.escape(f"n_arrival must be an integer >= 1, got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            cyclic_avg_snr(*args, 0.0, 1.0, n_arrival=bad)
+        with pytest.raises(ValueError, match=message):
+            arrival_signal(*args, 1.0, n_arrival=bad)
+        with pytest.raises(ValueError, match=message):  # also beside a signal of one node
+            cyclic_avg_snr(*args, 0.0, 1.0, n_arrival=bad, signal=np.ones(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # two nodes cannot estimate their error
+        assert cyclic_avg_snr(*args, 0.0, 1.0, n_arrival=np.int64(2)) == cyclic_avg_snr(*args, 0.0, 1.0, n_arrival=2)
+    assert arrival_signal(*args, [1.0, 2.0], n_arrival=np.int32(3)).shape == (3, 2)
+
+
+def test_cyclic_takes_a_signal_of_its_own_shape():
+    s, force, win = make(Scheme.NONE), fig_force(1e-5), MeasurementWindow(1e-3 / 1e-5)
+    grid = default_grid(50)
+    signal = arrival_signal(s, force, win, grid, n_arrival=16)
+    for bad, n_arrival, omega in ((signal, 64, grid), (signal[:, :1], 16, grid), (signal[:, :2], 16, 1.0),
+                                  (signal, 16, grid[:49]), (signal[None], 16, grid)):
+        with pytest.raises(ValueError, match=r"signal must have shape \(n_arrival,\) \+ omega.shape"):
+            cyclic_avg_snr(s, force, win, 0.0, omega, n_arrival=n_arrival, signal=bad)
 
 
 def _figure_10_curves():
@@ -432,14 +459,19 @@ def test_cyclic_error_estimate_fires_when_under_resolved(n_arrival):
 # ------------------------------------------------ whole arrays, bit for bit
 
 
-def _per_node_average(s, force, win, t_cool, omega, n_arrival):
-    """The arrival average as one force_halfline_transform call per node, same operations."""
+def _per_node_signal(s, force, win, omega, n_arrival):
+    """The arrival signal as one force_halfline_transform call per node, same operations."""
     omega = np.asarray(omega, dtype=float)
-    noise_sq = win.t_m * nonstationary_noise(s, win, omega)
     chi0_abs = np.abs(chi_freq(s.bare(), omega - 0.5j / win.t_m))
     nodes = (np.arange(n_arrival) + 0.5) * win.t_m / n_arrival
-    sig = np.array([chi0_abs * np.abs(force_halfline_transform(replace(force, t1=t1), win, omega))
-                    for t1 in nodes.tolist()])
+    return np.array([chi0_abs * np.abs(force_halfline_transform(replace(force, t1=t1), win, omega))
+                     for t1 in nodes.tolist()])
+
+
+def _per_node_average(s, force, win, t_cool, omega, n_arrival):
+    """The arrival average of the per-node signal, same operations."""
+    noise_sq = win.t_m * nonstationary_noise(s, win, np.asarray(omega, dtype=float))
+    sig = _per_node_signal(s, force, win, omega, n_arrival)
     return (sig / np.sqrt(noise_sq)).mean(axis=0) * win.t_m / (win.t_m + t_cool)
 
 
@@ -467,13 +499,18 @@ def _reflection_curve():
 @pytest.mark.parametrize("n_arrival", [1, 2, 9, 64])
 @pytest.mark.parametrize("omega", [default_grid(), 1.0], ids=["grid", "scalar"])
 def test_cyclic_average_is_the_per_node_loop_bit_for_bit(n_arrival, omega):
-    # 9 nodes leave a partial block
+    # 9 nodes leave a partial block; the signal is the public arrival_signal,
+    # and passing it in gives the bits of computing it inside
     for s, force, win, t_cool in (*_figure_10_curves(), *_reflection_curve()):
+        signal = arrival_signal(s, force, win, omega, n_arrival=n_arrival)
+        assert np.array_equal(signal, _per_node_signal(s, force, win, omega, n_arrival))
+        assert signal.shape == (n_arrival,) + np.shape(omega)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             got = cyclic_avg_snr(s, force, win, t_cool, omega, n_arrival=n_arrival)
             want = _per_node_average(s, force, win, t_cool, omega, n_arrival)
-        assert np.array_equal(got, want)
+            shared = cyclic_avg_snr(s, force, win, t_cool, omega, n_arrival=n_arrival, signal=signal)
+        assert np.array_equal(got, want) and np.array_equal(shared, want)
         assert np.shape(got) == np.shape(omega)
 
 
