@@ -155,13 +155,13 @@ def _parse_sweep(text: str) -> tuple[str, np.ndarray]:
         raise ConfigError(f"sweep variable must name a numeric parameter, got {var!r}")
     if n < 1:
         raise ConfigError(f"sweep point count must be >= 1, got {n}")
-    if len(parts) == 5:
-        if parts[4] != "log":
-            raise ConfigError(f"unknown sweep mode {parts[4]!r}")
-        grid = np.geomspace(lo, hi, n)
-    else:
-        grid = np.linspace(lo, hi, n)
-    return var, grid
+    log = len(parts) == 5
+    if log and parts[4] != "log":
+        raise ConfigError(f"unknown sweep mode {parts[4]!r}")
+    for field, x, text in (("lo", lo, parts[1]), ("hi", hi, parts[2])):  # before NumPy sees them
+        if not (math.isfinite(x) and (x > 0 or not log)):
+            raise ConfigError(f"--sweep {field} must be finite{' and > 0 on a log grid' * log}, got {text!r}")
+    return var, (np.geomspace if log else np.linspace)(lo, hi, n)
 
 
 def _emit(path: str | None, text: str) -> None:
@@ -181,16 +181,8 @@ def _emit_json(path: str | None, dump) -> None:
 
 
 def _moments_json(m: steady.MomentSet) -> str:
-    return json.dumps(
-        {
-            "q2": m.q2,
-            "p2": m.p2,
-            "qp": m.qp,
-            "energy_units": m.energy_units,
-            "thermal_model": m.thermal_model.value,
-        },
-        allow_nan=False,
-    )
+    payload = {"q2": m.q2, "p2": m.p2, "qp": m.qp, "energy_units": m.energy_units, "thermal_model": m.thermal_model.value}
+    return json.dumps(payload, allow_nan=False)
 
 
 def _provenance(s: SchemeParams, tail: str = "", head: str = "", keys: str = "scheme g Q zeta theta eta") -> str:
@@ -223,7 +215,9 @@ def _window_time(args, s: SchemeParams) -> float:
 
 
 def _moment_rows(x, m: steady.MomentSet, prov: str) -> list:
-    return [(x, m.q2, "q2", prov), (x, m.p2, "p2", prov), (x, m.qp, "qp", prov), (x, m.energy_units, "energy", prov)]
+    """q2, p2, qp and energy rows at each x: one x and a MomentSet of floats, or arrays of both."""
+    cols = [np.atleast_1d(v).tolist() for v in (x, m.q2, m.p2, m.qp, m.energy_units)]
+    return [(x, v, kind, prov) for x, *vals in zip(*cols) for v, kind in zip(vals, ("q2", "p2", "qp", "energy"))]
 
 
 def _run_steady(args) -> None:
@@ -238,11 +232,8 @@ def _run_steady(args) -> None:
     if args.fmt == "json":
         raise ConfigError("--sweep writes CSV only; drop --format json")
     var, grid = _parse_sweep(args.sweep)
-    prov = _provenance(s, f"sweep={var}")
-    rows = []
-    for x in grid.tolist():
-        rows += _moment_rows(x, steady.steady_moments(replace(s, **{var: x})), prov)
-    _emit(args.out, spectra.rows_to_csv(rows))
+    m = steady.moments_sweep(s, var, grid)
+    _emit(args.out, spectra.rows_to_csv(_moment_rows(grid, m, _provenance(s, f"sweep={var}"))))
 
 
 def _run_spectrum(args) -> None:
@@ -338,12 +329,6 @@ def _cd(g: float, quality: float) -> SchemeParams:
     return SchemeParams(scheme=scheme, g=g, quality=quality, zeta=10, theta=1e5, eta=0.8)
 
 
-def _at_zeta(s: SchemeParams, zetas: np.ndarray) -> list:
-    # one direct construction per point: dataclasses.replace would cost more over the 1,800 points of figures 2-4
-    return [SchemeParams(scheme=s.scheme, g=s.g, quality=s.quality, zeta=z, theta=s.theta, eta=s.eta)
-            for z in zetas.tolist()]
-
-
 # id -> (x axis, None for spectra.default_grid(); provenance keys; kind; value rule; curves as
 # (name, provenance head, params, gamma_m T_m or None, provenance tail)[; shared(x), once per call]).
 # value(s, x, window[, shared]) is one curve, the window lasting T_m.  The rules look the
@@ -351,13 +336,13 @@ def _at_zeta(s: SchemeParams, zetas: np.ndarray) -> list:
 _ZETA_KEYS, _FIGURE_KEYS = "g Q theta eta", "g Q zeta theta eta"
 _FIGURES = {
     2: (np.geomspace(1e-1, 1e9, 200), _ZETA_KEYS, "energy",
-        lambda s, x, _: [steady.steady_energy(p) for p in _at_zeta(s, x)],
+        lambda s, x, _: steady.moments_sweep(s, "zeta", x).energy_units,
         [(f"g{i:02d}", "fig2", _sc(g, 1e7), None, "x=zeta") for i, g in enumerate((10.0, 1e3, 1e5, 1e7))]),
     3: (np.geomspace(1e1, 1e9, 200), _ZETA_KEYS, "energy",
-        lambda s, x, _: [steady.steady_energy(p) for p in _at_zeta(s, x)],
+        lambda s, x, _: steady.moments_sweep(s, "zeta", x).energy_units,
         [(f"Q{i:02d}", "fig3", _sc(1e7, q), None, "x=zeta") for i, q in enumerate((1e3, 1e5, 1e7))]),
     4: (np.geomspace(1e5, 1e11, 200), _ZETA_KEYS, "q2",
-        lambda s, x, _: [steady.steady_moments(p).q2 for p in _at_zeta(s, x)],
+        lambda s, x, _: steady.moments_sweep(s, "zeta", x).q2,
         [(f"g{i:02d}", "fig4", _sc(g, 1e4), None, "x=zeta") for i, g in enumerate((1e7, 1e9))]),
     # gamma_m T_m = 10 sets the overall scale only, kept in the stationary regime
     5: (None, _FIGURE_KEYS, "SNR",
@@ -484,7 +469,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         args.handler(args)
         return 0
-    except (QuadratureError, InstabilityError, FloatingPointError) as exc:
+    except (QuadratureError, InstabilityError, ArithmeticError) as exc:  # also an overflow or a division by 0
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ConfigError, ValueError, OSError) as exc:  # OSError: an unwritable --out

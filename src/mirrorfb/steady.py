@@ -10,7 +10,10 @@ in omega_m = 1 working units.  The classical-delta thermal model treats the
 Brownian force as white noise of rate gamma_m * theta, valid for theta >> 1;
 the exact model replaces the thermal pieces with a coth-weighted quadrature
 over the reservoir band, by the package's adaptive Gauss-Kronrod rule
-(:mod:`mirrorfb._quad`, NumPy only).
+(:mod:`mirrorfb._quad`, NumPy only).  The classical closed form is written
+once: ``steady_moments`` evaluates it at one parameter set, ``moments_sweep``
+over a 1-d array of one numeric field (figures 2-4, ``steady --sweep``), to
+the same bits.
 """
 
 from __future__ import annotations
@@ -69,7 +72,8 @@ class MomentSet:
     thermal_model: ThermalModel = ThermalModel.CLASSICAL_DELTA
 
     def __post_init__(self):
-        if not (self.q2 > 0 and self.p2 > 0):  # also catches NaN
+        positive = (self.q2 > 0) & (self.p2 > 0)  # False at NaN; an array over a sweep
+        if not (positive if isinstance(positive, bool) else positive.all()):
             raise ValueError(f"variances must be positive, got q2={self.q2}, p2={self.p2}")
 
     @property
@@ -83,14 +87,6 @@ class BrownianMoments(NamedTuple):
     p2_bm: float
 
 
-def _coefficients(s: SchemeParams) -> tuple[float, float, float]:
-    """(A, B, D) shorthand; B uses the classical-delta thermal weight."""
-    a = s.g**2 / (8.0 * s.eta * s.zeta)
-    b = s.zeta / 8.0 + s.theta / 2.0
-    d = (1.0 + s.g) * (s.quality**2 + s.g)
-    return a, b, d
-
-
 def _log_correction(s: SchemeParams) -> float:
     """Momentum-variance correction (gamma_m/pi) ln(varpi / (2 pi theta))."""
     if s.theta <= 0:
@@ -98,15 +94,37 @@ def _log_correction(s: SchemeParams) -> float:
     return (s.gamma_m / math.pi) * math.log(s.cutoff_reservoir / (2.0 * math.pi * s.theta))
 
 
-def _p2_feedback_wide(s: SchemeParams) -> float:
-    """Wide-band feedback heating of <P^2>, proportional to the loop cutoff."""
-    cutoff_fb = s.cutoff_reservoir  # wide loop extends to the reservoir cutoff
-    return (s.gamma_m * s.g**2 / (8.0 * s.eta * s.zeta)) * cutoff_fb / math.pi
+def _sq(x):
+    """x**2 by libm pow, as a float's ``**``; NumPy's ``**`` would square an array as x * x."""
+    return np.float_power(x, 2) if isinstance(x, np.ndarray) else x**2
 
 
-def steady_moments(
-    s: SchemeParams, model: ThermalModel = ThermalModel.CLASSICAL_DELTA
-) -> MomentSet:
+def _closed_form(s: SchemeParams, model: ThermalModel = ThermalModel.CLASSICAL_DELTA, **swept):
+    """(q2, p2, qp) of the classical-delta model; ``swept`` gives one numeric field as an array.
+
+    For the exact model q2 and p2 keep only B's back-action weight zeta/8.
+    Only + - * / and ``_sq`` act, so a float and an array element round alike.
+    """
+    if model is ThermalModel.CLASSICAL_DELTA and s.theta == 0:  # stacklevel 3: the public function's caller
+        warnings.warn("classical-delta thermal model with theta = 0: the white-noise "
+                      "approximation assumes hbar omega_m << k_B T", UserWarning, stacklevel=3)
+    g, q, zeta, theta, eta, cutoff = [
+        swept.get(f, getattr(s, f)) for f in ("g", "quality", "zeta", "theta", "eta", "cutoff_reservoir")]
+    a = _sq(g) / (8.0 * eta * zeta)
+    b = zeta / 8.0 + theta / 2.0
+    d = (1.0 + g) * (_sq(q) + g)
+    b_ba = zeta / 8.0 if model is ThermalModel.EXACT_COTH else b
+    if s.scheme is not Scheme.COLD_DAMPING:
+        q2 = a * (1.0 + q * q + g) / d + b_ba * q * q / d
+        return q2, a * q * q / d + b_ba * (g * g + q * q + g) / d, (b * g - a) * q / d
+    q2 = a / (1.0 + g) + b_ba / (1.0 + g)
+    if not s.wide_band:
+        return q2, q2, 0.0
+    # wide-band feedback heating of <P^2>: the loop extends to the reservoir cutoff
+    return q2, b_ba / (1.0 + g) + (1.0 / q) * _sq(g) / (8.0 * eta * zeta) * cutoff / math.pi, 0.0
+
+
+def steady_moments(s: SchemeParams, model: ThermalModel = ThermalModel.CLASSICAL_DELTA) -> MomentSet:
     """Stationary {<Q^2>, <P^2>, <QP+PQ>/2} for the configured scheme.
 
     Cold damping defaults to the narrow-band loop, for which the stationary
@@ -127,38 +145,33 @@ def steady_moments(
     Monte Carlo) 19.064.  "wide" p2 is half the brick-wall omega^2 band's
     integral; C08's factor is 15.58 with it and 12.48 with the integral.
     """
-    if model is ThermalModel.CLASSICAL_DELTA and s.theta == 0:
-        warnings.warn(
-            "classical-delta thermal model with theta = 0: the white-noise "
-            "approximation assumes hbar omega_m << k_B T",
-            UserWarning,
-            stacklevel=2,
-        )
-
-    a, b, d = _coefficients(s)
-    q = s.quality
-    g = s.g
-
-    # the exact model's thermal pieces are added below; back-action stays delta-correlated
-    b_ba = s.zeta / 8.0 if model is ThermalModel.EXACT_COTH else b
-
-    if s.scheme is not Scheme.COLD_DAMPING:
-        q2 = a * (1.0 + q * q + g) / d + b_ba * q * q / d
-        p2 = a * q * q / d + b_ba * (g * g + q * q + g) / d
-        qp = (b * g - a) * q / d
-    else:
-        q2 = a / (1.0 + g) + b_ba / (1.0 + g)
-        p2 = (b_ba / (1.0 + g) + _p2_feedback_wide(s)) if s.wide_band else q2
-        qp = 0.0
-
+    q2, p2, qp = _closed_form(s, model)
     if model is ThermalModel.EXACT_COTH:
         bm = brownian_exact(s)
         q2 += bm.q2_bm
         p2 += bm.p2_bm
     elif model is ThermalModel.CLASSICAL_PLUS_LOG:
         p2 += _log_correction(s)
-
     return MomentSet(q2=q2, p2=p2, qp=qp, thermal_model=model)
+
+
+def moments_sweep(s: SchemeParams, name: str, values) -> MomentSet:
+    """Classical-delta ``steady_moments(replace(s, name=x))`` for each x of a 1-d array.
+
+    One closed-form evaluation gives the scalar calls' bits, as arrays shaped
+    like ``values``.  Every ``SchemeParams`` constraint on a numeric field is
+    an interval, so finite values and valid parameters at the least and the
+    greatest value validate them all, with ``SchemeParams``' messages.
+    """
+    values = np.asarray(values, dtype=float)
+    if name not in ("g", "quality", "zeta", "theta", "eta", "cutoff_reservoir") or values.ndim != 1:
+        raise ValueError(f"a sweep takes a numeric field and a 1-d array, got {name!r} of shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite, got {values[~np.isfinite(values)][0]}")
+    lo = replace(s, **{name: float(values.min())})
+    replace(s, **{name: float(values.max())})
+    with np.errstate(all="raise", under="ignore"):  # an overflow raises, as a float's ** does
+        return MomentSet(*(np.full(values.shape, v) for v in _closed_form(lo, **{name: values})))
 
 
 def _omega_coth(omega: np.ndarray, theta: float) -> np.ndarray:

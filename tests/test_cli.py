@@ -106,6 +106,43 @@ def test_unparsable_spec_names_flag_and_field(capsys, flag, spec, field, bad):
     assert repr(bad) in err
 
 
+@pytest.mark.parametrize(
+    "spec, field, text, log",
+    [
+        ("zeta:-1:10:3:log", "lo", "-1", True),
+        ("zeta:1:0:3:log", "hi", "0", True),
+        ("zeta:1:1e400:3", "hi", "1e400", False),
+        ("zeta:-1e400:1:3", "lo", "-1e400", False),
+        ("theta:nan:1:3", "lo", "nan", False),
+        ("zeta:1:-inf:3:log", "hi", "-inf", True),
+    ],
+)
+def test_bad_sweep_endpoint_is_config_error(capsys, spec, field, text, log):
+    # rejected before the grid is built: NumPy would warn (an error in these tests) or make a NaN
+    code, out, err = run_cli(capsys, "steady", "--scheme", "cd", "--sweep", spec)
+    assert (code, out) == (1, "")
+    assert f"--sweep {field} must be finite{' and > 0 on a log grid' if log else ''}, got {text!r}" in err
+
+
+@pytest.mark.parametrize(
+    "spec, code, message",
+    [("eta:0.5:1.5:3", 1, "efficiency eta must be in (0, 1], got 1.5"), ("theta:0:10:3", 0, ""),
+     ("g:1:1e200:3", 2, "numerical failure: overflow")],
+)
+def test_sweep_exit_codes(capsys, spec, code, message):
+    got, out, err = run_cli(capsys, "steady", "--scheme", "sc", "--g", "1", "--sweep", spec)
+    assert got == code
+    assert message in err
+    assert out.count("\n") == (1 + 4 * 3 if code == 0 else 0)  # header and four rows per point
+
+
+def test_scalar_overflow_is_numerical_failure(capsys):
+    # a float's ** raises OverflowError; the CLI reports it as exit 2, not a traceback
+    code, out, err = run_cli(capsys, "steady", "--scheme", "sc", "--g", "1e200")
+    assert (code, out) == (2, "")
+    assert "numerical failure" in err
+
+
 def test_config_file_with_overrides(tmp_path, capsys):
     cfg = tmp_path / "params.cfg"
     cfg.write_text(
@@ -561,9 +598,23 @@ def test_figure_outputs_match_pins(tmp_path, capsys):
         assert digests == pins[f"figure {n}"]
 
 
+def test_readme_analytic_calls_match_pins(tmp_path, capsys):
+    # the benchmark also pins the README's six analytic invocations (steady-json, steady-sweep, ...)
+    import runpy
+
+    readme_calls = runpy.run_path(str(PINNED_OUTPUTS.with_name("workloads.py")))["README_CALLS"]
+    pins = json.loads(PINNED_OUTPUTS.read_text())
+    assert len(readme_calls) == 6
+    for name, (argv, filename) in readme_calls.items():
+        out = tmp_path / filename
+        assert run_cli(capsys, *argv, "--out", str(out))[0] == 0
+        assert {filename: hashlib.sha256(out.read_bytes()).hexdigest()} == pins[name], name
+
+
 @pytest.mark.parametrize(
     "target, figure, calls",
-    [("steady.steady_energy", "2", 4 * 200), ("nonstat.cyclic_avg_snr", "10", 2), ("nonstat.arrival_signal", "10", 1)],
+    [("steady.moments_sweep", "2", 4), ("steady.moments_sweep", "4", 2), ("nonstat.cyclic_avg_snr", "10", 2),
+     ("nonstat.arrival_signal", "10", 1)],
 )
 def test_figures_call_the_library_at_call_time(tmp_path, capsys, monkeypatch, target, figure, calls):
     # patched and traced library functions must reach the figure table

@@ -15,6 +15,7 @@ from mirrorfb.steady import (
     ThermalModel,
     brownian_exact,
     min_position_variance,
+    moments_sweep,
     noise_strengths,
     optimal_input_power,
     regime_flags,
@@ -352,3 +353,90 @@ def test_thermal_like_at_large_quality():
 def test_min_variance_rejects_non_finite_parameters(g, quality, theta, eta):
     with pytest.raises(ValueError, match="finite"):
         min_position_variance(g, quality, theta, eta)
+
+
+# ------------------------------------------------------------------ sweeps
+
+SWEEP_SETS = {
+    "none": make(Scheme.NONE),
+    "sc": make(SC, g=30.0),
+    "cd_narrow": make(CD, g=30.0),
+    "cd_wide": make(CD, g=30.0, cutoff_feedback="wide"),
+}
+# log-spaced values of each numeric field, valid in every set above (g only where the loop is closed)
+SWEEP_RANGES = {"g": (1e-2, 1e7), "quality": (1e-1, 1e8), "zeta": (1e-3, 1e9), "theta": (0.5, 1e7),
+                "eta": (1e-3, 1.0), "cutoff_reservoir": (1.0, 1e6)}
+
+
+def pow_differs(lo, hi, n=6):
+    """n values on [lo, hi] whose libm square pow(x, 2) is not the rounded product x * x."""
+    found = [x for x in np.geomspace(lo, hi, 50_000).tolist() if x**2 != x * x]
+    assert len(found) >= n  # about one value in a thousand
+    return found[:: len(found) // n][:n]
+
+
+@pytest.mark.parametrize("name", SWEEP_RANGES)
+@pytest.mark.parametrize("which", SWEEP_SETS)
+def test_sweep_matches_scalar_calls_bit_for_bit(which, name):
+    s = SWEEP_SETS[which]
+    if which == "none" and name == "g":
+        values = np.zeros(3)  # the open loop has only g = 0
+    else:
+        values = np.sort(np.concatenate([np.geomspace(*SWEEP_RANGES[name], 31), pow_differs(*SWEEP_RANGES[name])]))
+    got = moments_sweep(s, name, values)
+    want = [steady_moments(replace(s, **{name: x})) for x in values.tolist()]
+    assert got.thermal_model is ThermalModel.CLASSICAL_DELTA
+    for moment in ("q2", "p2", "qp", "energy_units"):
+        column = getattr(got, moment)
+        assert isinstance(column, np.ndarray) and column.shape == values.shape
+        assert column.tobytes() == np.array([getattr(m, moment) for m in want]).tobytes(), moment
+
+
+@pytest.mark.parametrize("which", SWEEP_SETS)
+def test_scalar_moments_are_python_floats(which):
+    m = steady_moments(SWEEP_SETS[which])
+    assert [type(v) for v in (m.q2, m.p2, m.qp, m.energy_units)] == [float] * 4
+
+
+@pytest.mark.parametrize(
+    "s, name, values",
+    [
+        pytest.param(make(SC, g=1.0), "eta", np.linspace(0.5, 1.5, 3), id="eta_above_one"),
+        pytest.param(make(SC, g=1.0), "zeta", [1.0, 0.0], id="zeta_zero"),
+        pytest.param(make(CD, g=1.0), "zeta", [3.0, -2.0, 1.0], id="zeta_negative"),
+        pytest.param(make(CD, g=1.0), "theta", [1.0, math.nan], id="theta_nan"),
+        pytest.param(make(SC, g=1.0), "quality", [1.0, math.inf], id="quality_inf"),
+        pytest.param(make(Scheme.NONE), "g", [0.0, 2.0], id="gain_without_a_loop"),
+    ],
+)
+def test_sweep_rejects_with_the_scheme_params_message(s, name, values):
+    # each case fails first at the value the sweep checks, so the scalar loop gives the same text
+    with pytest.raises(ValueError) as want:
+        [replace(s, **{name: x}) for x in values]
+    with pytest.raises(ValueError) as got:
+        moments_sweep(s, name, values)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("name, values", [("cutoff_feedback", [1.0]), ("scheme", [1.0]), ("zeta", [[1.0, 2.0]])])
+def test_sweep_takes_one_numeric_field_and_a_1d_array(name, values):
+    with pytest.raises(ValueError, match="numeric field and a 1-d array"):
+        moments_sweep(make(SC, g=1.0), name, values)
+
+
+def test_sweep_at_zero_theta_warns_once():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        moments_sweep(make(CD, g=1.0), "theta", [0.0, 0.0, 1.0])
+        moments_sweep(make(CD, g=1.0, theta=0.0), "zeta", [1.0, 2.0, 3.0])
+        moments_sweep(make(CD, g=1.0), "theta", [1.0, 2.0])
+    assert [w.category for w in caught] == [UserWarning] * 2
+    assert all("theta = 0" in str(w.message) and w.filename == __file__ for w in caught)
+
+
+def test_sweep_overflow_is_a_floating_point_error():
+    # a float's ** raises OverflowError here; the sweep raises rather than return inf
+    with pytest.raises(OverflowError):
+        steady_moments(make(SC, g=1e200))
+    with pytest.raises(FloatingPointError, match="overflow"):
+        moments_sweep(make(SC, g=1.0), "g", [1.0, 1e200])
