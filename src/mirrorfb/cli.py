@@ -21,7 +21,7 @@ import numpy as np
 
 from . import nonstat, oracle, spectra, steady
 from ._quad import QuadratureError
-from .core import PhysicalParams, Scheme, SchemeParams, classical_steady_amplitude, to_dimensionless
+from .core import NUMERIC_FIELDS, PhysicalParams, Scheme, SchemeParams, classical_steady_amplitude, to_dimensionless
 from .nonstat import ForcePulse, MeasurementWindow
 from .oracle import InstabilityError, SimConfig
 from .spectra import SpectrumSeries
@@ -36,7 +36,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-_SCHEMES = {"none": Scheme.NONE, "sc": Scheme.STOCHASTIC_COOLING, "cd": Scheme.COLD_DAMPING}
+_SCHEME_NAMES = tuple(m.value for m in Scheme)
 
 _PHYSICAL_KEYS = {f.name for f in fields(PhysicalParams)} | {"detuning", "beta"}
 _SCHEME_KEYS = {f.name for f in fields(SchemeParams)}
@@ -98,21 +98,18 @@ def _params_from_mapping(kv: dict[str, str]) -> SchemeParams:
         raise ConfigError(f"unknown parameter keys: {sorted(unknown)}")
 
     scheme = kv.pop("scheme", "none")
-    if scheme not in _SCHEMES:
-        raise ConfigError(f"scheme must be one of {sorted(_SCHEMES)}, got {scheme!r}")
+    if scheme not in _SCHEME_NAMES:
+        raise ConfigError(f"scheme must be one of {sorted(_SCHEME_NAMES)}, got {scheme!r}")
     if set(kv) & {f.name for f in fields(PhysicalParams)}:
-        return _physical_params(kv, _SCHEMES[scheme])
+        return _physical_params(kv, Scheme(scheme))
 
-    kwargs: dict = {"scheme": _SCHEMES[scheme]}
+    kwargs: dict = {"scheme": Scheme(scheme)}
     for key, val in kv.items():
         if key == "cutoff_feedback":
             kwargs[key] = _parse_cutoff_feedback(val, key)
         else:
             kwargs[key] = _number(float, val, f"config key {key!r}")
-    try:
-        return SchemeParams(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return SchemeParams(**kwargs)  # its ValueError is exit 1, as a ConfigError is
 
 
 def _physical_params(kv: dict[str, str], scheme: Scheme) -> SchemeParams:
@@ -138,7 +135,7 @@ def _build_params(args) -> SchemeParams:
     names = ("g", "quality", "zeta", "theta", "eta")
     overrides = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     if args.scheme is not None:
-        overrides["scheme"] = _SCHEMES[args.scheme]
+        overrides["scheme"] = Scheme(args.scheme)
     if args.fb_band is not None:
         overrides["cutoff_feedback"] = _parse_cutoff_feedback(args.fb_band)
     return replace(s, **overrides) if overrides else s
@@ -151,7 +148,7 @@ def _parse_sweep(text: str) -> tuple[str, np.ndarray]:
     var = parts[0]
     lo, hi = _number(float, parts[1], "--sweep lo"), _number(float, parts[2], "--sweep hi")
     n = _number(int, parts[3], "--sweep n")
-    if var not in _SCHEME_KEYS or var in ("scheme", "cutoff_feedback"):
+    if var not in NUMERIC_FIELDS:
         raise ConfigError(f"sweep variable must name a numeric parameter, got {var!r}")
     if n < 1:
         raise ConfigError(f"sweep point count must be >= 1, got {n}")
@@ -161,6 +158,8 @@ def _parse_sweep(text: str) -> tuple[str, np.ndarray]:
     for field, x, text in (("lo", lo, parts[1]), ("hi", hi, parts[2])):  # before NumPy sees them
         if not (math.isfinite(x) and (x > 0 or not log)):
             raise ConfigError(f"--sweep {field} must be finite{' and > 0 on a log grid' * log}, got {text!r}")
+    if not math.isfinite(hi - lo):  # np.linspace would overflow in its subtraction
+        raise ConfigError(f"--sweep {var}: hi - lo must be finite, got {parts[2]} - ({parts[1]})")
     return var, (np.geomspace if log else np.linspace)(lo, hi, n)
 
 
@@ -409,7 +408,7 @@ def build_parser() -> _Parser:
         p.add_argument("--out", dest="out", help="output path (stdout if omitted)")
         if params:
             p.add_argument("--config", help="flat key/value parameter file")
-            p.add_argument("--scheme", choices=tuple(_SCHEMES), default=None)
+            p.add_argument("--scheme", choices=_SCHEME_NAMES, default=None)
             p.add_argument("--g", type=_finite_float, default=None, help="feedback gain g1/g2")
             p.add_argument("--Q", dest="quality", metavar="Q", type=_finite_float, help="mechanical quality factor")
             p.add_argument("--zeta", type=_finite_float, default=None, help="rescaled input power")

@@ -26,6 +26,9 @@ DEFAULT_RESERVOIR_CUTOFF = 1.0e3
 #: effective damping gamma_m * (1 + g)
 NARROW_BAND_WIDTHS = 10.0
 
+#: the numeric fields of ``SchemeParams``, in field order
+NUMERIC_FIELDS = ("g", "quality", "zeta", "theta", "eta", "cutoff_reservoir")
+
 
 class Scheme(Enum):
     """Feedback scheme acting on the mirror."""
@@ -81,7 +84,7 @@ class SchemeParams:
     def __post_init__(self):
         if not isinstance(self.scheme, Scheme):
             raise ValueError(f"scheme must be a Scheme, got {self.scheme!r}")
-        for name in ("g", "quality", "zeta", "theta", "eta", "cutoff_reservoir"):
+        for name in NUMERIC_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.g < 0:
@@ -252,10 +255,9 @@ def classical_steady_amplitude(p: PhysicalParams, detuning: float = 0.0) -> Bist
                 break
             x -= f / df
         roots.append(x)
-    roots = sorted(set(roots))
-    # collapse near-duplicates left by root polishing
+    # collapse duplicates, exact or left by root polishing
     dedup: list[float] = []
-    for x in roots:
+    for x in sorted(roots):
         if not dedup or abs(x - dedup[-1]) > 1e-9 * abs(x):
             dedup.append(x)
     roots = dedup

@@ -32,7 +32,7 @@ import numpy as np
 from .core import SchemeParams
 from .response import chi_freq
 from .spectra import shot_noise_floor
-from .steady import ThermalModel, steady_moments
+from .steady import ThermalModel, _sq, steady_moments
 
 #: default number of arrival-time nodes for the cyclic average
 CYCLIC_ARRIVAL_NODES = 64
@@ -143,9 +143,7 @@ def _halfline(force: ForcePulse, t1, t_m, omega):
     omega = np.asarray(omega, dtype=complex)
     s_lap = 1.0 / (2.0 * t_m) + 1j * omega
     sig = force.sigma
-    # float_power is libm's pow, as Python's float ** is; an array's ** 2
-    # squares instead, which differs in the last bit for about 1 in 1000
-    gauss = np.exp(-np.float_power(t1, 2) / (2.0 * sig**2))
+    gauss = np.exp(-_sq(t1) / (2.0 * sig**2))
     total = 0.0
     for sign in (+1.0, -1.0):
         a = s_lap - 1j * sign * force.omega_f
@@ -209,7 +207,7 @@ def nonstationary_noise(s: SchemeParams, win: MeasurementWindow, omega):
     half = 0.5 / t_m
     chi0_sq = np.abs(chi_freq(s.bare(), omega - 1j * half)) ** 2
     bracket = (
-        (omega**2 + np.float_power(half + gm, 2)) * moments.q2  # libm pow, see _halfline
+        (omega**2 + _sq(half + gm)) * moments.q2
         + moments.p2
         + (gm + half) * (2.0 * moments.qp)
         + gm * t_m * (s.zeta / 4.0 + s.theta)

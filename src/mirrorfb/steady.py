@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._quad import quad_spectrum
-from .core import Scheme, SchemeParams
+from .core import NUMERIC_FIELDS, Scheme, SchemeParams
 from .response import chi_freq
 
 
@@ -72,8 +72,7 @@ class MomentSet:
     thermal_model: ThermalModel = ThermalModel.CLASSICAL_DELTA
 
     def __post_init__(self):
-        positive = (self.q2 > 0) & (self.p2 > 0)  # False at NaN; an array over a sweep
-        if not (positive if isinstance(positive, bool) else positive.all()):
+        if not np.all((self.q2 > 0) & (self.p2 > 0)):  # False at NaN; arrays over a sweep
             raise ValueError(f"variances must be positive, got q2={self.q2}, p2={self.p2}")
 
     @property
@@ -108,8 +107,7 @@ def _closed_form(s: SchemeParams, model: ThermalModel = ThermalModel.CLASSICAL_D
     if model is ThermalModel.CLASSICAL_DELTA and s.theta == 0:  # stacklevel 3: the public function's caller
         warnings.warn("classical-delta thermal model with theta = 0: the white-noise "
                       "approximation assumes hbar omega_m << k_B T", UserWarning, stacklevel=3)
-    g, q, zeta, theta, eta, cutoff = [
-        swept.get(f, getattr(s, f)) for f in ("g", "quality", "zeta", "theta", "eta", "cutoff_reservoir")]
+    g, q, zeta, theta, eta, cutoff = [swept.get(f, getattr(s, f)) for f in NUMERIC_FIELDS]
     a = _sq(g) / (8.0 * eta * zeta)
     b = zeta / 8.0 + theta / 2.0
     d = (1.0 + g) * (_sq(q) + g)
@@ -133,7 +131,7 @@ def steady_moments(s: SchemeParams, model: ThermalModel = ThermalModel.CLASSICAL
     proportional to the loop cutoff.  The cross moment qp always uses the
     classical thermal weight (its quadrature carries no cutoff ambiguity).
 
-    Known gaps, open as item 1 of ROADMAP.md: the narrow band's q2 uses the
+    Known gaps, open as item 5 of ROADMAP.md: the narrow band's q2 uses the
     full-line feedback term a/(1+g), while the spectra and the Monte Carlo
     keep the feedback noise inside ``feedback_band()``: at the paper's point
     (cold damping, g = 2e3, Q = 1e5, zeta = 10, theta = 1e5, eta = 0.8)
@@ -164,7 +162,7 @@ def moments_sweep(s: SchemeParams, name: str, values) -> MomentSet:
     greatest value validate them all, with ``SchemeParams``' messages.
     """
     values = np.asarray(values, dtype=float)
-    if name not in ("g", "quality", "zeta", "theta", "eta", "cutoff_reservoir") or values.ndim != 1:
+    if name not in NUMERIC_FIELDS or values.ndim != 1:
         raise ValueError(f"a sweep takes a numeric field and a 1-d array, got {name!r} of shape {values.shape}")
     if not np.isfinite(values).all():
         raise ValueError(f"{name} must be finite, got {values[~np.isfinite(values)][0]}")

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from mirrorfb.cli import build_parser, main
-from mirrorfb.core import PhysicalParams, Scheme, SchemeParams, to_dimensionless
+from mirrorfb.core import NUMERIC_FIELDS, PhysicalParams, Scheme, SchemeParams, to_dimensionless
 from mirrorfb.spectra import FLOAT_FMT, position_noise_spectrum
-from mirrorfb.steady import steady_moments
+from mirrorfb.steady import moments_sweep, steady_moments
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -127,13 +127,43 @@ def test_bad_sweep_endpoint_is_config_error(capsys, spec, field, text, log):
 @pytest.mark.parametrize(
     "spec, code, message",
     [("eta:0.5:1.5:3", 1, "efficiency eta must be in (0, 1], got 1.5"), ("theta:0:10:3", 0, ""),
-     ("g:1:1e200:3", 2, "numerical failure: overflow")],
+     ("g:1:1e200:3", 2, "numerical failure: overflow"),
+     ("zeta:-1e308:1e308:3", 1, "--sweep zeta: hi - lo must be finite, got 1e308 - (-1e308)"),
+     ("theta:-1e308:1e308:3", 1, "--sweep theta: hi - lo must be finite, got 1e308 - (-1e308)")],
 )
 def test_sweep_exit_codes(capsys, spec, code, message):
     got, out, err = run_cli(capsys, "steady", "--scheme", "sc", "--g", "1", "--sweep", spec)
     assert got == code
     assert message in err
     assert out.count("\n") == (1 + 4 * 3 if code == 0 else 0)  # header and four rows per point
+
+
+@pytest.mark.parametrize("span", ["-1:2", "1:2", "1:1e200"])
+@pytest.mark.parametrize("name", NUMERIC_FIELDS)
+def test_sweep_of_each_numeric_field_exits_as_the_library_call(capsys, name, span):
+    # the sweep variables are core's numeric fields: each exits as moments_sweep behaves, with its message
+    s = SchemeParams(scheme=Scheme.STOCHASTIC_COOLING, g=1.0, theta=1.0)
+    grid = np.linspace(*map(float, span.split(":")), 3)
+    got = run_cli(capsys, "steady", "--scheme", "sc", "--g", "1", "--theta", "1", "--sweep", f"{name}:{span}:3")
+    try:
+        m = moments_sweep(s, name, grid)
+    except ValueError as exc:
+        assert got == (1, "", f"error: invalid configuration: {exc}\n")
+    except ArithmeticError as exc:
+        assert got == (2, "", f"error: numerical failure: {exc}\n")
+    else:
+        want = [[FLOAT_FMT.format(x), FLOAT_FMT.format(v), kind]
+                for x, *vals in zip(grid, m.q2, m.p2, m.qp, m.energy_units)
+                for v, kind in zip(vals, ("q2", "p2", "qp", "energy"))]
+        assert got[0] == 0
+        assert [line.split(",")[:3] for line in got[1].strip().split("\n")[1:]] == want
+
+
+@pytest.mark.parametrize("name", ["scheme", "cutoff_feedback"])
+def test_non_numeric_field_is_not_a_sweep_variable(capsys, name):
+    code, out, err = run_cli(capsys, "steady", "--sweep", f"{name}:1:2:3")
+    assert (code, out) == (1, "")
+    assert f"sweep variable must name a numeric parameter, got {name!r}" in err
 
 
 def test_scalar_overflow_is_numerical_failure(capsys):
@@ -489,6 +519,13 @@ def test_subcommand_flag_sets():
     }
     assert flags == SUBCOMMAND_FLAGS
     assert sum(map(len, flags.values())) == 92
+
+
+def test_scheme_choices_are_the_enum_values():
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    choices = [list(action.choices) for parser in subparsers.choices.values()
+               for action in parser._actions if "--scheme" in action.option_strings]
+    assert choices == [[m.value for m in Scheme]] * 6  # every subcommand but figure
 
 
 UNREAD_OR_EMPTY = [

@@ -880,6 +880,11 @@ def test_helper_thread_ends_with_its_batch(monkeypatch):
     with pytest.raises(RuntimeError, match="where the plan has"):
         with _Normals(_batch_rng(1, 0), [(2, 3)]) as rng:
             rng.standard_normal((3, 2))
+    # a batch that leaves the with block normally must have read its whole plan
+    with pytest.raises(RuntimeError, match="read 1 of 2 planned blocks"):
+        with _Normals(_batch_rng(1, 0), [(2, 3), (2, 3)]) as rng:
+            rng.standard_normal((2, 3))
+    assert set(threading.enumerate()) == threads
 
 
 def test_compare_identical_passes_and_offset_fails():
