@@ -100,7 +100,7 @@ def _params_from_mapping(kv: dict[str, str]) -> SchemeParams:
     scheme = kv.pop("scheme", "none")
     if scheme not in _SCHEME_NAMES:
         raise ConfigError(f"scheme must be one of {sorted(_SCHEME_NAMES)}, got {scheme!r}")
-    if set(kv) & {f.name for f in fields(PhysicalParams)}:
+    if set(kv) & _PHYSICAL_KEYS:  # detuning and beta too: they need the lab-unit fields
         return _physical_params(kv, Scheme(scheme))
 
     kwargs: dict = {"scheme": Scheme(scheme)}
@@ -132,8 +132,7 @@ def _physical_params(kv: dict[str, str], scheme: Scheme) -> SchemeParams:
 def _build_params(args) -> SchemeParams:
     kv = _parse_config_file(args.config) if args.config else {}
     s = _params_from_mapping(kv) if kv else SchemeParams()
-    names = ("g", "quality", "zeta", "theta", "eta")
-    overrides = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    overrides = {n: v for n in NUMERIC_FIELDS if (v := getattr(args, n, None)) is not None}  # cutoff_reservoir: no flag
     if args.scheme is not None:
         overrides["scheme"] = Scheme(args.scheme)
     if args.fb_band is not None:

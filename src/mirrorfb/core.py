@@ -26,9 +26,6 @@ DEFAULT_RESERVOIR_CUTOFF = 1.0e3
 #: effective damping gamma_m * (1 + g)
 NARROW_BAND_WIDTHS = 10.0
 
-#: the numeric fields of ``SchemeParams``, in field order
-NUMERIC_FIELDS = ("g", "quality", "zeta", "theta", "eta", "cutoff_reservoir")
-
 
 class Scheme(Enum):
     """Feedback scheme acting on the mirror."""
@@ -142,6 +139,10 @@ class SchemeParams:
     def bare(self) -> "SchemeParams":
         """Same bath/readout parameters with the feedback loop open."""
         return replace(self, scheme=Scheme.NONE, g=0.0)
+
+
+#: the numeric fields of ``SchemeParams``, in field order (annotations are strings here)
+NUMERIC_FIELDS = tuple(f.name for f in fields(SchemeParams) if f.type == "float")
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,8 @@ class MomentSet:
     thermal_model: ThermalModel = ThermalModel.CLASSICAL_DELTA
 
     def __post_init__(self):
-        if not np.all((self.q2 > 0) & (self.p2 > 0)):  # False at NaN; arrays over a sweep
+        positive = (self.q2 > 0) & (self.p2 > 0)  # False at NaN; an array over a sweep
+        if not (positive if isinstance(positive, bool) else positive.all()):
             raise ValueError(f"variances must be positive, got q2={self.q2}, p2={self.p2}")
 
     @property

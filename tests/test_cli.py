@@ -560,6 +560,10 @@ CONFIG_ERRORS = [
     pytest.param(("steady", "--config", "{cfg}", "--scheme", "cd", "--format", "json"),
                  "".join(f"{k} = {v}\n" for k, v in {**LAB, "feedback_bandwidth": 0}.items()),
                  "feedback_bandwidth must be > 0", id="lab_feedback_bandwidth_zero"),
+    pytest.param(("steady", "--config", "{cfg}"), "scheme = sc\ng = 1\nbeta = 100\n",
+                 "unexpected keyword argument 'g'", id="beta_with_working_units"),
+    pytest.param(("steady", "--config", "{cfg}"), "detuning = 0.1\n", "missing 9 required positional arguments",
+                 id="detuning_without_lab_units"),
     pytest.param(("steady", "--sweep", "zeta:1:10"), None, "sweep spec must be var:lo:hi:n[:log]", id="sweep_too_short"),
     pytest.param(("steady", "--sweep", "zeta:1:10:3:lin"), None, "unknown sweep mode 'lin'", id="sweep_mode"),
     pytest.param(("spectrum", "--omin", "0"), None, "invalid frequency grid", id="grid_at_zero"),
