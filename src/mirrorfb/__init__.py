@@ -5,6 +5,8 @@ cavity mirror under position (stochastic-cooling) or velocity (cold-damping)
 feedback, cross-validated by a Monte Carlo Langevin simulator.
 """
 
+from types import ModuleType as _Module
+
 from .core import (
     BistabilityResult,
     PhysicalParams,
@@ -55,45 +57,5 @@ from .steady import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BistabilityResult",
-    "BrownianMoments",
-    "CompareReport",
-    "EnsembleStats",
-    "ForcePulse",
-    "InstabilityError",
-    "KernelSet",
-    "MeasurementWindow",
-    "MomentSet",
-    "NoiseStrengths",
-    "PhysicalParams",
-    "Scheme",
-    "SchemeParams",
-    "SimConfig",
-    "SpectrumSeries",
-    "ThermalModel",
-    "brownian_exact",
-    "chi_freq",
-    "chi_time",
-    "classical_steady_amplitude",
-    "compare",
-    "cyclic_avg_snr",
-    "default_grid",
-    "detected_noise_spectrum",
-    "kernels",
-    "min_position_variance",
-    "noise_strengths",
-    "nonstationary_noise",
-    "nonstationary_snr",
-    "optimal_input_power",
-    "optimal_power_at_frequency",
-    "paired_timestep_stats",
-    "position_noise_spectrum",
-    "regime_flags",
-    "signal_spectrum",
-    "simulate",
-    "stationary_snr",
-    "steady_energy",
-    "steady_moments",
-    "to_dimensionless",
-]
+# every public name imported above, in sorted order; the submodules are not exported
+__all__ = sorted(n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, _Module))

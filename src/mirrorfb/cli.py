@@ -4,7 +4,8 @@ Outputs are deterministic: fixed float formatting (12 significant digits),
 stable row ordering, and fixed Monte Carlo seeds, so identical invocations
 produce byte-identical files.
 
-Exit codes: 0 success, 1 invalid configuration, 2 numerical failure.
+Exit codes: 0 success, 1 invalid configuration, 2 numerical failure (a NumPy
+overflow, division by zero or invalid operation included).
 """
 
 from __future__ import annotations
@@ -465,9 +466,10 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        args.handler(args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):  # whatever the warnings filter
+            args.handler(args)
         return 0
-    except (QuadratureError, InstabilityError, ArithmeticError) as exc:  # also an overflow or a division by 0
+    except (QuadratureError, InstabilityError, ArithmeticError) as exc:  # also a NumPy float error
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ConfigError, ValueError, OSError) as exc:  # OSError: an unwritable --out

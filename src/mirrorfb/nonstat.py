@@ -19,11 +19,16 @@ the pulse transform for blocks of arrival nodes at once, and every scheme
 with the same bare mirror, pulse, window and grid shares it in
 :func:`cyclic_avg_snr`.  Every broadcast performs the same elementwise
 operations, in the same order, as the scalar call, so both give the same bits.
+SciPy's ``erfcx`` releases the GIL, so the caller fills the first half of the
+node blocks while one helper thread fills the second; each row still takes the
+same operations, and the helper is joined before the call returns or raises.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -37,7 +42,7 @@ from .steady import ThermalModel, _sq, steady_moments
 #: default number of arrival-time nodes for the cyclic average
 CYCLIC_ARRIVAL_NODES = 64
 _ARRIVAL_RTOL = 1e-2  # estimated relative error of that average above which it warns
-_NODE_BLOCK = 8  # arrival nodes per broadcast in cyclic_avg_snr
+_NODE_BLOCK = 8  # arrival nodes per broadcast in arrival_signal
 
 
 @dataclass(frozen=True)
@@ -243,9 +248,28 @@ def arrival_signal(s: SchemeParams, force: ForcePulse, win: MeasurementWindow, o
     t1_nodes = (np.arange(n_arrival) + 0.5) * win.t_m / n_arrival
     chi0_abs = np.abs(chi_freq(s.bare(), omega - 0.5j / win.t_m))
     sig = np.empty((n_arrival,) + omega.shape)
-    for lo in range(0, n_arrival, _NODE_BLOCK):
-        t1 = t1_nodes[lo : lo + _NODE_BLOCK].reshape((-1,) + (1,) * omega.ndim)
-        sig[lo : lo + _NODE_BLOCK] = chi0_abs * np.abs(_halfline(force, t1, win.t_m, omega))
+    blocks = range(0, n_arrival, _NODE_BLOCK)
+    errors = {}
+
+    def fill(part):
+        try:
+            for lo in part:
+                t1 = t1_nodes[lo : lo + _NODE_BLOCK].reshape((-1,) + (1,) * omega.ndim)
+                sig[lo : lo + _NODE_BLOCK] = chi0_abs * np.abs(_halfline(force, t1, win.t_m, omega))
+        except BaseException as exc:  # raised again once both halves are done
+            errors[part.start] = exc
+
+    # the helper runs in a copy of the caller's context, so np.errstate holds there too
+    half = (len(blocks) + 1) // 2
+    if half == len(blocks):
+        fill(blocks)
+    else:
+        helper = threading.Thread(target=contextvars.copy_context().run, args=(fill, blocks[half:]), daemon=True)
+        helper.start()
+        fill(blocks[:half])
+        helper.join()
+    if errors:
+        raise errors[min(errors)]  # the first half's error before the second's
     return sig
 
 

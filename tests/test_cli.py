@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -171,6 +172,30 @@ def test_scalar_overflow_is_numerical_failure(capsys):
     code, out, err = run_cli(capsys, "steady", "--scheme", "sc", "--g", "1e200")
     assert (code, out) == (2, "")
     assert "numerical failure" in err
+
+
+HUGE_OMAX_CALLS = {
+    "spectrum": ["spectrum", "--scheme", "sc", "--g", "10"],
+    "spectrum-detected": ["spectrum", "--scheme", "sc", "--g", "10", "--detected"],
+    "snr-stationary": ["snr-stationary", "--scheme", "cd", "--g", "10", "--Tm", "10"],
+    "snr-nonstationary": ["snr-nonstationary", "--scheme", "cd", "--g", "10", "--Tm", "1e-3", "--sigma", "1e-4",
+                          "--t1", "3e-4"],
+    "cyclic": ["cyclic", "--scheme", "cd", "--g", "10", "--Tm", "1e-3", "--sigma", "1e-4"],
+}
+
+
+@pytest.mark.parametrize("argv", HUGE_OMAX_CALLS.values(), ids=HUGE_OMAX_CALLS.keys())
+@pytest.mark.parametrize("omax, code", [("1e155", 2), ("1e150", 0)])
+@pytest.mark.parametrize("action", ["error", "always"])
+def test_huge_omax_is_numerical_failure(tmp_path, capsys, argv, omax, code, action):
+    # NumPy's float errors raise inside main whatever the warnings filter, so an
+    # overflowing grid exits 2 with a message, not a RuntimeWarning or a traceback
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(action, RuntimeWarning)
+        got, out, err = run_cli(capsys, *argv, "--omax", omax, "--out", str(tmp_path / "out.csv"))
+    assert (got, out) == (code, "")
+    assert ("error: numerical failure: overflow encountered" in err) == (code == 2)
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
 
 
 def test_config_file_with_overrides(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import math
 import re
+import threading
+import time
 import warnings
 from dataclasses import replace
 
@@ -512,6 +514,62 @@ def test_cyclic_average_is_the_per_node_loop_bit_for_bit(n_arrival, omega):
             shared = cyclic_avg_snr(s, force, win, t_cool, omega, n_arrival=n_arrival, signal=signal)
         assert np.array_equal(got, want) and np.array_equal(shared, want)
         assert np.shape(got) == np.shape(omega)
+
+
+# ------------------------------------------------ the helper thread's contract
+
+
+def _spy_halfline(monkeypatch, record):
+    """Wrap nonstat._halfline so each call first runs ``record(t1)``, in whichever thread makes it."""
+    from mirrorfb import nonstat
+
+    original = nonstat._halfline
+
+    def spy(force, t1, t_m, omega):
+        record(t1)
+        return original(force, t1, t_m, omega)
+
+    monkeypatch.setattr(nonstat, "_halfline", spy)
+
+
+def test_helper_thread_error_reaches_the_caller(monkeypatch):
+    # 64 nodes are 8 blocks; the caller fills blocks 0-3 and the helper 4-7
+    s, force, win, _ = next(_figure_10_curves())
+    grid = default_grid()
+
+    def fail_late(t1):
+        if np.min(t1) > 0.75 * win.t_m:  # block 6, in the helper's half, after the caller's half is done
+            time.sleep(0.05)
+            raise ZeroDivisionError("in the helper's half")
+
+    _spy_halfline(monkeypatch, fail_late)
+    before = threading.active_count()
+    with pytest.raises(ZeroDivisionError, match="in the helper's half"):
+        arrival_signal(s, force, win, grid)
+    assert threading.active_count() == before
+
+
+def test_helper_thread_runs_under_the_callers_errstate(monkeypatch):
+    s, force, win, _ = next(_figure_10_curves())
+    seen = []
+    _spy_halfline(monkeypatch, lambda t1: seen.append((threading.get_ident(), np.geterr())))
+    with np.errstate(over="raise", divide="raise", invalid="raise", under="warn"):
+        want = np.geterr()
+        arrival_signal(s, force, win, default_grid())
+    assert len(seen) == 8 and len({ident for ident, _ in seen}) == 2
+    assert all(state == want for _, state in seen)
+
+
+@pytest.mark.parametrize("n_arrival, threads", [(8, 1), (9, 2)])
+def test_one_block_starts_no_thread(monkeypatch, n_arrival, threads):
+    s, force, win, _ = next(_figure_10_curves())
+    idents, started, before = set(), [], threading.active_count()
+    _spy_halfline(monkeypatch, lambda t1: idents.add(threading.get_ident()))
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    arrival_signal(s, force, win, default_grid(), n_arrival=n_arrival)
+    assert len(idents) == threads and threading.get_ident() in idents
+    assert len(started) == threads - 1 and threading.active_count() == before
 
 
 def test_window_sweep_is_the_scalar_loop_bit_for_bit():
