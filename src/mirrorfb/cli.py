@@ -101,7 +101,9 @@ def _params_from_mapping(kv: dict[str, str]) -> SchemeParams:
     scheme = kv.pop("scheme", "none")
     if scheme not in _SCHEME_NAMES:
         raise ConfigError(f"scheme must be one of {sorted(_SCHEME_NAMES)}, got {scheme!r}")
-    if set(kv) & _PHYSICAL_KEYS:  # detuning and beta too: they need the lab-unit fields
+    if lab := sorted(set(kv) & _PHYSICAL_KEYS):  # detuning and beta too: they need the lab-unit fields
+        if working := sorted(set(kv) & _SCHEME_KEYS):
+            raise ConfigError(f"config mixes lab-unit keys {lab} with working-unit keys {working}")
         return _physical_params(kv, Scheme(scheme))
 
     kwargs: dict = {"scheme": Scheme(scheme)}
@@ -235,57 +237,41 @@ def _run_steady(args) -> None:
     _emit(args.out, spectra.rows_to_csv(_moment_rows(grid, m, _provenance(s, f"sweep={var}"))))
 
 
-def _run_spectrum(args) -> None:
+def _run_curve(curve, args) -> None:
+    """One curve on the --omin..--omax grid; ``curve(args, s, grid)`` gives its kind, values and provenance tail."""
     s = _build_params(args)
     grid = _grid(args)
-    if args.detected:
-        vals = spectra.detected_noise_spectrum(s, grid, thermal=args.thermal)
-        kind = spectra.KIND_DETECTED_NOISE
-    else:
-        vals = spectra.position_noise_spectrum(s, grid, thermal=args.thermal)
-        kind = spectra.KIND_POSITION_NOISE
-    _emit(args.out, SpectrumSeries(grid, vals, kind, _provenance(s, f"thermal={args.thermal}")).to_csv())
+    kind, vals, tail = curve(args, s, grid)
+    _emit(args.out, SpectrumSeries(grid, vals, kind, _provenance(s, tail)).to_csv())
 
 
-def _run_snr_stationary(args) -> None:
-    s = _build_params(args)
-    grid = _grid(args)
+def _spectrum(args, s: SchemeParams, grid):
+    noise = spectra.detected_noise_spectrum if args.detected else spectra.position_noise_spectrum
+    kind = spectra.KIND_DETECTED_NOISE if args.detected else spectra.KIND_POSITION_NOISE
+    return kind, noise(s, grid, thermal=args.thermal), f"thermal={args.thermal}"
+
+
+def _snr_stationary(args, s: SchemeParams, grid):
     vals = spectra.stationary_snr(s, args.f0, grid, _window_time(args, s), thermal=args.thermal)
-    prov = _provenance(s, f"gmTm={args.Tm:g};stationary")
-    _emit(args.out, SpectrumSeries(grid, vals, spectra.KIND_SNR, prov).to_csv())
+    return spectra.KIND_SNR, vals, f"gmTm={args.Tm:g};stationary"
 
 
-def _pulse_inputs(args):
-    """Parameters, window and force pulse of snr-nonstationary and cyclic.
-
-    --wide-init cools with the wide-band loop: the feedback band of the
-    parameters only picks the cooled state, so it is --fb-band wide.
-    """
-    s = _build_params(args)
-    if args.wide_init:
-        s = replace(s, cutoff_feedback="wide")
+def _pulse(args, s: SchemeParams):
+    """Force pulse and measurement window of snr-nonstationary and cyclic."""
     gm = s.gamma_m
     win = MeasurementWindow(_window_time(args, s))
-    force = ForcePulse(f0=args.f0, sigma=args.sigma / gm, t1=args.t1 / gm, omega_f=args.omega_f)
-    return s, win, force
+    return ForcePulse(f0=args.f0, sigma=args.sigma / gm, t1=args.t1 / gm, omega_f=args.omega_f), win
 
 
-def _run_snr_nonstationary(args) -> None:
-    s, win, force = _pulse_inputs(args)
-    grid = _grid(args)
-    vals = nonstat.nonstationary_snr(s, force, win, grid)
-    prov = _provenance(s, f"gmTm={args.Tm:g};nonstationary")
-    _emit(args.out, SpectrumSeries(grid, vals, spectra.KIND_SNR, prov).to_csv())
+def _snr_nonstationary(args, s: SchemeParams, grid):
+    return spectra.KIND_SNR, nonstat.nonstationary_snr(s, *_pulse(args, s), grid), f"gmTm={args.Tm:g};nonstationary"
 
 
-def _run_cyclic(args) -> None:
+def _cyclic(args, s: SchemeParams, grid):
     if args.Tcool < 0:
         raise ConfigError("--Tcool must be >= 0")
-    s, win, force = _pulse_inputs(args)
-    grid = _grid(args)
-    vals = nonstat.cyclic_avg_snr(s, force, win, args.Tcool / s.gamma_m, grid)
-    prov = _provenance(s, f"gmTm={args.Tm:g};gmTcool={args.Tcool:g};cyclic")
-    _emit(args.out, SpectrumSeries(grid, vals, spectra.KIND_SNR, prov).to_csv())
+    vals = nonstat.cyclic_avg_snr(s, *_pulse(args, s), args.Tcool / s.gamma_m, grid)
+    return spectra.KIND_SNR, vals, f"gmTm={args.Tm:g};gmTcool={args.Tcool:g};cyclic"
 
 
 def _run_montecarlo(args) -> None:
@@ -403,8 +389,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def command(name, handler, summary, params=True, grid=True):
+        """A subcommand; with ``grid`` its ``handler(args, s, grid)`` is one curve for _run_curve."""
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=functools.partial(_run_curve, handler) if grid else handler)
         p.add_argument("--out", dest="out", help="output path (stdout if omitted)")
         if params:
             p.add_argument("--config", help="flat key/value parameter file")
@@ -425,11 +412,11 @@ def build_parser() -> _Parser:
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     p.add_argument("--sweep", default=None, help="var:lo:hi:n[:log] (CSV only)")
 
-    p = command("spectrum", _run_spectrum, "stationary position/detected noise spectrum")
+    p = command("spectrum", _spectrum, "stationary position/detected noise spectrum")
     p.add_argument("--detected", action="store_true", help="add the shot-noise floor")
     p.add_argument("--thermal", choices=("exact", "classical"), default="exact")
 
-    p = command("snr-stationary", _run_snr_stationary, "stationary spectral SNR, flat force")
+    p = command("snr-stationary", _snr_stationary, "stationary spectral SNR, flat force")
     p.add_argument("--Tm", type=_finite_float, default=1.0, help="gamma_m * T_m")
     p.add_argument("--f0", type=_finite_float, default=1.0, help="|f~| (flat)")
     p.add_argument("--thermal", choices=("exact", "classical"), default="exact")
@@ -439,13 +426,13 @@ def build_parser() -> _Parser:
         p.add_argument("--sigma", type=_finite_float, default=1e-4, help="gamma_m * sigma")
         p.add_argument("--t1", type=_finite_float, default=3e-4, help="gamma_m * t1")
         p.add_argument("--omega-f", type=_finite_float, default=1.0)
-        p.add_argument("--wide-init", action="store_true", help="wide-band cooled initial state")
+        p.add_argument("--wide-init", dest="fb_band", action="store_const", const="wide", help="same as --fb-band wide")
 
-    p = command("snr-nonstationary", _run_snr_nonstationary, "cool-and-measure SNR")
+    p = command("snr-nonstationary", _snr_nonstationary, "cool-and-measure SNR")
     p.add_argument("--Tm", type=_finite_float, required=True, help="gamma_m * T_m")
     force_opts(p)
 
-    p = command("cyclic", _run_cyclic, "arrival-time-averaged cyclic-cooling SNR")
+    p = command("cyclic", _cyclic, "arrival-time-averaged cyclic-cooling SNR")
     p.add_argument("--Tm", type=_finite_float, required=True, help="gamma_m * T_m")
     p.add_argument("--Tcool", type=_finite_float, default=0.0, help="gamma_m * T_cool")
     force_opts(p)
@@ -472,7 +459,7 @@ def main(argv=None) -> int:
     except (QuadratureError, InstabilityError, ArithmeticError) as exc:  # also a NumPy float error
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError, OSError) as exc:  # OSError: an unwritable --out
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:  # an unwritable --out; a grid too large to allocate
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 1
 

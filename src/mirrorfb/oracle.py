@@ -49,8 +49,6 @@ bit-reproducible for a given (seed, n_traj, dt), whatever the thread timing.
 
 from __future__ import annotations
 
-import bisect
-import functools
 import json
 import math
 import threading
@@ -195,26 +193,20 @@ def _resolve_config(s: SchemeParams, cfg: SimConfig) -> tuple[float, int, int]:
     return dt, burn, n_steps
 
 
-@functools.cache
-def _smooth_numbers() -> tuple[int, ...]:
-    """Sorted 2^a 3^b 5^c up to 2^63, built on first use."""
-    top, out, p5 = 1 << 63, [], 1
-    while p5 <= top:
-        p35 = p5
-        while p35 <= top:
-            out.extend(p35 << k for k in range((top // p35).bit_length()))
-            p35 *= 3
-        p5 *= 5
-    return tuple(sorted(out))
-
-
 def _fast_len(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n (n <= 2^63), as scipy.fft.next_fast_len(n, real=True).
 
-    Written out, as a bisect into a table, so the Monte Carlo path imports no SciPy.
+    Written out, so the Monte Carlo path imports no SciPy: each 3^b 5^c below
+    the best length so far is lifted to n by the least power of two.
     """
-    table = _smooth_numbers()
-    return table[bisect.bisect_left(table, n)]
+    best, p5 = 1 << max(n - 1, 0).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _quadrature(a: np.ndarray, h: float):

@@ -492,13 +492,14 @@ def test_pulse_subcommands_match_library(tmp_path, capsys, subcommand, wide):
 @pytest.mark.parametrize("subcommand", ["snr-nonstationary", "cyclic"])
 def test_wide_init_is_the_wide_feedback_band(tmp_path, capsys, subcommand):
     # the feedback band only picks the cooled state of these subcommands, so
-    # --wide-init writes the bytes of --fb-band wide, whatever band it replaces
+    # --wide-init writes the bytes of --fb-band wide; of the two flags, the later wins
     texts = []
-    for i, flags in enumerate([("--wide-init",), ("--fb-band", "wide"), ("--fb-band", "0.5:2", "--wide-init")]):
+    for i, flags in enumerate([("--wide-init",), ("--fb-band", "wide"), ("--fb-band", "0.5:2", "--wide-init"),
+                               ("--fb-band", "0.5:2"), ("--wide-init", "--fb-band", "0.5:2")]):
         out = tmp_path / f"snr{i}.csv"
         assert run_cli(capsys, subcommand, *PULSE_ARGS, *flags, "--out", str(out))[0] == 0
         texts.append(out.read_bytes())
-    assert texts[0] == texts[1] == texts[2]
+    assert texts[0] == texts[1] == texts[2] != texts[3] == texts[4]
 
 
 def test_negative_cooling_time_exit_code(capsys):
@@ -586,12 +587,19 @@ CONFIG_ERRORS = [
                  "".join(f"{k} = {v}\n" for k, v in {**LAB, "feedback_bandwidth": 0}.items()),
                  "feedback_bandwidth must be > 0", id="lab_feedback_bandwidth_zero"),
     pytest.param(("steady", "--config", "{cfg}"), "scheme = sc\ng = 1\nbeta = 100\n",
-                 "unexpected keyword argument 'g'", id="beta_with_working_units"),
+                 "config mixes lab-unit keys ['beta'] with working-unit keys ['g']", id="beta_with_working_units"),
+    pytest.param(("steady", "--config", "{cfg}"), "scheme = sc\ng = 1\ndetuning = 0.1\n",
+                 "config mixes lab-unit keys ['detuning'] with working-unit keys ['g']", id="detuning_with_working_units"),
     pytest.param(("steady", "--config", "{cfg}"), "detuning = 0.1\n", "missing 9 required positional arguments",
                  id="detuning_without_lab_units"),
     pytest.param(("steady", "--sweep", "zeta:1:10"), None, "sweep spec must be var:lo:hi:n[:log]", id="sweep_too_short"),
     pytest.param(("steady", "--sweep", "zeta:1:10:3:lin"), None, "unknown sweep mode 'lin'", id="sweep_mode"),
     pytest.param(("spectrum", "--omin", "0"), None, "invalid frequency grid", id="grid_at_zero"),
+    # 1e16 float64 points are 71 PiB, beyond any 48-bit address space: the allocation fails at once
+    pytest.param(("spectrum", "--opoints", "10000000000000000"), None, "invalid configuration: Unable to allocate",
+                 id="grid_too_large_to_allocate"),
+    pytest.param(("steady", "--sweep", "zeta:1:2:10000000000000000"), None, "invalid configuration: Unable to allocate",
+                 id="sweep_too_large_to_allocate"),
 ]
 
 
