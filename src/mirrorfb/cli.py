@@ -459,7 +459,7 @@ def main(argv=None) -> int:
     except (QuadratureError, InstabilityError, ArithmeticError) as exc:  # also a NumPy float error
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError, OSError, MemoryError) as exc:  # an unwritable --out; a grid too large to allocate
+    except (ConfigError, ValueError, OSError, MemoryError, Warning) as exc:  # bad --out; huge grid; a caveat as error
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 1
 

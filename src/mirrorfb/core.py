@@ -10,6 +10,7 @@ quantities; ``to_dimensionless`` converts them into the working
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, fields, replace
 from enum import Enum
@@ -37,6 +38,16 @@ class Scheme(Enum):
 
 class AdiabaticityWarning(UserWarning):
     """Cavity bandwidth is not large compared to the mechanical frequency."""
+
+
+def _warn(message: str, category: type[Warning] = UserWarning) -> None:
+    """Warn at the innermost frame outside the library (``mirrorfb.cli`` is a caller), so a caveat
+    points at the caller's line.  Frames go by module name, as a dataclass's ``__init__`` runs in
+    ``<string>``.  Call it from the calling thread: a helper thread's walk ends in ``threading``."""
+    frame, level = sys._getframe(1), 2
+    while (name := frame.f_globals.get("__name__", "")).startswith("mirrorfb.") and name != "mirrorfb.cli":
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
 
 
 @dataclass(frozen=True)
@@ -186,11 +197,10 @@ class PhysicalParams:
         if self.temperature < 0:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
         if self.gamma_c < 10.0 * self.omega_m:
-            warnings.warn(
+            _warn(
                 "cavity bandwidth gamma_c is not >= 10 omega_m; the adiabatic "
                 "(large-bandwidth) working equations may be inaccurate",
                 AdiabaticityWarning,
-                stacklevel=2,
             )
 
     @property

@@ -29,12 +29,11 @@ from __future__ import annotations
 import contextvars
 import math
 import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SchemeParams
+from .core import SchemeParams, _warn
 from .response import chi_freq
 from .spectra import shot_noise_floor
 from .steady import ThermalModel, _sq, steady_moments
@@ -123,20 +122,16 @@ class MeasurementWindow:
 
 def _warn_impulsive(s: SchemeParams, force: ForcePulse, win: MeasurementWindow) -> None:
     if force.sigma * s.gamma_m > 0.1:
-        warnings.warn(
+        _warn(
             "force duration is not small against the mechanical relaxation time "
             f"(sigma gamma_m = {force.sigma * s.gamma_m:.3g}); the impulsive "
-            "description degrades",
-            UserWarning,
-            stacklevel=3,
+            "description degrades"
         )
     t_m = np.min(win.t_m)  # the shortest window of a sweep
     if force.sigma > 0.3 * t_m:
-        warnings.warn(
+        _warn(
             f"force duration sigma = {force.sigma:.3g} is not small against the "
-            f"{'shortest ' if np.ndim(win.t_m) else ''}measurement time t_m = {t_m:.3g}",
-            UserWarning,
-            stacklevel=3,
+            f"{'shortest ' if np.ndim(win.t_m) else ''}measurement time t_m = {t_m:.3g}"
         )
 
 
@@ -242,6 +237,7 @@ def _check_arrival(win: MeasurementWindow, n_arrival) -> None:
 def arrival_signal(s: SchemeParams, force: ForcePulse, win: MeasurementWindow, omega, n_arrival=CYCLIC_ARRIVAL_NODES):
     """Row k: :func:`signal_spectrum` of the bare mirror, ``force`` arriving at t1 = (k + 1/2) T_m / n_arrival."""
     _check_arrival(win, n_arrival)
+    _warn_impulsive(s, force, win)
     omega = np.asarray(omega, dtype=float)
     # midpoint rule over the arrival time; R(omega, t1) is smooth on the
     # filter scale T_m
@@ -294,11 +290,9 @@ def cyclic_avg_snr(s: SchemeParams, force: ForcePulse, win: MeasurementWindow, t
     if np.shape(signal) != (n_arrival,) + np.shape(omega):
         raise ValueError(f"signal must have shape (n_arrival,) + omega.shape = {(n_arrival,) + np.shape(omega)}")
     if t_cool > 0.1 * win.t_m:
-        warnings.warn(
+        _warn(
             f"cyclic averaging assumes t_cool << t_m (got t_cool = {t_cool:.3g}, "
-            f"t_m = {win.t_m:.3g}); the dropped cooling-stage term may matter",
-            UserWarning,
-            stacklevel=2,
+            f"t_m = {win.t_m:.3g}); the dropped cooling-stage term may matter"
         )
     noise_sq = win.t_m * nonstationary_noise(s, win, omega)
     snr_nodes = signal / np.sqrt(noise_sq)
@@ -311,11 +305,9 @@ def cyclic_avg_snr(s: SchemeParams, force: ForcePulse, win: MeasurementWindow, t
         np.abs(2.0 * (r[0] + r[-1]) - 3.0 * (r[1] + r[-2]) + r[2] + r[-3])
         > 24.0 * n_arrival * _ARRIVAL_RTOL * mean
     ):
-        warnings.warn(
+        _warn(
             f"the {n_arrival}-point arrival-time average may be off by more than "
-            f"{_ARRIVAL_RTOL:.0%}; raise n_arrival",
-            UserWarning,
-            stacklevel=2,
+            f"{_ARRIVAL_RTOL:.0%}; raise n_arrival"
         )
     out = mean * win.t_m / (win.t_m + t_cool)
     return out if out.ndim else float(out)

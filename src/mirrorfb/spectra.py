@@ -8,7 +8,6 @@ entry points take omega >= 0 grids.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import NamedTuple
@@ -16,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._quad import quad_spectrum
-from .core import Scheme, SchemeParams
+from .core import Scheme, SchemeParams, _warn
 from .response import chi_freq
 from .steady import _omega_coth
 
@@ -164,11 +163,9 @@ def stationary_snr(s: SchemeParams, f_abs, omega, t_m: float, thermal: str = "ex
     if not 0 < t_m < math.inf:
         raise ValueError(f"measurement time t_m must be finite and > 0, got {t_m}")
     if s.damping * t_m < 10.0:
-        warnings.warn(
+        _warn(
             "stationary SNR assumes t_m >> relaxation time; "
-            f"gamma_m (1+g) t_m = {s.damping * t_m:.3g} < 10",
-            UserWarning,
-            stacklevel=2,
+            f"gamma_m (1+g) t_m = {s.damping * t_m:.3g} < 10"
         )
     omega = np.asarray(omega, dtype=float)
     f_abs = np.broadcast_to(np.asarray(f_abs, dtype=float), omega.shape)

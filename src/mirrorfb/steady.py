@@ -19,7 +19,6 @@ the same bits.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
@@ -27,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._quad import quad_spectrum
-from .core import NUMERIC_FIELDS, Scheme, SchemeParams
+from .core import NUMERIC_FIELDS, Scheme, SchemeParams, _warn
 from .response import chi_freq
 
 
@@ -105,9 +104,9 @@ def _closed_form(s: SchemeParams, model: ThermalModel = ThermalModel.CLASSICAL_D
     For the exact model q2 and p2 keep only B's back-action weight zeta/8.
     Only + - * / and ``_sq`` act, so a float and an array element round alike.
     """
-    if model is ThermalModel.CLASSICAL_DELTA and s.theta == 0:  # stacklevel 3: the public function's caller
-        warnings.warn("classical-delta thermal model with theta = 0: the white-noise "
-                      "approximation assumes hbar omega_m << k_B T", UserWarning, stacklevel=3)
+    if model is ThermalModel.CLASSICAL_DELTA and s.theta == 0:
+        _warn("classical-delta thermal model with theta = 0: the white-noise "
+              "approximation assumes hbar omega_m << k_B T")
     g, q, zeta, theta, eta, cutoff = [swept.get(f, getattr(s, f)) for f in NUMERIC_FIELDS]
     a = _sq(g) / (8.0 * eta * zeta)
     b = zeta / 8.0 + theta / 2.0

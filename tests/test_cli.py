@@ -198,6 +198,29 @@ def test_huge_omax_is_numerical_failure(tmp_path, capsys, argv, omax, code, acti
     assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
 
 
+LONG_PULSE = ["--scheme", "cd", "--g", "10", "--Tm", "1e-3", "--sigma", "0.5", "--t1", "0.5", "--opoints", "3"]
+
+
+@pytest.mark.parametrize("subcommand", ["snr-nonstationary", "cyclic"])
+def test_caveats_point_into_the_cli(tmp_path, capsys, subcommand):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code, _, _ = run_cli(capsys, subcommand, *LONG_PULSE, "--out", str(tmp_path / "out.csv"))
+    assert code == 0
+    # both impulsive-force caveats and theta = 0, each at the cli.py line that called the library
+    assert [Path(w.filename).name for w in seen] == ["cli.py"] * 3
+
+
+def test_caveat_made_an_error_is_config_error(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        argv = ["snr-nonstationary", *LONG_PULSE, "--theta", "10", "--out", str(tmp_path / "out.csv")]
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: invalid configuration: force duration is not small")
+    assert "Traceback" not in err
+
+
 def test_config_file_with_overrides(tmp_path, capsys):
     cfg = tmp_path / "params.cfg"
     cfg.write_text(

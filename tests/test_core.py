@@ -17,6 +17,17 @@ from mirrorfb.core import (
     classical_steady_amplitude,
     to_dimensionless,
 )
+from mirrorfb.nonstat import (
+    ForcePulse,
+    MeasurementWindow,
+    cyclic_avg_snr,
+    nonstationary_noise,
+    nonstationary_snr,
+    signal_spectrum,
+)
+from mirrorfb.oracle import SimConfig, paired_timestep_stats, simulate
+from mirrorfb.spectra import stationary_snr
+from mirrorfb.steady import moments_sweep, optimal_input_power, regime_flags, steady_energy, steady_moments
 
 
 def lab_params(**overrides):
@@ -78,6 +89,43 @@ def test_stochastic_cooling_sign_convention_enforced():
 def test_adiabaticity_warning():
     with pytest.warns(AdiabaticityWarning):
         lab_params(gamma_c=2 * math.pi * 5e6)  # < 10 omega_m
+
+
+COLD = SchemeParams(scheme=Scheme.COLD_DAMPING, g=10.0, quality=100.0)  # theta = 0: the classical-delta caveat
+WARM = SchemeParams(scheme=Scheme.NONE, quality=100.0, theta=1.0)  # gamma_m = 0.01
+SHORT, LONG = ForcePulse(f0=1.0, sigma=1.0, t1=0.0), ForcePulse(f0=1.0, sigma=20.0, t1=0.0)
+WINDOW = MeasurementWindow(50.0)
+TINY_RUN = SimConfig(n_traj=4, n_steps=16)
+
+# every library caveat, reached through each public path; the lambda's line is the caller's
+WARNING_SITES = {
+    "PhysicalParams": (lambda: lab_params(gamma_c=2 * math.pi * 5e6), "cavity bandwidth"),
+    "theta0_steady_moments": (lambda: steady_moments(COLD), "theta = 0"),
+    "theta0_moments_sweep": (lambda: moments_sweep(COLD, "zeta", [1.0, 2.0]), "theta = 0"),
+    "theta0_steady_energy": (lambda: steady_energy(COLD), "theta = 0"),
+    "theta0_optimal_input_power": (lambda: optimal_input_power(COLD), "theta = 0"),
+    "theta0_regime_flags": (lambda: regime_flags(COLD), "theta = 0"),
+    "theta0_nonstationary_noise": (lambda: nonstationary_noise(COLD, WINDOW, 1.0), "theta = 0"),
+    "theta0_nonstationary_snr": (lambda: nonstationary_snr(COLD, SHORT, WINDOW, 1.0), "theta = 0"),
+    "theta0_cyclic_avg_snr": (lambda: cyclic_avg_snr(COLD, SHORT, WINDOW, 0.0, 1.0), "theta = 0"),
+    "theta0_simulate": (lambda: simulate(COLD, TINY_RUN), "theta = 0"),
+    "theta0_paired_timestep_stats": (lambda: paired_timestep_stats(COLD, TINY_RUN), "theta = 0"),
+    "long_pulse_signal_spectrum": (lambda: signal_spectrum(WARM, LONG, WINDOW, 1.0), "force duration"),
+    "long_pulse_nonstationary_snr": (lambda: nonstationary_snr(WARM, LONG, WINDOW, 1.0), "force duration"),
+    "long_pulse_cyclic_avg_snr": (lambda: cyclic_avg_snr(WARM, LONG, WINDOW, 0.0, 1.0), "force duration"),
+    "short_window_stationary_snr": (lambda: stationary_snr(WARM, 1.0, 1.0, 1.0), "relaxation time"),
+    "t_cool_cyclic_avg_snr": (lambda: cyclic_avg_snr(WARM, SHORT, WINDOW, 25.0, 1.0), "t_cool"),
+    "arrival_cyclic_avg_snr": (lambda: cyclic_avg_snr(WARM, SHORT, WINDOW, 0.0, 1.0, n_arrival=2), "arrival"),
+}
+
+
+@pytest.mark.parametrize("call, match", WARNING_SITES.values(), ids=WARNING_SITES.keys())
+def test_warnings_point_at_the_caller(call, match):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        call()
+    assert any(match in str(w.message) for w in seen)
+    assert [(w.category.__name__, w.filename) for w in seen if w.filename != __file__] == []
 
 
 @pytest.mark.parametrize(

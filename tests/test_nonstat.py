@@ -363,10 +363,13 @@ def test_impulsive_regime_warnings():
         (20.0, 50.0): {"relaxation", "measurement time"},
     }
     for (sigma, t_m), expected in cases.items():
-        with pytest.warns(UserWarning) as record:
-            signal_spectrum(s, ForcePulse(f0=1.0, sigma=sigma, t1=0.0), MeasurementWindow(t_m), 1.0)
-        messages = [str(w.message) for w in record]
-        assert {key for key in ("relaxation", "measurement time") for m in messages if key in m} == expected
+        force, win = ForcePulse(f0=1.0, sigma=sigma, t1=0.0), MeasurementWindow(t_m)
+        # the cyclic average gives the same caveats for the same pulse and window
+        for call in (lambda: signal_spectrum(s, force, win, 1.0), lambda: cyclic_avg_snr(s, force, win, 0.0, 1.0)):
+            with pytest.warns(UserWarning) as record:
+                call()
+            messages = [str(w.message) for w in record]
+            assert {key for key in ("relaxation", "measurement time") for m in messages if key in m} == expected
     # a sweep warns once, naming its shortest window
     with pytest.warns(UserWarning, match=r"shortest measurement time t_m = 10\b"):
         got = signal_spectrum(s, ForcePulse(f0=1.0, sigma=5.0, t1=0.0), MeasurementWindow([100.0, 10.0, 50.0]), 1.0)
