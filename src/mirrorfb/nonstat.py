@@ -14,10 +14,10 @@ and the SNR contains no free factor.
 
 Curves are evaluated as whole arrays.  A window may hold a 1-d array of
 measurement times, which broadcasts against the frequency grid (one row per
-window), so a sweep over T_m is one call.  :func:`arrival_signal` evaluates
-the pulse transform for blocks of arrival nodes at once, and every scheme
-with the same bare mirror, pulse, window and grid shares it in
-:func:`cyclic_avg_snr`.  Every broadcast performs the same elementwise
+window), so a sweep over T_m is one call.  :func:`arrival_signal` owns the
+arrival-time rule (nodes, blocks of them per broadcast, error estimate), and
+every scheme with the same bare mirror, pulse, window and grid shares its
+rows in :func:`cyclic_avg_snr`.  Every broadcast performs the same elementwise
 operations, in the same order, as the scalar call, so both give the same bits.
 SciPy's ``erfcx`` releases the GIL, so the caller fills the first half of the
 node blocks while one helper thread fills the second; each row still takes the
@@ -117,7 +117,7 @@ class MeasurementWindow:
 
     def filter(self, t):
         t = np.asarray(t, dtype=float)
-        return np.where(t >= 0, np.exp(-t / (2.0 * self.t_m)), 0.0)
+        return np.where(t >= 0, np.exp(-t / (2.0 * self.over(t))), 0.0)
 
 
 def _warn_impulsive(s: SchemeParams, force: ForcePulse, win: MeasurementWindow) -> None:
@@ -227,20 +227,19 @@ def nonstationary_snr(s: SchemeParams, force: ForcePulse, win: MeasurementWindow
     return sig / np.sqrt(noise_sq)
 
 
-def _check_arrival(win: MeasurementWindow, n_arrival) -> None:
+def _check_window(win: MeasurementWindow) -> None:
     if np.ndim(win.t_m):
         raise ValueError(f"cyclic averaging takes one measurement time, got {np.size(win.t_m)} of them")
-    if isinstance(n_arrival, bool) or not isinstance(n_arrival, (int, np.integer)) or n_arrival < 1:
-        raise ValueError(f"n_arrival must be an integer >= 1, got {n_arrival!r}")
 
 
 def arrival_signal(s: SchemeParams, force: ForcePulse, win: MeasurementWindow, omega, n_arrival=CYCLIC_ARRIVAL_NODES):
-    """Row k: :func:`signal_spectrum` of the bare mirror, ``force`` arriving at t1 = (k + 1/2) T_m / n_arrival."""
-    _check_arrival(win, n_arrival)
+    """Row k: :func:`signal_spectrum` of the bare mirror, ``force`` arriving at t1 = (k + 1/2) T_m / n_arrival,
+    a node of the midpoint rule over the arrival time; warns when the rule may be off by more than 1%."""
+    _check_window(win)
+    if isinstance(n_arrival, bool) or not isinstance(n_arrival, (int, np.integer)) or n_arrival < 1:
+        raise ValueError(f"n_arrival must be an integer >= 1, got {n_arrival!r}")
     _warn_impulsive(s, force, win)
     omega = np.asarray(omega, dtype=float)
-    # midpoint rule over the arrival time; R(omega, t1) is smooth on the
-    # filter scale T_m
     t1_nodes = (np.arange(n_arrival) + 0.5) * win.t_m / n_arrival
     chi0_abs = np.abs(chi_freq(s.bare(), omega - 0.5j / win.t_m))
     sig = np.empty((n_arrival,) + omega.shape)
@@ -266,11 +265,20 @@ def arrival_signal(s: SchemeParams, force: ForcePulse, win: MeasurementWindow, o
         helper.join()
     if errors:
         raise errors[min(errors)]  # the first half's error before the second's
+    # the rule's error is (h^2/24) [R'(T_m) - R'(0)], each end slope h R' from the quadratic through the three
+    # nearest nodes (unknown with fewer); the noise does not depend on t1, so the SNR's relative error is the signal's
+    if n_arrival < 3 or np.any(
+        np.abs(2.0 * (sig[0] + sig[-1]) - 3.0 * (sig[1] + sig[-2]) + sig[2] + sig[-3])
+        > 24.0 * n_arrival * _ARRIVAL_RTOL * sig.mean(axis=0)
+    ):
+        _warn(
+            f"the {n_arrival}-point arrival-time average may be off by more than "
+            f"{_ARRIVAL_RTOL:.0%}; raise arrival_signal's n_arrival"
+        )
     return sig
 
 
-def cyclic_avg_snr(s: SchemeParams, force: ForcePulse, win: MeasurementWindow, t_cool: float, omega,
-                   n_arrival: int = CYCLIC_ARRIVAL_NODES, signal=None):
+def cyclic_avg_snr(s: SchemeParams, force: ForcePulse, win: MeasurementWindow, t_cool: float, omega, signal=None):
     """SNR averaged over a uniformly distributed arrival time in [0, T_m].
 
     Models cyclic cool-and-measure operation: each cycle cools with the
@@ -278,36 +286,22 @@ def cyclic_avg_snr(s: SchemeParams, force: ForcePulse, win: MeasurementWindow, t
     open.  The average carries the duty factor T_m / (T_m + t_cool), and
     the (negligible) SNR accrued during the cooling stage is dropped.  The
     stored t1 of ``force`` is ignored.  A no-feedback comparator is the
-    same call with g = 0 and t_cool = 0.  Warns when the average's
-    estimated relative error exceeds 1%.  The window must hold one
-    measurement time.  ``signal``, if given, is this call's
-    :func:`arrival_signal`, the same for every scheme of one bare mirror.
+    same call with g = 0 and t_cool = 0.  The window must hold one
+    measurement time.  The average is the mean of the rows of ``signal``,
+    this call's :func:`arrival_signal` (of ``CYCLIC_ARRIVAL_NODES`` nodes
+    when None), which every scheme of one bare mirror shares.
     """
-    _check_arrival(win, n_arrival)
+    _check_window(win)
     if not 0 <= t_cool < math.inf:
         raise ValueError(f"cooling time must be finite and >= 0, got {t_cool}")
-    signal = arrival_signal(s, force, win, omega, n_arrival) if signal is None else signal
-    if np.shape(signal) != (n_arrival,) + np.shape(omega):
-        raise ValueError(f"signal must have shape (n_arrival,) + omega.shape = {(n_arrival,) + np.shape(omega)}")
+    signal = arrival_signal(s, force, win, omega) if signal is None else signal
+    if np.shape(signal)[:1] in ((), (0,)) or np.shape(signal)[1:] != np.shape(omega):
+        raise ValueError(f"signal must have shape (n_arrival,) + omega.shape, n_arrival >= 1, got {np.shape(signal)}")
     if t_cool > 0.1 * win.t_m:
         _warn(
             f"cyclic averaging assumes t_cool << t_m (got t_cool = {t_cool:.3g}, "
             f"t_m = {win.t_m:.3g}); the dropped cooling-stage term may matter"
         )
     noise_sq = win.t_m * nonstationary_noise(s, win, omega)
-    snr_nodes = signal / np.sqrt(noise_sq)
-
-    # the midpoint rule's error is its end correction (h^2/24) [R'(T_m) - R'(0)];
-    # each end slope h R' comes from the quadratic through the three nearest
-    # nodes, and with fewer nodes the error is unknown
-    r, mean = snr_nodes, snr_nodes.mean(axis=0)
-    if n_arrival < 3 or np.any(
-        np.abs(2.0 * (r[0] + r[-1]) - 3.0 * (r[1] + r[-2]) + r[2] + r[-3])
-        > 24.0 * n_arrival * _ARRIVAL_RTOL * mean
-    ):
-        _warn(
-            f"the {n_arrival}-point arrival-time average may be off by more than "
-            f"{_ARRIVAL_RTOL:.0%}; raise n_arrival"
-        )
-    out = mean * win.t_m / (win.t_m + t_cool)
+    out = (signal / np.sqrt(noise_sq)).mean(axis=0) * win.t_m / (win.t_m + t_cool)
     return out if out.ndim else float(out)

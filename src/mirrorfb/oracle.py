@@ -103,6 +103,11 @@ class SimConfig:
     spectrum_band: tuple[float, float] = (0.5, 1.5)
 
     def __post_init__(self):
+        for name in ("n_traj", "seed", "n_steps", "burn_in_steps"):  # a bool is not a count, a NumPy int is
+            value = getattr(self, name)
+            allowed = (int, np.integer) if name in ("n_traj", "seed") else (int, np.integer, type(None))
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_traj < 2:
             raise ValueError("n_traj must be >= 2 to estimate standard errors")
         if self.seed < 0:  # SeedSequence entropy is a non-negative integer

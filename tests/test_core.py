@@ -20,6 +20,7 @@ from mirrorfb.core import (
 from mirrorfb.nonstat import (
     ForcePulse,
     MeasurementWindow,
+    arrival_signal,
     cyclic_avg_snr,
     nonstationary_noise,
     nonstationary_snr,
@@ -115,7 +116,10 @@ WARNING_SITES = {
     "long_pulse_cyclic_avg_snr": (lambda: cyclic_avg_snr(WARM, LONG, WINDOW, 0.0, 1.0), "force duration"),
     "short_window_stationary_snr": (lambda: stationary_snr(WARM, 1.0, 1.0, 1.0), "relaxation time"),
     "t_cool_cyclic_avg_snr": (lambda: cyclic_avg_snr(WARM, SHORT, WINDOW, 25.0, 1.0), "t_cool"),
-    "arrival_cyclic_avg_snr": (lambda: cyclic_avg_snr(WARM, SHORT, WINDOW, 0.0, 1.0, n_arrival=2), "arrival"),
+    "arrival_cyclic_avg_snr": (
+        lambda: cyclic_avg_snr(WARM, SHORT, WINDOW, 0.0, 1.0, signal=arrival_signal(WARM, SHORT, WINDOW, 1.0, 2)),
+        "arrival",
+    ),
 }
 
 

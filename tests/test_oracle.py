@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -219,6 +220,21 @@ def test_sim_config_rejects_short_runs(kwargs):
 def test_library_validation_raises(kwargs, message):
     with pytest.raises(ValueError, match=message):
         SimConfig(**{"n_traj": 4, **kwargs})
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"n_traj": 64.5}, {"n_traj": 64.0}, {"n_steps": 100.5}, {"burn_in_steps": 10.5}, {"seed": 3.5},
+     {"seed": True}, {"n_traj": None}],
+    ids=["n_traj_half", "n_traj_float", "n_steps_half", "burn_in_half", "seed_half", "seed_bool",
+         "n_traj_none"],
+)
+def test_sim_config_rejects_non_integer_counts(kwargs):
+    # the counts take arrival_signal's n_arrival rule: a bool is not a count, a NumPy integer is
+    ((name, value),) = kwargs.items()
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        SimConfig(**{"n_traj": 4, **kwargs})
+    SimConfig(**{"n_traj": 4, name: np.int64(64)})
 
 
 @pytest.mark.parametrize(
