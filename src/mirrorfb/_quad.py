@@ -16,10 +16,8 @@ import math
 
 import numpy as np
 
-#: requested relative tolerance; the adaptive rule is asked for 1e-9, and an
-#: error estimate above 100x this is a failure
-_RTOL = 1e-8
-_EPSREL = 1e-9
+_EPSREL = 1e-9  # relative tolerance the adaptive rule is asked for
+_FAIL_RTOL = 1e-6  # relative error estimate above which quad_spectrum fails
 _LIMIT = 400  # most panels an integral may be split into
 _SPLIT = 8  # pieces a refined panel is cut into
 _FRACTIONS = np.linspace(0.0, 1.0, _SPLIT + 1)
@@ -150,7 +148,7 @@ def quad_spectrum(integrand, s, extra_points: tuple[float, ...], name: str):
     same shape, and the result is a float; or it returns a stacked ``(k, n)``
     array, and the result is a length-k array.  Raises
     :class:`QuadratureError` when some component's error estimate is above
-    100 x ``_RTOL`` of its value, or either is not finite.
+    ``_FAIL_RTOL`` of its value, or either is not finite.
     """
     upper = s.cutoff_reservoir
     halfwidth = 0.5 * s.damping
@@ -163,12 +161,12 @@ def quad_spectrum(integrand, s, extra_points: tuple[float, ...], name: str):
     value, abserr = gauss_kronrod(integrand, [0.0, *pts, upper])
     value *= 2.0
     abserr *= 2.0
-    if not np.all(abserr <= 100.0 * _RTOL * np.abs(value) + 1e-290):
+    if not np.all(abserr <= _FAIL_RTOL * np.abs(value) + 1e-290):
         def show(x, spec):  # every component of a stacked integral
             return format(x, spec) if np.ndim(x) == 0 else f"[{', '.join(format(v, spec) for v in x)}]"
 
         raise QuadratureError(
-            f"{name}: requested rel. tol {_RTOL:g} not met "
+            f"{name}: asked for rel. tol {_EPSREL:g}, failure bound {_FAIL_RTOL:g} not met "
             f"(value {show(value, '.6g')}, achieved abs. err {show(abserr, '.3g')})"
         )
     return value

@@ -120,8 +120,8 @@ def _physical_params(kv: dict[str, str], scheme: Scheme) -> SchemeParams:
     detuning = values.pop("detuning", 0.0)
     beta_override = values.pop("beta", None)
     try:
-        p = PhysicalParams(**values)
-    except (TypeError, ValueError) as exc:
+        p = PhysicalParams(**values)  # its ValueError is exit 1 unwrapped, as SchemeParams' is
+    except TypeError as exc:  # a missing field
         raise ConfigError(str(exc)) from exc
     if beta_override is not None:
         beta = beta_override
@@ -278,7 +278,7 @@ def _run_montecarlo(args) -> None:
     if args.estimator == "spectrum" and args.out is None:
         raise ConfigError("--estimator spectrum writes its spectrum next to --out; give --out")
     s = _build_params(args)
-    sim = SimConfig(dt=args.dt, n_steps=args.n_steps, n_traj=args.n_traj, seed=args.seed, estimator=args.estimator)
+    sim = SimConfig(**{f.name: v for f in fields(SimConfig) if (v := getattr(args, f.name, None)) is not None})
     stats = oracle.simulate(s, sim)
     _emit_json(args.out, stats.to_json)
     if stats.spectrum is not None:
@@ -438,11 +438,12 @@ def build_parser() -> _Parser:
     force_opts(p)
 
     p = command("montecarlo", _run_montecarlo, "Langevin ensemble cross-check", grid=False)
-    p.add_argument("--seed", type=int, default=12345, help="RNG seed")
-    p.add_argument("--n-traj", type=int, default=1000)
-    p.add_argument("--dt", type=_finite_float, default=None)
-    p.add_argument("--n-steps", type=int, default=None)
-    p.add_argument("--estimator", choices=("moments", "spectrum"), default="moments")
+    # no defaults here: a flag left out takes SimConfig's
+    p.add_argument("--seed", type=int, help="RNG seed")
+    p.add_argument("--n-traj", type=int)
+    p.add_argument("--dt", type=_finite_float)
+    p.add_argument("--n-steps", type=int)
+    p.add_argument("--estimator", choices=("moments", "spectrum"))
 
     p = command("figure", _run_figure, "emit the analytic curves of one figure", params=False, grid=False)
     p.add_argument("id", type=int, help="figure id, 2..10")

@@ -298,9 +298,7 @@ def to_dimensionless(
     if not 0 < beta < math.inf:
         raise ValueError(f"field amplitude beta must be finite and > 0, got {beta}")
     G = p.coupling
-    zeta = 16.0 * G**2 * beta**2 / (p.gamma_m * p.gamma_c)
-    if zeta <= 0:
-        raise ValueError(f"resulting input power zeta must be > 0, got {zeta}")
+    zeta = 16.0 * G**2 * beta**2 / (p.gamma_m * p.gamma_c)  # SchemeParams rejects zeta <= 0
 
     if scheme is Scheme.STOCHASTIC_COOLING:
         g = -4.0 * G * beta * p.feedback_gain_raw / p.gamma_m

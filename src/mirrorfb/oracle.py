@@ -617,11 +617,11 @@ class CompareReport:
 
     @property
     def passed(self) -> bool:
-        return all(abs(e.z) <= self.z_max for e in self.entries)
+        return not self.failures
 
     @property
     def failures(self) -> tuple[str, ...]:
-        return tuple(e.name for e in self.entries if abs(e.z) > self.z_max)
+        return tuple(e.name for e in self.entries if not abs(e.z) <= self.z_max)  # a NaN z fails
 
     def __str__(self) -> str:
         lines = [
@@ -649,10 +649,10 @@ def compare(analytic, empirical: EnsembleStats, z_max: float = 3.0) -> CompareRe
         if empirical.spectrum is None:
             raise ValueError("empirical stats carry no spectrum estimate")
         emp = empirical.spectrum
-        if emp.omegas.shape != analytic.omegas.shape or not np.allclose(
-            emp.omegas, analytic.omegas, rtol=1e-9, atol=1e-12
-        ):
+        if emp.omegas.shape != analytic.omegas.shape:
             raise ValueError("spectrum grids do not match (shape mismatch)")
+        if not np.allclose(emp.omegas, analytic.omegas, rtol=1e-9, atol=1e-12):
+            raise ValueError("spectrum grids do not match (frequency mismatch)")
         rows = zip((f"bin omega={w:.6g}" for w in analytic.omegas), analytic.values, emp.values, emp.errors)
     else:
         raise TypeError(f"cannot compare against {type(analytic).__name__}")

@@ -8,7 +8,7 @@ entry points take omega >= 0 grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from typing import NamedTuple
 
@@ -140,17 +140,16 @@ class FrequencyOptimum(NamedTuple):
 def optimal_power_at_frequency(s: SchemeParams, omega: float) -> FrequencyOptimum:
     """Power minimizing the detected noise at one frequency, and that minimum.
 
-    Closed forms with the exact (coth) thermal density; the zeta stored in
-    ``s`` is ignored.
+    Closed form for the power; the minimum is :func:`detected_noise_spectrum`
+    there, with the exact (coth) thermal density.  The zeta stored in ``s``
+    is ignored.
     """
     gm, omega = s.gamma_m, np.asarray(omega, dtype=float)
     chi2 = abs(chi_freq(s, omega)) ** 2
     w = float(_feedback_weight(s, omega))
     x = 1.0 + s.g**2 * gm**2 * chi2 * w  # Q^-2 g^2 |chi|^2 w, Q^-2 = gm^2
     zeta_opt = math.sqrt(x / (s.eta * gm**2 * chi2))
-    th = float(_thermal_density(s, omega, "exact"))
-    n_min = gm * chi2 * th + math.sqrt(chi2) / (2.0 * math.sqrt(s.eta)) * math.sqrt(x)
-    return FrequencyOptimum(zeta_opt, n_min)
+    return FrequencyOptimum(zeta_opt, detected_noise_spectrum(replace(s, zeta=zeta_opt), omega))
 
 
 def stationary_snr(s: SchemeParams, f_abs, omega, t_m: float, thermal: str = "exact"):

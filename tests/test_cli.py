@@ -609,6 +609,11 @@ CONFIG_ERRORS = [
     pytest.param(("steady", "--config", "{cfg}", "--scheme", "cd", "--format", "json"),
                  "".join(f"{k} = {v}\n" for k, v in {**LAB, "feedback_bandwidth": 0}.items()),
                  "feedback_bandwidth must be > 0", id="lab_feedback_bandwidth_zero"),
+    # a heavy mirror's coupling underflows the input power to 0; SchemeParams' own check names it
+    pytest.param(("steady", "--config", "{cfg}"),
+                 "mass = 1e300\nomega_m = 1e6\ngamma_m = 10\ncavity_length = 1e-3\ngamma_c = 1e7\nlaser_power = 1e-3\n"
+                 "laser_omega0 = 1.77e15\ncavity_omega_c = 1.77e15\nefficiency = 0.8\n",
+                 "error: invalid configuration: input power zeta must be > 0, got 0.0", id="lab_input_power_underflows"),
     pytest.param(("steady", "--config", "{cfg}"), "scheme = sc\ng = 1\nbeta = 100\n",
                  "config mixes lab-unit keys ['beta'] with working-unit keys ['g']", id="beta_with_working_units"),
     pytest.param(("steady", "--config", "{cfg}"), "scheme = sc\ng = 1\ndetuning = 0.1\n",
@@ -673,6 +678,17 @@ def test_montecarlo_deterministic_output(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
     payload = json.loads(a.read_text())
     assert payload["seed"] == 7
+
+
+def test_montecarlo_defaults_are_sim_configs(tmp_path, capsys):
+    # --seed, --n-traj and --estimator left out take SimConfig's defaults, byte for byte
+    args = ("montecarlo", "--scheme", "cd", "--g", "10", "--Q", "50", "--zeta", "10", "--theta", "1e3",
+            "--eta", "0.8", "--n-steps", "64")
+    a, b = tmp_path / "default.json", tmp_path / "explicit.json"
+    assert run_cli(capsys, *args, "--out", str(a))[0] == 0
+    assert run_cli(capsys, *args, "--seed", "12345", "--n-traj", "1000", "--estimator", "moments", "--out", str(b))[0] == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert json.loads(a.read_text())["seed"] == 12345
 
 
 def test_figure_deterministic_bytes(tmp_path, capsys):

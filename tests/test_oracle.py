@@ -15,6 +15,8 @@ from scipy.integrate import quad, solve_ivp
 from mirrorfb.core import Scheme, SchemeParams
 from mirrorfb.nonstat import ForcePulse
 from mirrorfb.oracle import (
+    CompareEntry,
+    CompareReport,
     EnsembleStats,
     InstabilityError,
     SimConfig,
@@ -946,6 +948,26 @@ def test_compare_spectrum_shape_mismatch():
     bad = SpectrumSeries(np.array([0.5, 1.0]), np.array([1.0, 1.0]), "PositionNoise", "x")
     with pytest.raises(ValueError, match="mismatch"):
         compare(bad, stats)
+
+
+def test_compare_spectrum_frequency_mismatch():
+    omegas = np.array([0.9, 1.0, 1.1])
+    stats = EnsembleStats(
+        q2=1.0, q2_err=0.1, p2=2.0, p2_err=0.1, qp=0.0, qp_err=0.05,
+        mean_q=0.0, mean_q_err=0.1, mean_p=0.0, mean_p_err=0.1,
+        seed=1, n_traj=10, dt=0.01, spectrum=SpectrumEstimate(omegas, np.ones(3), np.full(3, 0.1)),
+    )
+    shifted = SpectrumSeries(omegas * 1.01, np.ones(3), "PositionNoise", "x")  # same shape, other frequencies
+    with pytest.raises(ValueError, match=r"\(frequency mismatch\)"):
+        compare(shifted, stats)
+    assert compare(SpectrumSeries(omegas, np.ones(3), "PositionNoise", "x"), stats).passed
+
+
+def test_compare_nan_z_is_a_named_failure():
+    report = CompareReport((CompareEntry("q2", 1.0, math.nan, 0.1, math.nan),), z_max=3.0)
+    assert not report.passed
+    assert report.failures == ("q2",)
+    assert str(report).endswith("FAIL: q2")
 
 
 @pytest.mark.parametrize(

@@ -217,8 +217,8 @@ def _inverse_sqrt(w):
     "f, message",
     [
         (_inverse_sqrt, "not met"),  # unsplit singularity: refined until an abscissa lands on it
-        # 1.6e7 periods on [0, 100]: the panel cap ends it
-        (lambda w: np.sin(1e6 * w), "not met"),
+        # 1.6e7 periods on [0, 100]: the panel cap ends it; the message names both tolerances
+        (lambda w: np.sin(1e6 * w), r"^unresolvable: asked for rel\. tol 1e-09, failure bound 1e-06 not met"),
         (lambda w: np.sin(1e6 * w) ** 2, "not met"),
         # only the second component fails; both are named in the message
         (lambda w: np.stack([np.ones_like(w), np.sin(1e6 * w)]),
