@@ -257,10 +257,10 @@ def _snr_stationary(args, s: SchemeParams, grid):
 
 
 def _pulse(args, s: SchemeParams):
-    """Force pulse and measurement window of snr-nonstationary and cyclic."""
+    """Force pulse and measurement window of snr-nonstationary and cyclic (cyclic averages over t1: no --t1)."""
     gm = s.gamma_m
     win = MeasurementWindow(_window_time(args, s))
-    return ForcePulse(f0=args.f0, sigma=args.sigma / gm, t1=args.t1 / gm, omega_f=args.omega_f), win
+    return ForcePulse(f0=args.f0, sigma=args.sigma / gm, t1=getattr(args, "t1", 0.0) / gm, omega_f=args.omega_f), win
 
 
 def _snr_nonstationary(args, s: SchemeParams, grid):
@@ -403,9 +403,9 @@ def build_parser() -> _Parser:
             p.add_argument("--eta", type=_finite_float, default=None, help="detection efficiency")
             p.add_argument("--fb-band", default=None, help="narrow | wide | halfwidth | lo:hi")
         if grid:
-            p.add_argument("--omin", type=_finite_float, default=1e-3)
-            p.add_argument("--omax", type=_finite_float, default=3.0)
-            p.add_argument("--opoints", type=int, default=400)
+            p.add_argument("--omin", type=_finite_float, default=spectra.DEFAULT_GRID[0])
+            p.add_argument("--omax", type=_finite_float, default=spectra.DEFAULT_GRID[1])
+            p.add_argument("--opoints", type=int, default=spectra.DEFAULT_GRID[2])
         return p
 
     p = command("steady", _run_steady, "stationary moments (optionally swept)", grid=False)
@@ -424,12 +424,12 @@ def build_parser() -> _Parser:
     def force_opts(p):
         p.add_argument("--f0", type=_finite_float, default=1.0)
         p.add_argument("--sigma", type=_finite_float, default=1e-4, help="gamma_m * sigma")
-        p.add_argument("--t1", type=_finite_float, default=3e-4, help="gamma_m * t1")
         p.add_argument("--omega-f", type=_finite_float, default=1.0)
         p.add_argument("--wide-init", dest="fb_band", action="store_const", const="wide", help="same as --fb-band wide")
 
     p = command("snr-nonstationary", _snr_nonstationary, "cool-and-measure SNR")
     p.add_argument("--Tm", type=_finite_float, required=True, help="gamma_m * T_m")
+    p.add_argument("--t1", type=_finite_float, default=3e-4, help="gamma_m * t1")
     force_opts(p)
 
     p = command("cyclic", _cyclic, "arrival-time-averaged cyclic-cooling SNR")

@@ -15,10 +15,11 @@ and the SNR contains no free factor.
 Curves are evaluated as whole arrays.  A window may hold a 1-d array of
 measurement times, which broadcasts against the frequency grid (one row per
 window), so a sweep over T_m is one call.  :func:`arrival_signal` owns the
-arrival-time rule (nodes, blocks of them per broadcast, error estimate), and
-every scheme with the same bare mirror, pulse, window and grid shares its
-rows in :func:`cyclic_avg_snr`.  Every broadcast performs the same elementwise
-operations, in the same order, as the scalar call, so both give the same bits.
+arrival-time rule (a node count worked out from the pulse width and the
+window, blocks of nodes per broadcast), and every scheme with the same bare
+mirror, pulse, window and grid shares its rows in :func:`cyclic_avg_snr`.
+Every broadcast performs the same elementwise operations, in the same order,
+as the scalar call, so both give the same bits.
 SciPy's ``erfcx`` releases the GIL, so the caller fills the first half of the
 node blocks while one helper thread fills the second; each row still takes the
 same operations, and the helper is joined before the call returns or raises.
@@ -38,9 +39,10 @@ from .response import chi_freq
 from .spectra import shot_noise_floor
 from .steady import ThermalModel, _sq, steady_moments
 
-#: default number of arrival-time nodes for the cyclic average
+#: least number of arrival-time nodes of the cyclic average
 CYCLIC_ARRIVAL_NODES = 64
-_ARRIVAL_RTOL = 1e-2  # estimated relative error of that average above which it warns
+_NODE_SPACING = 0.2  # largest node spacing of that average, in units of the pulse duration sigma
+_MAX_ARRIVAL_NODES = 4096  # its node cap, past which it warns
 _NODE_BLOCK = 8  # arrival nodes per broadcast in arrival_signal
 
 
@@ -232,18 +234,25 @@ def _check_window(win: MeasurementWindow) -> None:
         raise ValueError(f"cyclic averaging takes one measurement time, got {np.size(win.t_m)} of them")
 
 
-def arrival_signal(s: SchemeParams, force: ForcePulse, win: MeasurementWindow, omega, n_arrival=CYCLIC_ARRIVAL_NODES):
-    """Row k: :func:`signal_spectrum` of the bare mirror, ``force`` arriving at t1 = (k + 1/2) T_m / n_arrival,
-    a node of the midpoint rule over the arrival time; warns when the rule may be off by more than 1%."""
+def arrival_signal(s: SchemeParams, force: ForcePulse, win: MeasurementWindow, omega):
+    """Row k: :func:`signal_spectrum` of the bare mirror, ``force`` arriving at t1 = (k + 1/2) T_m / n, a node of the
+    midpoint rule over the arrival time.  The integrand's one sharp feature lies within a few sigma of the window's
+    start, so n = max(CYCLIC_ARRIVAL_NODES, ceil(T_m / 0.2 sigma)), capped at 4096 with a warning."""
     _check_window(win)
-    if isinstance(n_arrival, bool) or not isinstance(n_arrival, (int, np.integer)) or n_arrival < 1:
-        raise ValueError(f"n_arrival must be an integer >= 1, got {n_arrival!r}")
     _warn_impulsive(s, force, win)
+    nodes = win.t_m / force.sigma / _NODE_SPACING
+    if nodes > _MAX_ARRIVAL_NODES:
+        _warn(
+            f"force duration sigma = {force.sigma:.3g} is too short for the measurement time t_m = {win.t_m:.3g}: "
+            f"the {_MAX_ARRIVAL_NODES}-point arrival-time average does not resolve the pulse "
+            "and may be off by more than 1%"
+        )
+    n = max(CYCLIC_ARRIVAL_NODES, math.ceil(min(nodes, _MAX_ARRIVAL_NODES)))
     omega = np.asarray(omega, dtype=float)
-    t1_nodes = (np.arange(n_arrival) + 0.5) * win.t_m / n_arrival
+    t1_nodes = (np.arange(n) + 0.5) * win.t_m / n
     chi0_abs = np.abs(chi_freq(s.bare(), omega - 0.5j / win.t_m))
-    sig = np.empty((n_arrival,) + omega.shape)
-    blocks = range(0, n_arrival, _NODE_BLOCK)
+    sig = np.empty((n,) + omega.shape)
+    blocks = range(0, n, _NODE_BLOCK)
     errors = {}
 
     def fill(part):
@@ -256,25 +265,12 @@ def arrival_signal(s: SchemeParams, force: ForcePulse, win: MeasurementWindow, o
 
     # the helper runs in a copy of the caller's context, so np.errstate holds there too
     half = (len(blocks) + 1) // 2
-    if half == len(blocks):
-        fill(blocks)
-    else:
-        helper = threading.Thread(target=contextvars.copy_context().run, args=(fill, blocks[half:]), daemon=True)
-        helper.start()
-        fill(blocks[:half])
-        helper.join()
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(fill, blocks[half:]), daemon=True)
+    helper.start()
+    fill(blocks[:half])
+    helper.join()
     if errors:
         raise errors[min(errors)]  # the first half's error before the second's
-    # the rule's error is (h^2/24) [R'(T_m) - R'(0)], each end slope h R' from the quadratic through the three
-    # nearest nodes (unknown with fewer); the noise does not depend on t1, so the SNR's relative error is the signal's
-    if n_arrival < 3 or np.any(
-        np.abs(2.0 * (sig[0] + sig[-1]) - 3.0 * (sig[1] + sig[-2]) + sig[2] + sig[-3])
-        > 24.0 * n_arrival * _ARRIVAL_RTOL * sig.mean(axis=0)
-    ):
-        _warn(
-            f"the {n_arrival}-point arrival-time average may be off by more than "
-            f"{_ARRIVAL_RTOL:.0%}; raise arrival_signal's n_arrival"
-        )
     return sig
 
 
@@ -288,15 +284,15 @@ def cyclic_avg_snr(s: SchemeParams, force: ForcePulse, win: MeasurementWindow, t
     stored t1 of ``force`` is ignored.  A no-feedback comparator is the
     same call with g = 0 and t_cool = 0.  The window must hold one
     measurement time.  The average is the mean of the rows of ``signal``,
-    this call's :func:`arrival_signal` (of ``CYCLIC_ARRIVAL_NODES`` nodes
-    when None), which every scheme of one bare mirror shares.
+    this call's :func:`arrival_signal` when None, which every scheme of one
+    bare mirror shares.
     """
     _check_window(win)
     if not 0 <= t_cool < math.inf:
         raise ValueError(f"cooling time must be finite and >= 0, got {t_cool}")
     signal = arrival_signal(s, force, win, omega) if signal is None else signal
     if np.shape(signal)[:1] in ((), (0,)) or np.shape(signal)[1:] != np.shape(omega):
-        raise ValueError(f"signal must have shape (n_arrival,) + omega.shape, n_arrival >= 1, got {np.shape(signal)}")
+        raise ValueError(f"signal must have shape (n,) + omega.shape, n >= 1, got {np.shape(signal)}")
     if t_cool > 0.1 * win.t_m:
         _warn(
             f"cyclic averaging assumes t_cool << t_m (got t_cool = {t_cool:.3g}, "

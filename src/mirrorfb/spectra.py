@@ -29,6 +29,7 @@ _NOISE_KINDS = (KIND_POSITION_NOISE, KIND_DETECTED_NOISE)
 FLOAT_FMT = "{:.12g}"
 CSV_HEADER = "omega,value,kind,provenance"
 _CSV_ROW = "%.12g,%.12g,%s,%s\n"  # FLOAT_FMT's text; kind and provenance go in verbatim
+DEFAULT_GRID = (1e-3, 3.0, 400)  # lowest and highest omega and points of default_grid and the CLI's grid
 
 
 def rows_to_csv(rows) -> str:
@@ -73,10 +74,10 @@ class SpectrumSeries:
         return rows_to_csv(rows)
 
 
-def default_grid(n: int = 400) -> np.ndarray:
+def default_grid(n: int = DEFAULT_GRID[2]) -> np.ndarray:
     """Default frequency grid: n log-spaced points on [1e-3, 3], resolving the
     w -> 0 plateau and the resonance."""
-    return np.geomspace(1e-3, 3.0, n)
+    return np.geomspace(DEFAULT_GRID[0], DEFAULT_GRID[1], n)
 
 
 def _thermal_density(s: SchemeParams, omega: np.ndarray, thermal: str) -> np.ndarray:

@@ -198,7 +198,7 @@ def test_huge_omax_is_numerical_failure(tmp_path, capsys, argv, omax, code, acti
     assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
 
 
-LONG_PULSE = ["--scheme", "cd", "--g", "10", "--Tm", "1e-3", "--sigma", "0.5", "--t1", "0.5", "--opoints", "3"]
+LONG_PULSE = ["--scheme", "cd", "--g", "10", "--Tm", "1e-3", "--sigma", "0.5", "--opoints", "3"]
 
 
 @pytest.mark.parametrize("subcommand", ["snr-nonstationary", "cyclic"])
@@ -214,7 +214,7 @@ def test_caveats_point_into_the_cli(tmp_path, capsys, subcommand):
 def test_caveat_made_an_error_is_config_error(tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error", UserWarning)
-        argv = ["snr-nonstationary", *LONG_PULSE, "--theta", "10", "--out", str(tmp_path / "out.csv")]
+        argv = ["snr-nonstationary", *LONG_PULSE, "--t1", "0.5", "--theta", "10", "--out", str(tmp_path / "out.csv")]
         code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: invalid configuration: force duration is not small")
@@ -475,9 +475,11 @@ def test_invalid_timestep_and_window_exit_code(capsys):
 
 PULSE_ARGS = (
     "--scheme", "cd", "--g", "2e3", "--Q", "1e5", "--zeta", "10", "--theta", "1e5", "--eta", "0.8",
-    "--Tm", "1e-3", "--f0", "2", "--sigma", "2e-4", "--t1", "5e-4", "--omega-f", "1.05",
+    "--Tm", "1e-3", "--f0", "2", "--sigma", "2e-4", "--omega-f", "1.05",
     "--omin", "0.5", "--omax", "1.5", "--opoints", "9",
 )
+# the pulse's arrival time: cyclic averages over it and takes no --t1
+ARRIVAL = {"snr-nonstationary": ("--t1", "5e-4"), "cyclic": ()}
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["cooled_init", "wide_init"])
@@ -489,13 +491,13 @@ def test_pulse_subcommands_match_library(tmp_path, capsys, subcommand, wide):
 
     cyclic = subcommand == "cyclic"
     out = tmp_path / "snr.csv"
-    flags = (*(("--Tcool", "1e-6") if cyclic else ()), *(("--wide-init",) if wide else ()))
+    flags = (*ARRIVAL[subcommand], *(("--Tcool", "1e-6") if cyclic else ()), *(("--wide-init",) if wide else ()))
     assert run_cli(capsys, subcommand, *PULSE_ARGS, *flags, "--out", str(out))[0] == 0
 
     s = SchemeParams(scheme=Scheme.COLD_DAMPING, g=2e3, quality=1e5, zeta=10.0, theta=1e5, eta=0.8)
     gm, grid = s.gamma_m, np.geomspace(0.5, 1.5, 9)
     win = nonstat.MeasurementWindow(1e-3 / gm)
-    force = nonstat.ForcePulse(f0=2.0, sigma=2e-4 / gm, t1=5e-4 / gm, omega_f=1.05)
+    force = nonstat.ForcePulse(f0=2.0, sigma=2e-4 / gm, t1=0.0 if cyclic else 5e-4 / gm, omega_f=1.05)
 
     def curve(cooled):
         if cyclic:
@@ -520,7 +522,7 @@ def test_wide_init_is_the_wide_feedback_band(tmp_path, capsys, subcommand):
     for i, flags in enumerate([("--wide-init",), ("--fb-band", "wide"), ("--fb-band", "0.5:2", "--wide-init"),
                                ("--fb-band", "0.5:2"), ("--wide-init", "--fb-band", "0.5:2")]):
         out = tmp_path / f"snr{i}.csv"
-        assert run_cli(capsys, subcommand, *PULSE_ARGS, *flags, "--out", str(out))[0] == 0
+        assert run_cli(capsys, subcommand, *PULSE_ARGS, *ARRIVAL[subcommand], *flags, "--out", str(out))[0] == 0
         texts.append(out.read_bytes())
     assert texts[0] == texts[1] == texts[2] != texts[3] == texts[4]
 
@@ -546,14 +548,14 @@ def test_numerical_failure_exit_code(capsys, monkeypatch):
 
 _PARAMS = {"--config", "--scheme", "--g", "--Q", "--zeta", "--theta", "--eta", "--fb-band"}
 _GRID = {"--omin", "--omax", "--opoints"}
-_PULSE = {"--Tm", "--f0", "--sigma", "--t1", "--omega-f", "--wide-init"}
+_PULSE = {"--Tm", "--f0", "--sigma", "--omega-f", "--wide-init"}
 
 # the flags of each subcommand, every one of them read by its handler
 SUBCOMMAND_FLAGS = {
     "steady": {"--out", *_PARAMS, "--format", "--sweep"},
     "spectrum": {"--out", *_PARAMS, *_GRID, "--detected", "--thermal"},
     "snr-stationary": {"--out", *_PARAMS, *_GRID, "--Tm", "--f0", "--thermal"},
-    "snr-nonstationary": {"--out", *_PARAMS, *_GRID, *_PULSE},
+    "snr-nonstationary": {"--out", *_PARAMS, *_GRID, *_PULSE, "--t1"},
     "cyclic": {"--out", *_PARAMS, *_GRID, *_PULSE, "--Tcool"},
     "montecarlo": {"--out", *_PARAMS, "--seed", "--n-traj", "--dt", "--n-steps", "--estimator"},
     "figure": {"--out"},
@@ -567,7 +569,7 @@ def test_subcommand_flag_sets():
         for name, parser in subparsers.choices.items()
     }
     assert flags == SUBCOMMAND_FLAGS
-    assert sum(map(len, flags.values())) == 92
+    assert sum(map(len, flags.values())) == 91
 
 
 def test_scheme_choices_are_the_enum_values():
@@ -584,6 +586,7 @@ UNREAD_OR_EMPTY = [
     (("figure", "2", "--g", "5"), "unrecognized arguments: --g"),
     (("spectrum", "--format", "json"), "unrecognized arguments: --format"),
     (("montecarlo", "--format", "json", "--n-steps", "1"), "unrecognized arguments: --format"),
+    (("cyclic", "--Tm", "1e-3", "--t1", "0.5"), "unrecognized arguments: --t1"),  # it averages over t1
 ]
 
 

@@ -95,6 +95,7 @@ def test_adiabaticity_warning():
 COLD = SchemeParams(scheme=Scheme.COLD_DAMPING, g=10.0, quality=100.0)  # theta = 0: the classical-delta caveat
 WARM = SchemeParams(scheme=Scheme.NONE, quality=100.0, theta=1.0)  # gamma_m = 0.01
 SHORT, LONG = ForcePulse(f0=1.0, sigma=1.0, t1=0.0), ForcePulse(f0=1.0, sigma=20.0, t1=0.0)
+BRIEF = ForcePulse(f0=1.0, sigma=1e-3, t1=0.0)  # too short for the window's arrival-time average
 WINDOW = MeasurementWindow(50.0)
 TINY_RUN = SimConfig(n_traj=4, n_steps=16)
 
@@ -116,10 +117,8 @@ WARNING_SITES = {
     "long_pulse_cyclic_avg_snr": (lambda: cyclic_avg_snr(WARM, LONG, WINDOW, 0.0, 1.0), "force duration"),
     "short_window_stationary_snr": (lambda: stationary_snr(WARM, 1.0, 1.0, 1.0), "relaxation time"),
     "t_cool_cyclic_avg_snr": (lambda: cyclic_avg_snr(WARM, SHORT, WINDOW, 25.0, 1.0), "t_cool"),
-    "arrival_cyclic_avg_snr": (
-        lambda: cyclic_avg_snr(WARM, SHORT, WINDOW, 0.0, 1.0, signal=arrival_signal(WARM, SHORT, WINDOW, 1.0, 2)),
-        "arrival",
-    ),
+    "arrival_cyclic_avg_snr": (lambda: cyclic_avg_snr(WARM, BRIEF, WINDOW, 0.0, 1.0), "too short"),
+    "arrival_signal": (lambda: arrival_signal(WARM, BRIEF, WINDOW, 1.0), "too short"),
 }
 
 

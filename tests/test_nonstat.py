@@ -1,7 +1,6 @@
 """Windowed-measurement tests: signal, nonstationary noise, SNR, cyclic average."""
 
 import math
-import re
 import threading
 import time
 import warnings
@@ -328,8 +327,8 @@ def test_cyclic_duty_factor_and_single_node():
         warnings.simplefilter("ignore")
         base = cyclic_avg_snr(s, force, win, 0.0, 1.0)
         with_cooling = cyclic_avg_snr(s, force, win, 0.02 * win.t_m, 1.0)
-        # a single arrival node reduces to the plain SNR at the midpoint
-        single = cyclic_avg_snr(s, force, win, 0.0, 1.0, signal=arrival_signal(s, force, win, 1.0, n_arrival=1))
+        # a one-row signal, the pulse arriving mid-window, reduces to the plain SNR there
+        single = cyclic_avg_snr(s, force, win, 0.0, 1.0, signal=_per_node_signal(s, force, win, 1.0, 1))
         mid = nonstationary_snr(s, replace(force, t1=win.t_m / 2.0), win, 1.0)
     assert with_cooling == pytest.approx(base / 1.02, rel=1e-12)
     assert single == pytest.approx(mid, rel=1e-12)
@@ -341,9 +340,9 @@ def test_cyclic_arrival_grid_converged():
     force = ForcePulse(f0=1.0, sigma=1e-4 / s.gamma_m, t1=0.0, omega_f=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        r64, r128 = (cyclic_avg_snr(s, force, win, 1e-3 * win.t_m, 1.0, signal=arrival_signal(s, force, win, 1.0, n))
-                     for n in (64, 128))
-    assert r128 == pytest.approx(r64, rel=1e-2)
+        default = cyclic_avg_snr(s, force, win, 1e-3 * win.t_m, 1.0)
+        r128 = _per_node_average(s, force, win, 1e-3 * win.t_m, 1.0, 128)
+    assert r128 == pytest.approx(default, rel=1e-2)
 
 
 def test_cyclic_warns_on_long_cooling_stage():
@@ -409,36 +408,63 @@ def test_non_finite_window_force_and_cooling_time_rejected():
             fn(make(Scheme.NONE), ForcePulse(1.0, 1.0, 0.0), MeasurementWindow([10.0, 20.0]), 1.0)
 
 
-def test_cyclic_needs_an_arrival_node():
-    # an integer >= 1, NumPy's included; a bool or a float is not a node count
-    args = (make(Scheme.NONE), ForcePulse(1.0, 1.0, 0.0), MeasurementWindow(10.0))
-    for bad in (0, -3, 2.5, 3.0, True, np.float64(4.0), "8", None):
-        with pytest.raises(ValueError, match=re.escape(f"n_arrival must be an integer >= 1, got {bad!r}")):
-            arrival_signal(*args, 1.0, n_arrival=bad)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # two nodes cannot estimate their error
-        two = [cyclic_avg_snr(*args, 0.0, 1.0, signal=arrival_signal(*args, 1.0, n_arrival=n)) for n in (np.int64(2), 2)]
-    assert two[0] == two[1]
-    assert arrival_signal(*args, [1.0, 2.0], n_arrival=np.int32(3)).shape == (3, 2)
-
-
 def test_cyclic_takes_no_node_count():
-    # the node count belongs to arrival_signal; a finer average passes its signal
+    # arrival_signal works the node count out from the pulse width; a finer average passes its signal
     args = (make(Scheme.NONE), ForcePulse(1.0, 1.0, 0.0), MeasurementWindow(10.0))
     with pytest.raises(TypeError, match="n_arrival"):
         cyclic_avg_snr(*args, 0.0, 1.0, n_arrival=8)
+    with pytest.raises(TypeError, match="n_arrival"):
+        arrival_signal(*args, 1.0, n_arrival=256)
+    with pytest.raises(TypeError, match="positional"):
+        arrival_signal(*args, 1.0, 256)
+    assert arrival_signal(*args, [1.0, 2.0]).shape == (CYCLIC_ARRIVAL_NODES, 2)
+
+
+def test_arrival_node_count_follows_the_pulse_width():
+    # max(64, ceil(T_m / 0.2 sigma)) nodes, at most 4096; figure 10, C08 and the README cyclic call keep 64
+    from mirrorfb import cli
+
+    bare, win = make(Scheme.NONE), MeasurementWindow(100.0)
+    for sigma, n in ((25.0, 64), (3.0, 167), (1.5, 334), (0.7, 715)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert arrival_signal(bare, ForcePulse(1.0, sigma, 0.0), win, [1.0, 2.0]).shape == (n, 2)
+    with pytest.warns(UserWarning, match="too short for the measurement time t_m = 100: the 4096-point"):
+        assert arrival_signal(bare, ForcePulse(1.0, 0.03, 0.0), win, 1.0).shape == (4096,)
+    readme = cli.build_parser().parse_args(["cyclic", "--scheme", "cd", "--g", "2e3", "--Q", "1e5", "--zeta", "10",
+                                            "--theta", "1e5", "--Tm", "1e-3", "--Tcool", "1e-6", "--sigma", "1e-4"])
+    c08 = ForcePulse(f0=1.0, sigma=1e-4 / bare.gamma_m, t1=0.0, omega_f=1.0), MeasurementWindow(1e-3 / bare.gamma_m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        *_, figure_10_signal = cli._FIGURES[10]
+        assert figure_10_signal(default_grid()).shape == (64, 400)
+        assert arrival_signal(bare, *c08, 1.0).shape == (64,)
+        assert arrival_signal(bare, *cli._pulse(readme, cli._build_params(readme)), default_grid()).shape == (64, 400)
+
+
+@pytest.mark.parametrize("gamma_tm, sigma_over_tm", [(1e-3, 0.03), (1e-3, 0.01), (1e-2, 0.002)])
+def test_cyclic_average_resolves_a_pulse_short_for_the_window(gamma_tm, sigma_over_tm):
+    # the bare mirror, omega_f = 1: a fixed 64-node rule is 3.7%, 6.3% and 59% off at these points, silently;
+    # nodes at most 0.2 sigma apart are within 1% of an 8192-node reference at every omega
+    s = make(Scheme.NONE)
+    win = MeasurementWindow(gamma_tm / s.gamma_m)
+    force = ForcePulse(f0=1.0, sigma=sigma_over_tm * win.t_m, t1=0.0, omega_f=1.0)
+    grid = default_grid(9)
+    reference = _per_node_average(s, force, win, 0.0, grid, 8192)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cyclic_avg_snr(s, force, win, 0.0, grid)
+    assert np.max(np.abs(got / reference - 1.0)) < 0.01
 
 
 def test_cyclic_takes_a_signal_of_its_own_shape():
     # any number of rows of omega's shape, at least one
     s, force, win = make(Scheme.NONE), fig_force(1e-5), MeasurementWindow(1e-3 / 1e-5)
     grid = default_grid(50)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # 16 nodes miss the 1% estimate
-        signal = arrival_signal(s, force, win, grid, n_arrival=16)
+    signal = _per_node_signal(s, force, win, grid, 16)
     for bad, omega in ((signal[:, :1], grid), (signal[:, :2], 1.0), (signal, grid[:49]), (signal[None], grid),
                        (signal[:0], grid), (signal[0, 0], 1.0), (signal[0], grid)):
-        with pytest.raises(ValueError, match=r"signal must have shape \(n_arrival,\) \+ omega.shape"):
+        with pytest.raises(ValueError, match=r"signal must have shape \(n,\) \+ omega.shape, n >= 1"):
             cyclic_avg_snr(s, force, win, 0.0, omega, signal=bad)
     assert cyclic_avg_snr(s, force, win, 0.0, 1.0, signal=signal[:1, 0]) > 0.0
 
@@ -459,42 +485,39 @@ def test_cyclic_error_estimate_silent_on_figure_10():
             cyclic_avg_snr(s, force, win, t_cool, default_grid())
 
 
-@pytest.mark.parametrize("n_arrival", [2, 8])
-def test_cyclic_error_estimate_fires_when_under_resolved(n_arrival):
-    grid = default_grid()
-    for s, force, win, t_cool in _figure_10_curves():
-        reference = cyclic_avg_snr(s, force, win, t_cool, grid, signal=arrival_signal(s, force, win, grid, 1024))
-        with pytest.warns(UserWarning, match=f"the {n_arrival}-point arrival-time average"):
-            signal = arrival_signal(s, force, win, grid, n_arrival=n_arrival)
-        coarse = cyclic_avg_snr(s, force, win, t_cool, grid, signal=signal)
-        assert np.max(np.abs(coarse / reference - 1.0)) > 0.01
-
-
 def test_shared_signal_estimates_its_error_once():
-    # figure 10's two curves on one under-resolved signal: the estimate runs with the signal, not per curve
-    (cooled, _, _, t_cool), (bare, force, win, _) = _figure_10_curves()
-    grid = default_grid()
+    # the arrival rule's caveat runs with the signal, not per curve: figure 10's two curves on one signal of a
+    # pulse too short for the window warn once, and a coarse signal passed in draws no caveat at all
+    (cooled, force, _, t_cool), (bare, _, win, _) = _figure_10_curves()
+    brief, grid = replace(force, sigma=win.t_m / 1e4), default_grid(8)
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        signal = arrival_signal(bare, force, win, grid, n_arrival=8)
-        cyclic_avg_snr(cooled, force, win, t_cool, grid, signal=signal)
-        cyclic_avg_snr(bare, force, win, 0.0, grid, signal=signal)
-    assert sum("arrival-time average" in str(w.message) for w in seen) == 1
+        signal = arrival_signal(bare, brief, win, grid)
+        coarse = _per_node_signal(bare, force, win, grid, 8)
+        for sig, pulse in ((signal, brief), (coarse, force)):
+            cyclic_avg_snr(cooled, pulse, win, t_cool, grid, signal=sig)
+            cyclic_avg_snr(bare, pulse, win, 0.0, grid, signal=sig)
+    assert [str(w.message) for w in seen if "arrival-time average" in str(w.message)] == [
+        f"force duration sigma = {brief.sigma:.3g} is too short for the measurement time t_m = {win.t_m:.3g}: "
+        "the 4096-point arrival-time average does not resolve the pulse and may be off by more than 1%"
+    ]
 
 
 def test_cyclic_under_resolved_point_refines_through_the_signal():
-    # narrow-band cold damping at g = 200, gamma_m T_m = 1e-2: the default 64 nodes are 1.3% off and say so;
-    # a 256-node signal is silent and within 0.1% of a 4096-node reference
+    # narrow-band cold damping at g = 200, gamma_m T_m = 1e-2 (sigma = T_m / 100): 64 nodes are 1.3% off;
+    # the default's 500 nodes and a 256-node signal passed in are silent and within 0.1% of a 4096-node reference
     s = make(CD, g=200.0)
     force, win, t_cool = fig_force(s.gamma_m), MeasurementWindow(1e-2 / s.gamma_m), 1e-4 / s.gamma_m
     grid = np.geomspace(0.1, 2.0, 31)
-    reference = cyclic_avg_snr(s, force, win, t_cool, grid, signal=arrival_signal(s, force, win, grid, 4096))
-    with pytest.warns(UserWarning, match=f"the {CYCLIC_ARRIVAL_NODES}-point arrival-time average"):
-        coarse = cyclic_avg_snr(s, force, win, t_cool, grid)
+    reference = _per_node_average(s, force, win, t_cool, grid, 4096)
+    coarse = cyclic_avg_snr(s, force, win, t_cool, grid, signal=_per_node_signal(s, force, win, grid, 64))
     assert np.max(np.abs(coarse / reference - 1.0)) > 0.01
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fine = cyclic_avg_snr(s, force, win, t_cool, grid, signal=arrival_signal(s, force, win, grid, n_arrival=256))
+        assert arrival_signal(s, force, win, grid).shape == (500, 31)
+        default = cyclic_avg_snr(s, force, win, t_cool, grid)
+        fine = cyclic_avg_snr(s, force, win, t_cool, grid, signal=_per_node_signal(s, force, win, grid, 256))
+    assert np.max(np.abs(default / reference - 1.0)) < 1e-3
     assert np.max(np.abs(fine / reference - 1.0)) < 1e-3
 
 
@@ -526,35 +549,39 @@ def _reflection_curve():
     """A window long against the pulse: late nodes take the reflected branch, early ones do not.
 
     T_m is the first above 400 for which the pulse weight exp(-t1^2 / 2 sigma^2)
-    of some of the 64 nodes changes when t1^2 is squared instead of taken by pow.
+    of some of the default signal's nodes (T_m / 0.2 sigma of them, rounded up) changes
+    when t1^2 is squared instead of taken by pow.
     """
     sigma = 10.0
 
     def weight_differs(t_m):
-        nodes = (np.arange(64) + 0.5) * t_m / 64
+        n = math.ceil(t_m / sigma / 0.2)
+        nodes = (np.arange(n) + 0.5) * t_m / n
         return np.any(np.exp(-np.float_power(nodes, 2) / (2.0 * sigma**2)) != np.exp(-np.square(nodes) / (2.0 * sigma**2)))
 
     t_m = next(t for t in np.linspace(400.0, 450.0, 501).tolist() if weight_differs(t))
     yield make(Scheme.NONE, quality=1e3), ForcePulse(f0=1.0, sigma=sigma, t1=0.0), MeasurementWindow(t_m), 0.0
 
 
-@pytest.mark.parametrize("n_arrival", [1, 2, 9, 64])
+@pytest.mark.parametrize("n_nodes", [1, 2, 9, 64])
 @pytest.mark.parametrize("omega", [default_grid(), 1.0], ids=["grid", "scalar"])
-def test_cyclic_average_is_the_per_node_loop_bit_for_bit(n_arrival, omega):
-    # 9 nodes leave a partial block; the signal is the public arrival_signal,
-    # and passing it in gives the bits of computing it inside
+def test_cyclic_average_is_the_per_node_loop_bit_for_bit(n_nodes, omega):
+    # cyclic_avg_snr averages a signal of any number of rows as the per-node loop does; the default
+    # signal is the public arrival_signal, the per-node signal at its node count (64 on figure 10, 201 on
+    # the long window, a partial block), and passing it in gives the bits of computing it inside
     for s, force, win, t_cool in (*_figure_10_curves(), *_reflection_curve()):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # few nodes, or the long window, miss the 1% estimate
-            signal = arrival_signal(s, force, win, omega, n_arrival=n_arrival)
-            got = cyclic_avg_snr(s, force, win, t_cool, omega, signal=signal)
-            want = _per_node_average(s, force, win, t_cool, omega, n_arrival)
-            if n_arrival == CYCLIC_ARRIVAL_NODES:  # the default computes the same signal inside
-                assert np.array_equal(cyclic_avg_snr(s, force, win, t_cool, omega), want)
-        assert np.array_equal(signal, _per_node_signal(s, force, win, omega, n_arrival))
-        assert signal.shape == (n_arrival,) + np.shape(omega)
-        assert np.array_equal(got, want)
+        got = cyclic_avg_snr(s, force, win, t_cool, omega, signal=_per_node_signal(s, force, win, omega, n_nodes))
+        assert np.array_equal(got, _per_node_average(s, force, win, t_cool, omega, n_nodes))
         assert np.shape(got) == np.shape(omega)
+        if n_nodes == CYCLIC_ARRIVAL_NODES:
+            signal = arrival_signal(s, force, win, omega)
+            n = len(signal)
+            assert n == (CYCLIC_ARRIVAL_NODES if win.t_m < 400 else math.ceil(win.t_m / force.sigma / 0.2))
+            assert signal.shape == (n,) + np.shape(omega)
+            assert np.array_equal(signal, _per_node_signal(s, force, win, omega, n))
+            want = _per_node_average(s, force, win, t_cool, omega, n)
+            assert np.array_equal(cyclic_avg_snr(s, force, win, t_cool, omega, signal=signal), want)
+            assert np.array_equal(cyclic_avg_snr(s, force, win, t_cool, omega), want)
 
 
 # ------------------------------------------------ the helper thread's contract
@@ -601,17 +628,22 @@ def test_helper_thread_runs_under_the_callers_errstate(monkeypatch):
     assert all(state == want for _, state in seen)
 
 
-@pytest.mark.parametrize("n_arrival, threads", [(8, 1), (9, 2)])
-def test_one_block_starts_no_thread(monkeypatch, n_arrival, threads):
-    s, force, win, _ = next(_figure_10_curves())
-    idents, started, before = set(), [], threading.active_count()
-    _spy_halfline(monkeypatch, lambda t1: idents.add(threading.get_ident()))
+@pytest.mark.parametrize("sigma, blocks", [(1e-1, 8), (7.75e-2, 9), (1e-4, 512)])
+def test_every_call_starts_one_helper(monkeypatch, sigma, blocks):
+    # 64 nodes are 8 blocks, 65 leave a partial ninth, the 4096-node cap is 512; the helper fills the second half
+    s, _, win, _ = next(_figure_10_curves())
+    force, grid = ForcePulse(f0=1.0, sigma=sigma * win.t_m, t1=0.0), default_grid(8)
+    calls, started, before = [], [], threading.active_count()
+    _spy_halfline(monkeypatch, lambda t1: calls.append(threading.get_ident()))
     start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
-    with pytest.warns(UserWarning, match=f"the {n_arrival}-point arrival-time average"):  # estimated in the caller
-        arrival_signal(s, force, win, default_grid(), n_arrival=n_arrival)
-    assert len(idents) == threads and threading.get_ident() in idents
-    assert len(started) == threads - 1 and threading.active_count() == before
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the cap's caveat, given in the caller
+        signal = arrival_signal(s, force, win, grid)
+    assert len(calls) == blocks and calls.count(threading.get_ident()) == (blocks + 1) // 2
+    assert len(set(calls)) == 2 and len(started) == 1 and threading.active_count() == before
+    monkeypatch.undo()
+    assert np.array_equal(signal, _per_node_signal(s, force, win, grid, len(signal)))
 
 
 def test_window_sweep_is_the_scalar_loop_bit_for_bit():

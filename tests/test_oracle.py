@@ -232,7 +232,7 @@ def test_library_validation_raises(kwargs, message):
          "n_traj_none"],
 )
 def test_sim_config_rejects_non_integer_counts(kwargs):
-    # the counts take arrival_signal's n_arrival rule: a bool is not a count, a NumPy integer is
+    # a count is an integer: a bool is not one, a NumPy integer is
     ((name, value),) = kwargs.items()
     with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
         SimConfig(**{"n_traj": 4, **kwargs})

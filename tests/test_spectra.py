@@ -130,8 +130,25 @@ def test_low_q_stochastic_cooling_spectrum_integrates_to_steady_q2(g, quality):
     assert q2 == pytest.approx(steady_moments(s, ThermalModel.CLASSICAL_DELTA).q2, rel=1e-9, abs=0)
 
 
+def _golden_section_min(f, lo, hi, tol=1e-9):
+    """The x in [lo, hi] that minimises a unimodal f, by golden-section search."""
+    r = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - r * (hi - lo), lo + r * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > tol:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - r * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + r * (hi - lo)
+            fd = f(d)
+    return (lo + hi) / 2.0
+
+
 def test_optimal_power_stationarity():
-    # derivative of the detected noise vanishes at the closed-form optimum
+    # the closed-form optimum is the minimum a search over log zeta finds, and the derivative vanishes there
     for scheme, g, w in ((Scheme.NONE, 0.0, 1.0), (CD, 1e3, 1.0), (SC, 1e2, 0.4)):
         s = make(scheme, g=g, quality=1e4)
         zopt, n_min = optimal_power_at_frequency(s, w)
@@ -142,9 +159,11 @@ def test_optimal_power_stationarity():
 
             return detected_noise_spectrum(replace(s, zeta=z), w)
 
+        z_search = math.exp(_golden_section_min(lambda x: n_of_zeta(math.exp(x)), math.log(1e-6), math.log(1e12)))
+        assert n_of_zeta(z_search) == pytest.approx(n_min, rel=1e-13)
+        assert z_search == pytest.approx(zopt, rel=1e-4)
         deriv = (n_of_zeta(zopt + h) - n_of_zeta(zopt - h)) / (2.0 * h)
         assert abs(deriv) * zopt / n_min < 1e-6
-        assert n_of_zeta(zopt) == pytest.approx(n_min, rel=1e-10)
 
 
 def test_optimal_power_matches_grid_minimum():
