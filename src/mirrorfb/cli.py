@@ -118,17 +118,13 @@ def _params_from_mapping(kv: dict[str, str]) -> SchemeParams:
 def _physical_params(kv: dict[str, str], scheme: Scheme) -> SchemeParams:
     values = {k: _number(float, v, f"config key {k!r}") for k, v in kv.items()}
     detuning = values.pop("detuning", 0.0)
-    beta_override = values.pop("beta", None)
+    beta = values.pop("beta", None)  # overrides the solved root
     try:
         p = PhysicalParams(**values)  # its ValueError is exit 1 unwrapped, as SchemeParams' is
     except TypeError as exc:  # a missing field
         raise ConfigError(str(exc)) from exc
-    if beta_override is not None:
-        beta = beta_override
-    else:
-        result = classical_steady_amplitude(p, detuning)
-        stable = [x for x, ok in zip(result.roots, result.stable) if ok]
-        beta = math.sqrt(stable[-1])  # largest stable branch unless overridden
+    if beta is None:  # the largest root, always on the upper stable branch
+        beta = math.sqrt(classical_steady_amplitude(p, detuning).roots[-1])
     return to_dimensionless(p, beta, scheme)
 
 
@@ -330,26 +326,26 @@ _FIGURES = {
         lambda s, x, _: steady.moments_sweep(s, "zeta", x).q2,
         [(f"g{i:02d}", "fig4", _sc(g, 1e4), None, "x=zeta") for i, g in enumerate((1e7, 1e9))]),
     # gamma_m T_m = 10 sets the overall scale only, kept in the stationary regime
-    5: (None, _FIGURE_KEYS, "SNR",
+    5: (None, _FIGURE_KEYS, spectra.KIND_SNR,
         lambda s, w, win: spectra.stationary_snr(s, 1.0, w, win.t_m),
         [(f"g{i:02d}", "fig5", _cd(g, 1e5), 10.0, "gmTm=10") for i, g in enumerate((0.0, 1e4, 1e5))]),
-    6: (None, _FIGURE_KEYS, "DetectedNoise",
+    6: (None, _FIGURE_KEYS, spectra.KIND_DETECTED_NOISE,
         lambda s, w, win: nonstat.nonstationary_noise(s, win, w),
         [(f"Tm{i:02d}", "fig6", _cd(1e3, 1e4), t, f"gmTm={t:g}") for i, t in enumerate((1e-1, 1e-2, 1e-3, 1e-4))]),
-    7: (None, _FIGURE_KEYS, "DetectedNoise",
+    7: (None, _FIGURE_KEYS, spectra.KIND_DETECTED_NOISE,
         lambda s, w, win: nonstat.nonstationary_noise(s, win, w),
         [(f"{panel}_g{i:02d}", f"fig7{panel}", _cd(g, 1e4), t, f"gmTm={t:g}")
          for panel, t in (("a", 1e-3), ("b", 1e-1)) for i, g in enumerate((1.0, 10.0, 1e2, 1e3))]),
-    8: (None, _FIGURE_KEYS, "SNR",
+    8: (None, _FIGURE_KEYS, spectra.KIND_SNR,
         lambda s, w, win: nonstat.nonstationary_snr(s, _FORCE, win, w),
         [(name, f"fig8;{name}", s, t, f"gmTm={t:g}")
          for name, s, t in (("cooled", _COOLED, 1e-3), ("bare_short", _BARE, 1e-3), ("bare_long", _BARE, 10.0))]),
     # the window is kept above the force duration
-    9: (np.geomspace(1e-3, 10.0, 60), _FIGURE_KEYS, "SNR",
+    9: (np.geomspace(1e-3, 10.0, 60), _FIGURE_KEYS, spectra.KIND_SNR,
         lambda s, x, _: nonstat.nonstationary_snr(s, _FORCE, MeasurementWindow(x / s.gamma_m), 1.0),
         [(name, f"fig9;{name}", s, None, "x=gmTm") for name, s in (("cooled", _COOLED), ("bare", _BARE))]),
     # the cooled mirror spends T_cool = 1e-3 T_m cooling, the bare one none; both share one arrival signal
-    10: (None, _FIGURE_KEYS, "SNR",
+    10: (None, _FIGURE_KEYS, spectra.KIND_SNR,
          lambda s, w, win, signal: nonstat.cyclic_avg_snr(
              s, _FORCE, win, 1e-3 * win.t_m if s is _COOLED else 0.0, w, signal=signal),
          [("cyclic", "fig10;cyclic", _COOLED, 1e-3, "gmTm=0.001;Tcool=0.001Tm"),

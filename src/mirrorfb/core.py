@@ -15,8 +15,6 @@ import warnings
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 
-import numpy as np
-
 HBAR = 1.054571817e-34  # J s
 KB = 1.380649e-23  # J / K
 
@@ -128,9 +126,6 @@ class SchemeParams:
     def feedback_band(self) -> tuple[float, float]:
         """Feedback gate interval (lo, hi) for |omega|, in units of omega_m."""
         cf = self.cutoff_feedback
-        if cf == "narrow":
-            half = NARROW_BAND_WIDTHS * self.damping
-            return (max(0.0, 1.0 - half), 1.0 + half)
         if cf == "wide":
             return (0.0, self.cutoff_reservoir)
         if isinstance(cf, tuple):
@@ -140,12 +135,15 @@ class SchemeParams:
             if not 0 <= lo < hi < math.inf:
                 raise ValueError(f"feedback band must be finite with 0 <= lo < hi, got {cf}")
             return (lo, hi)
-        if isinstance(cf, (int, float)) and not isinstance(cf, bool):
+        if cf == "narrow":
+            half = NARROW_BAND_WIDTHS * self.damping
+        elif isinstance(cf, (int, float)) and not isinstance(cf, bool):
             half = float(cf)
             if not 0 < half < math.inf:
                 raise ValueError(f"feedback half-width must be finite and > 0, got {cf}")
-            return (max(0.0, 1.0 - half), 1.0 + half)
-        raise ValueError(f"unrecognized cutoff_feedback: {cf!r}")
+        else:
+            raise ValueError(f"unrecognized cutoff_feedback: {cf!r}")
+        return (max(0.0, 1.0 - half), 1.0 + half)  # centred on the resonance
 
     def bare(self) -> "SchemeParams":
         """Same bath/readout parameters with the feedback loop open."""
@@ -233,55 +231,47 @@ def classical_steady_amplitude(p: PhysicalParams, detuning: float = 0.0) -> Bist
 
     The steady state satisfies the cubic
 
-        x * [(gamma_c/2)^2 + (detuning - 2 G^2 x / omega_m)^2] = E^2,
+        f(x) = x * [(gamma_c/2)^2 + (detuning - 2 G^2 x / omega_m)^2] - E^2 = 0,
 
-    which has one or three positive real roots.  ``detuning`` is the bare
-    cavity-laser detuning omega_c - omega_0 in rad/s.  With three roots the
-    middle one sits on the negative-slope branch and is flagged unstable.
+    whose one or three positive real roots are returned in ascending order.  ``detuning`` is the
+    bare cavity-laser detuning omega_c - omega_0 in rad/s.  With three roots the middle one sits on
+    the negative-slope branch and is flagged unstable; the last root is on the upper stable branch.
+
+    As f(0) < 0 and f(x) >= x (gamma_c/2)^2 - E^2, every root lies in (0, 2 E^2 / (gamma_c/2)^2].
+    The turning points of f cut that interval into at most three monotone pieces; each piece whose
+    ends differ in sign holds one root, bisected down to adjacent floats.  The signs at the cuts run
+    from - to +, so one or three pieces change sign.  An exact tangency counts its double root twice
+    or not at all.
     """
     if not math.isfinite(detuning):
         raise ValueError(f"detuning must be finite, got {detuning}")
-    g2 = p.coupling**2
+    a = 2.0 * p.coupling**2 / p.omega_m
     e2 = p.drive**2
     hw2 = (p.gamma_c / 2.0) ** 2
+    top = 2.0 * e2 / hw2
+    if not 0 < top < math.inf:
+        raise ValueError(f"intensity bound 2 E^2 / (gamma_c/2)^2 must be finite and > 0, got {top}")
 
-    # c3 x^3 + c2 x^2 + c1 x + c0 = 0; np.roots drops zero leading coefficients (G = 0)
-    c3 = 4.0 * g2 * g2 / p.omega_m**2
-    c2 = -4.0 * detuning * g2 / p.omega_m
-    c1 = hw2 + detuning**2
-    c0 = -e2
-    raw = np.roots([c3, c2, c1, c0])
-    roots = []
-    for r in raw:
-        if abs(r.imag) > 1e-8 * (abs(r.real) + 1e-300):
-            continue
-        x = float(r.real)
-        if x <= 0:
-            continue
-        # polish with Newton; np.roots can be loose for extreme coefficients
-        for _ in range(4):
-            f = ((c3 * x + c2) * x + c1) * x + c0
-            df = (3.0 * c3 * x + 2.0 * c2) * x + c1
-            if df == 0:
-                break
-            x -= f / df
-        roots.append(x)
-    # collapse duplicates, exact or left by root polishing
-    dedup: list[float] = []
-    for x in sorted(roots):
-        if not dedup or abs(x - dedup[-1]) > 1e-9 * abs(x):
-            dedup.append(x)
-    roots = dedup
+    def f(x: float) -> float:
+        return x * (hw2 + (detuning - a * x) ** 2) - e2
 
-    if len(roots) not in (1, 3):
-        raise RuntimeError(
-            f"expected 1 or 3 positive intensity roots, found {len(roots)}: {roots}"
-        )
-    if len(roots) == 3:
-        stable = (True, False, True)
-    else:
-        stable = (True,)
-    return BistabilityResult(roots=tuple(roots), stable=stable)
+    # f'(x) = 3 a^2 x^2 - 4 a detuning x + hw2 + detuning^2 has real zeros only if detuning^2 > 3 hw2
+    turning = [(2.0 * detuning + s * math.sqrt(detuning**2 - 3.0 * hw2)) / (3.0 * a)
+               for s in (-1.0, 1.0)] if a > 0 and detuning**2 > 3.0 * hw2 else []
+    cuts = [0.0, *(x for x in turning if 0 < x < top), top]
+    roots = tuple(_bisect(f, lo, hi) for lo, hi in zip(cuts, cuts[1:]) if (f(lo) > 0) != (f(hi) > 0))
+    return BistabilityResult(roots=roots, stable=(True, False, True) if len(roots) == 3 else (True,))
+
+
+def _bisect(f, lo: float, hi: float) -> float:
+    """The root of ``f`` in [lo, hi], whose ends differ in sign, bisected down to adjacent floats."""
+    rising = f(hi) > 0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if (f(mid) > 0) == rising:
+            hi = mid
+        else:
+            lo = mid
+    return lo if abs(f(lo)) < abs(f(hi)) else hi
 
 
 def to_dimensionless(

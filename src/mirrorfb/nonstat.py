@@ -277,15 +277,16 @@ def arrival_signal(s: SchemeParams, force: ForcePulse, win: MeasurementWindow, o
 def cyclic_avg_snr(s: SchemeParams, force: ForcePulse, win: MeasurementWindow, t_cool: float, omega, signal=None):
     """SNR averaged over a uniformly distributed arrival time in [0, T_m].
 
-    Models cyclic cool-and-measure operation: each cycle cools with the
-    loop of ``s`` to its stationary state, then measures with the loop
-    open.  The average carries the duty factor T_m / (T_m + t_cool), and
-    the (negligible) SNR accrued during the cooling stage is dropped.  The
-    stored t1 of ``force`` is ignored.  A no-feedback comparator is the
-    same call with g = 0 and t_cool = 0.  The window must hold one
-    measurement time.  The average is the mean of the rows of ``signal``,
-    this call's :func:`arrival_signal` when None, which every scheme of one
-    bare mirror shares.
+    Models cyclic cool-and-measure operation: every cycle measures with the loop open, scored from
+    the stationary state the loop of ``s`` cools to.  That state needs Gamma t_cool >> 1, with
+    Gamma = gamma_m (1 + g).  At the schedule of figure 10, C08 and the README ``cyclic`` call,
+    Gamma t_cool = 2e-3: each cycle starts at about 297x the stationary q2, and the gain at
+    resonance is 1.72x, not 15.58x.  The start state a schedule does reach is not computed yet.
+    The average carries the duty factor T_m / (T_m + t_cool), and the (negligible) SNR accrued
+    during the cooling stage is dropped.  The stored t1 of ``force`` is ignored.  A no-feedback
+    comparator is the same call with g = 0 and t_cool = 0.  The window must hold one measurement
+    time.  The average is the mean of the rows of ``signal``, this call's :func:`arrival_signal`
+    when None, which every scheme of one bare mirror shares.
     """
     _check_window(win)
     if not 0 <= t_cool < math.inf:

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from mirrorfb.cli import build_parser, main
-from mirrorfb.core import NUMERIC_FIELDS, PhysicalParams, Scheme, SchemeParams, to_dimensionless
+from mirrorfb.core import (NUMERIC_FIELDS, PhysicalParams, Scheme, SchemeParams, classical_steady_amplitude,
+                           to_dimensionless)
 from mirrorfb.spectra import FLOAT_FMT, position_noise_spectrum
 from mirrorfb.steady import moments_sweep, steady_moments
 
@@ -279,6 +280,32 @@ def test_physical_config_beta_override_matches_library(tmp_path, capsys):
     _, solved, _ = run_cli(capsys, "steady", "--config", write_config(tmp_path / "root.cfg", LAB),
                            "--format", "json")
     assert json.loads(solved)["q2"] != m.q2
+
+
+#: lab units just inside the upper edge of the bistable window at detuning 2 gamma_c, where two roots lie 2e-8 apart
+EDGE_LAB = {
+    "mass": 1e-10,
+    "omega_m": 2 * math.pi * 1e6,
+    "gamma_m": 2 * math.pi * 1e6 / 1e5,
+    "cavity_length": 1e-3,
+    "gamma_c": 2 * math.pi * 10e6,
+    "laser_power": 0.011244343292954463,
+    "laser_omega0": 2 * math.pi * 300e12,
+    "cavity_omega_c": 2 * math.pi * 300e12,
+    "efficiency": 0.8,
+}
+
+
+def test_physical_config_at_the_bistability_edge(tmp_path, capsys):
+    # three roots; the CLI takes the largest, on the upper stable branch
+    detuning = 2.0 * EDGE_LAB["gamma_c"]
+    cfg = write_config(tmp_path / "edge.cfg", {**EDGE_LAB, "detuning": detuning})
+    code, out, err = run_cli(capsys, "steady", "--config", cfg, "--format", "json")
+    assert code == 0, err
+    p = PhysicalParams(**EDGE_LAB)
+    roots = classical_steady_amplitude(p, detuning).roots
+    assert len(roots) == 3
+    assert json.loads(out)["q2"] == steady_moments(to_dimensionless(p, math.sqrt(roots[-1]))).q2
 
 
 def test_config_file_feedback_band_matches_library(tmp_path, capsys):
@@ -617,6 +644,12 @@ CONFIG_ERRORS = [
                  "mass = 1e300\nomega_m = 1e6\ngamma_m = 10\ncavity_length = 1e-3\ngamma_c = 1e7\nlaser_power = 1e-3\n"
                  "laser_omega0 = 1.77e15\ncavity_omega_c = 1.77e15\nefficiency = 0.8\n",
                  "error: invalid configuration: input power zeta must be > 0, got 0.0", id="lab_input_power_underflows"),
+    # a faint drive at a far laser frequency underflows the bound on the intracavity intensity
+    pytest.param(("steady", "--config", "{cfg}"),
+                 "mass = 1e-12\nomega_m = 1e6\ngamma_m = 10\ncavity_length = 1e-3\ngamma_c = 1e7\nlaser_power = 1e-60\n"
+                 "laser_omega0 = 1e300\ncavity_omega_c = 1.77e15\nefficiency = 0.8\n",
+                 "error: invalid configuration: intensity bound 2 E^2 / (gamma_c/2)^2 must be finite and > 0, got 0.0",
+                 id="lab_intensity_bound_underflows"),
     pytest.param(("steady", "--config", "{cfg}"), "scheme = sc\ng = 1\nbeta = 100\n",
                  "config mixes lab-unit keys ['beta'] with working-unit keys ['g']", id="beta_with_working_units"),
     pytest.param(("steady", "--config", "{cfg}"), "scheme = sc\ng = 1\ndetuning = 0.1\n",

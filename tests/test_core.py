@@ -272,8 +272,8 @@ def test_linear_cavity_limit():
 
 
 def test_zero_coupling_is_the_linear_root(monkeypatch):
-    # at G = 0 the cubic's two leading coefficients vanish and np.roots drops
-    # them, leaving the linear cavity's root
+    # at G = 0 the cubic's two leading coefficients vanish: f is the linear
+    # cavity's, with no turning points, and its one root is the linear root
     monkeypatch.setattr(PhysicalParams, "coupling", property(lambda self: 0.0))
     p = lab_params()
     for det in (0.0, 0.3 * p.gamma_c):
@@ -305,6 +305,61 @@ def test_root_residuals():
     f = _cubic(p, 3.0)
     for x in classical_steady_amplitude(p, 3.0).roots:
         assert abs(f(x)) < 1e-9 * p.drive**2
+
+
+def edge_lab_params(power):
+    # a 100 ng mirror in a 1 mm cavity, driven at detuning 2 gamma_c (EDGE_DETUNING)
+    return PhysicalParams(mass=1e-10, omega_m=2 * math.pi * 1e6, gamma_m=2 * math.pi * 1e6 / 1e5,
+                          cavity_length=1e-3, gamma_c=2 * math.pi * 10e6, laser_power=power,
+                          laser_omega0=2 * math.pi * 300e12, cavity_omega_c=2 * math.pi * 300e12, efficiency=0.8)
+
+
+EDGE_DETUNING = 2.0 * 2 * math.pi * 10e6
+#: just inside the upper edge of the bistable window, where two roots lie 2e-8 apart (relative)
+EDGE_POWER = 0.011244343292954463
+
+
+def test_bistability_edge_gives_three_roots():
+    res = classical_steady_amplitude(edge_lab_params(EDGE_POWER), EDGE_DETUNING)
+    assert len(res.roots) == 3 and list(res.roots) == sorted(res.roots)
+    assert res.stable == (True, False, True)
+
+
+def test_exact_tangency_does_not_raise(monkeypatch):
+    # gamma_c/2 = 1, 2 G^2 / omega_m = 1/2, E^2 = 4, detuning 2: f(x) = x (1 + (2 - x/2)^2) - 4 has a
+    # double root at its turning point x = 2, exactly, and a simple root at x = 4
+    monkeypatch.setattr(PhysicalParams, "coupling", property(lambda self: 1.0))
+    monkeypatch.setattr(PhysicalParams, "drive", property(lambda self: 2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AdiabaticityWarning)
+        p = PhysicalParams(mass=1.0, omega_m=4.0, gamma_m=4e-5, cavity_length=1.0, gamma_c=2.0, laser_power=1.0,
+                           laser_omega0=1.0, cavity_omega_c=1.0, efficiency=1.0)
+    res = classical_steady_amplitude(p, 2.0)
+    assert len(res.roots) in (1, 3) and res.roots[-1] == 4.0
+    assert all(x == pytest.approx(2.0, rel=1e-7) for x in res.roots[:-1])
+
+
+def _window_edges(p, detuning):
+    """Input powers at the edges of the bistable window: the cubic's values at its turning points."""
+    a, hw2 = 2.0 * p.coupling**2 / p.omega_m, (p.gamma_c / 2.0) ** 2
+    turning = np.roots([3.0 * a * a, -4.0 * a * detuning, hw2 + detuning**2]).real
+    return sorted(x * (hw2 + (detuning - a * x) ** 2) * HBAR * p.laser_omega0 / p.gamma_c for x in turning)
+
+
+@pytest.mark.parametrize("edge", [0, 1], ids=["lower", "upper"])
+def test_bistability_edge_scan(edge):
+    # 2001 powers within 0.1% of an edge of the window (about 0.00407 W and 0.01125 W)
+    centre = _window_edges(edge_lab_params(EDGE_POWER), EDGE_DETUNING)[edge]
+    assert centre == pytest.approx((0.00407, 0.01125)[edge], rel=1e-3)
+    counts = set()
+    for power in np.linspace(0.999 * centre, 1.001 * centre, 2001):
+        p = edge_lab_params(float(power))
+        roots = classical_steady_amplitude(p, EDGE_DETUNING).roots
+        counts.add(len(roots))
+        assert len(roots) in (1, 3) and list(roots) == sorted(roots)
+        f = _cubic(p, EDGE_DETUNING)
+        assert all(abs(f(x)) < 1e-9 * p.drive**2 for x in roots)
+    assert counts == {1, 3}  # the scan crosses the edge
 
 
 def test_scale_invariance_of_dimensionless_map():
