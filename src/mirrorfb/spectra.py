@@ -15,9 +15,9 @@ from typing import NamedTuple
 import numpy as np
 
 from ._quad import quad_spectrum
-from .core import Scheme, SchemeParams, _warn
+from .core import SchemeParams, _warn
 from .response import chi_freq
-from .steady import _omega_coth
+from .steady import _feedback_weight, _noise_weights, _thermal_density
 
 KIND_POSITION_NOISE = "PositionNoise"
 KIND_DETECTED_NOISE = "DetectedNoise"
@@ -80,41 +80,24 @@ def default_grid(n: int = DEFAULT_GRID[2]) -> np.ndarray:
     return np.geomspace(DEFAULT_GRID[0], DEFAULT_GRID[1], n)
 
 
-def _thermal_density(s: SchemeParams, omega: np.ndarray, thermal: str) -> np.ndarray:
-    if thermal == "exact":
-        return _omega_coth(omega, s.theta) / 2.0
-    if thermal == "classical":
-        return np.full_like(omega, s.theta)
-    raise ValueError(f"thermal must be 'exact' or 'classical', got {thermal!r}")
-
-
-def _feedback_weight(s: SchemeParams, omega: np.ndarray) -> np.ndarray:
-    # stochastic cooling feeds noise into the position equation; its kernel
-    # carries an extra gamma_m^2 relative to cold damping
-    if s.scheme is Scheme.STOCHASTIC_COOLING:
-        return omega**2 + s.gamma_m**2
-    return omega**2
-
-
-def position_noise_spectrum(
-    s: SchemeParams, omega, thermal: str = "exact", gates: bool = True
-):
+def position_noise_spectrum(s: SchemeParams, omega, thermal: str = "exact", gates: bool = True):
     """Stationary position noise spectrum N_Q^2(omega).
 
     gamma_m |chi~|^2 [ zeta/4 + (g^2 / 4 eta zeta) w_fb(omega) Gate_fb
     + (omega/2) coth(omega / 2 theta) Gate_res ], with the coth replaced by
-    its classical limit theta when ``thermal="classical"``.
+    its classical limit theta when ``thermal="classical"``: the noise model of :mod:`mirrorfb.steady`.
     """
     omega = np.asarray(omega, dtype=float)
     chi2 = np.abs(chi_freq(s, omega)) ** 2
-    fb = (s.g**2 / (4.0 * s.eta * s.zeta)) * _feedback_weight(s, omega)
+    back_action, feedback = _noise_weights(s.g, s.zeta, s.eta)
+    fb = feedback * _feedback_weight(s, omega)
     th = _thermal_density(s, omega, thermal)
     if gates:
         lo, hi = s.feedback_band()
         absw = np.abs(omega)
         fb = fb * ((absw >= lo) & (absw <= hi))
         th = th * (absw <= s.cutoff_reservoir)
-    out = s.gamma_m * chi2 * (s.zeta / 4.0 + fb + th)
+    out = s.gamma_m * chi2 * (back_action + fb + th)
     return out if out.ndim else float(out)
 
 

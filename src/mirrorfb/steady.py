@@ -1,6 +1,11 @@
 """Stationary second moments, cooling limits, squeezing and regime flags.
 
-Closed forms are expressed with the shorthand
+The module owns the noise model: ``_noise_weights`` (back-action zeta/4,
+feedback g^2/(4 eta zeta)), ``_feedback_weight`` (the feedback kernel) and
+``_thermal_density`` (the Brownian force) state each source once, and
+``spectra``, ``nonstat`` and the oracle (via ``noise_strengths``) compose them.
+The thermal model keeps two spellings: ``ThermalModel`` and the spectra's
+``thermal="exact"|"classical"``.  Closed forms are expressed with the shorthand
 
     A = g^2 / (8 eta zeta)          feedback-induced noise weight
     B = zeta/8 + theta/2            back-action + classical thermal weight
@@ -36,15 +41,43 @@ class ThermalModel(Enum):
     EXACT_COTH = "exact-coth"
 
 
+def _sq(x):
+    """x**2 by libm pow, as a float's ``**``; NumPy's ``**`` would square an array as x * x."""
+    return np.float_power(x, 2) if isinstance(x, np.ndarray) else x**2
+
+
+def _noise_weights(g, zeta, eta):
+    """(zeta/4, g^2 / (4 eta zeta)): the back-action and feedback noise weights, floats or a sweep's arrays."""
+    return zeta / 4.0, _sq(g) / (4.0 * eta * zeta)
+
+
+def _feedback_weight(s: SchemeParams, omega):
+    """Feedback noise kernel: omega^2 + gamma_m^2 where it drives the position (stochastic cooling), else omega^2."""
+    return omega**2 + s.gamma_m**2 if s.scheme is Scheme.STOCHASTIC_COOLING else omega**2
+
+
+def _thermal_density(s: SchemeParams, omega, thermal: str) -> np.ndarray:
+    """Brownian force density: (omega/2) coth(omega / 2 theta), theta at omega = 0 ("exact"), or theta ("classical")."""
+    omega = np.asarray(omega, dtype=float)
+    if thermal == "classical":
+        return np.full_like(omega, s.theta)
+    if thermal != "exact":
+        raise ValueError(f"thermal must be 'exact' or 'classical', got {thermal!r}")
+    if s.theta == 0:
+        return np.abs(omega) / 2.0
+    x = omega / (2.0 * s.theta)
+    out = np.empty_like(omega)
+    small = np.abs(x) < 1e-8
+    out[small] = s.theta * (1.0 + x[small] ** 2 / 3.0)
+    out[~small] = omega[~small] / np.tanh(x[~small]) / 2.0
+    return out
+
+
 @dataclass(frozen=True)
 class NoiseStrengths:
-    """Delta-correlated noise intensities entering the working equations.
-
-    ``d_q`` drives the position equation (stochastic cooling only), ``d_p``
-    the momentum equation (back-action + classical thermal), and
-    ``d_fb_cd`` is the coefficient of the omega^2/omega_m^2 spectral density
-    of the band-limited cold-damping feedback force.
-    """
+    """Delta-correlated noise intensities of the working equations: ``d_q`` drives the position
+    (stochastic cooling only), ``d_p`` the momentum (back-action + classical thermal), and ``d_fb_cd``
+    weights the omega^2/omega_m^2 spectral density of the band-limited cold-damping force."""
 
     d_q: float
     d_p: float
@@ -53,11 +86,11 @@ class NoiseStrengths:
 
 def noise_strengths(s: SchemeParams) -> NoiseStrengths:
     gm = s.gamma_m
-    feedback = gm * s.g**2 / (4.0 * s.eta * s.zeta)
+    back_action, feedback = _noise_weights(s.g, s.zeta, s.eta)
     return NoiseStrengths(
-        d_q=feedback if s.scheme is Scheme.STOCHASTIC_COOLING else 0.0,
-        d_p=gm * (s.zeta / 4.0 + s.theta),
-        d_fb_cd=feedback if s.scheme is Scheme.COLD_DAMPING else 0.0,
+        d_q=gm * feedback if s.scheme is Scheme.STOCHASTIC_COOLING else 0.0,
+        d_p=gm * (back_action + s.theta),
+        d_fb_cd=gm * feedback if s.scheme is Scheme.COLD_DAMPING else 0.0,
     )
 
 
@@ -93,11 +126,6 @@ def _log_correction(s: SchemeParams) -> float:
     return (s.gamma_m / math.pi) * math.log(s.cutoff_reservoir / (2.0 * math.pi * s.theta))
 
 
-def _sq(x):
-    """x**2 by libm pow, as a float's ``**``; NumPy's ``**`` would square an array as x * x."""
-    return np.float_power(x, 2) if isinstance(x, np.ndarray) else x**2
-
-
 def _closed_form(s: SchemeParams, model: ThermalModel = ThermalModel.CLASSICAL_DELTA, **swept):
     """(q2, p2, qp) of the classical-delta model; ``swept`` gives one numeric field as an array.
 
@@ -108,10 +136,10 @@ def _closed_form(s: SchemeParams, model: ThermalModel = ThermalModel.CLASSICAL_D
         _warn("classical-delta thermal model with theta = 0: the white-noise "
               "approximation assumes hbar omega_m << k_B T")
     g, q, zeta, theta, eta, cutoff = [swept.get(f, getattr(s, f)) for f in NUMERIC_FIELDS]
-    a = _sq(g) / (8.0 * eta * zeta)
-    b = zeta / 8.0 + theta / 2.0
+    back_action, feedback = _noise_weights(g, zeta, eta)
+    a, b = feedback / 2.0, (back_action + theta) / 2.0
     d = (1.0 + g) * (_sq(q) + g)
-    b_ba = zeta / 8.0 if model is ThermalModel.EXACT_COTH else b
+    b_ba = back_action / 2.0 if model is ThermalModel.EXACT_COTH else b
     if s.scheme is not Scheme.COLD_DAMPING:
         q2 = a * (1.0 + q * q + g) / d + b_ba * q * q / d
         return q2, a * q * q / d + b_ba * (g * g + q * q + g) / d, (b * g - a) * q / d
@@ -119,7 +147,7 @@ def _closed_form(s: SchemeParams, model: ThermalModel = ThermalModel.CLASSICAL_D
     if not s.wide_band:
         return q2, q2, 0.0
     # wide-band feedback heating of <P^2>: the loop extends to the reservoir cutoff
-    return q2, b_ba / (1.0 + g) + (1.0 / q) * _sq(g) / (8.0 * eta * zeta) * cutoff / math.pi, 0.0
+    return q2, b_ba / (1.0 + g) + (1.0 / q) * a * cutoff / math.pi, 0.0
 
 
 def steady_moments(s: SchemeParams, model: ThermalModel = ThermalModel.CLASSICAL_DELTA) -> MomentSet:
@@ -172,19 +200,6 @@ def moments_sweep(s: SchemeParams, name: str, values) -> MomentSet:
         return MomentSet(*(np.full(values.shape, v) for v in _closed_form(lo, **{name: values})))
 
 
-def _omega_coth(omega: np.ndarray, theta: float) -> np.ndarray:
-    """omega * coth(omega / (2 theta)), -> 2 theta as omega -> 0."""
-    omega = np.asarray(omega, dtype=float)
-    if theta == 0:
-        return np.abs(omega)
-    x = omega / (2.0 * theta)
-    out = np.empty_like(omega)
-    small = np.abs(x) < 1e-8
-    out[small] = 2.0 * theta * (1.0 + x[small] ** 2 / 3.0)
-    out[~small] = omega[~small] / np.tanh(x[~small])
-    return out
-
-
 def brownian_exact(s: SchemeParams) -> BrownianMoments:
     """Quantum Brownian contributions to q2 and p2 by coth-weighted quadrature.
 
@@ -202,7 +217,7 @@ def brownian_exact(s: SchemeParams) -> BrownianMoments:
     wshift = 0.0 if s.scheme is Scheme.COLD_DAMPING else (s.g * gm) ** 2
 
     def moments(w):
-        density = (gm / 2.0) * _omega_coth(w, s.theta) * np.abs(chi_freq(s, w)) ** 2
+        density = gm * _thermal_density(s, w, "exact") * np.abs(chi_freq(s, w)) ** 2
         return np.stack([density / (2.0 * math.pi), density * (w * w + wshift) / (2.0 * math.pi)])
 
     knee = (2.0 * s.theta,)  # coth crossover from classical to quantum

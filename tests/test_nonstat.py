@@ -676,3 +676,16 @@ def test_window_filter_sweep_is_one_row_per_window(t):
     assert rows.shape == t_m.shape + np.shape(t)
     for row, one in zip(rows, t_m.tolist()):
         assert np.array_equal(row, MeasurementWindow(one).filter(t))
+
+
+@pytest.mark.parametrize("t_m", [1.0, np.array([1.0, 2.0])], ids=["scalar", "sweep"])
+def test_window_filter_takes_no_exponential_before_the_window(t_m):
+    # exp(-t / 2 T_m) at t = -2000 T_m overflows: a time before the window is masked, not evaluated
+    t = np.array([-2000.0, -1.0, 0.0, 3.0])
+    win = MeasurementWindow(t_m)
+    with np.errstate(all="raise"):
+        rows = win.filter(t)
+    assert rows.shape == np.shape(t_m) + t.shape
+    assert not rows[..., :2].any()
+    np.testing.assert_allclose(rows[..., 2:], np.exp(-t[2:] / (2.0 * win.over(t))), rtol=1e-15, atol=0)
+    assert np.array_equal(rows[..., 2:], win.filter(t[2:]))  # a time in the window keeps its bits

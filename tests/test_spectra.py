@@ -21,7 +21,7 @@ from mirrorfb.spectra import (
     shot_noise_floor,
     stationary_snr,
 )
-from mirrorfb.steady import ThermalModel, steady_moments
+from mirrorfb.steady import ThermalModel, noise_strengths, steady_moments
 
 SC, CD = Scheme.STOCHASTIC_COOLING, Scheme.COLD_DAMPING
 
@@ -97,6 +97,30 @@ def test_detected_spectrum_limits():
     got = detected_noise_spectrum(s_big, 0.3)
     backaction = abs(chi_freq(s_big, 0.3)) ** 2 * s_big.gamma_m * s_big.zeta / 4.0
     assert got == pytest.approx(backaction, rel=1e-6)
+
+
+def test_spectrum_is_built_from_the_monte_carlo_intensities():
+    # one noise model feeds the spectra and the oracle: ungated and classical, the spectrum is
+    # |chi|^2 (d_p + (d_q + d_fb_cd) w_fb) with the oracle's own intensities, to rounding
+    rng = np.random.default_rng(37)
+    omega = np.concatenate([[0.0], default_grid(64), [1.0, 30.0]])
+    worst = 0.0
+    for i in range(330):
+        scheme = (SC, CD, Scheme.NONE)[i % 3]
+        s = SchemeParams(
+            scheme=scheme,
+            g=0.0 if scheme is Scheme.NONE else float(10 ** rng.uniform(-2, 4)),
+            quality=float(10 ** rng.uniform(0, 6)),
+            zeta=float(10 ** rng.uniform(-2, 4)),
+            theta=float(10 ** rng.uniform(-1, 6)),
+            eta=float(rng.uniform(0.1, 1.0)),
+        )
+        ns = noise_strengths(s)
+        kernel = omega**2 + (s.gamma_m**2 if scheme is SC else 0.0)
+        want = np.abs(chi_freq(s, omega)) ** 2 * (ns.d_p + (ns.d_q + ns.d_fb_cd) * kernel)
+        got = position_noise_spectrum(s, omega, thermal="classical", gates=False)
+        worst = max(worst, float(np.max(np.abs(got - want) / want)))
+    assert worst <= 1e-13
 
 
 def test_spectral_consistency_random_parameters():

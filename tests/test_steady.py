@@ -13,6 +13,7 @@ from mirrorfb.response import chi_freq
 from mirrorfb.steady import (
     MomentSet,
     ThermalModel,
+    _thermal_density,
     brownian_exact,
     min_position_variance,
     moments_sweep,
@@ -175,6 +176,21 @@ def test_zero_temperature_classical_warns():
 
 
 # ---------------------------------------------------------- exact Brownian
+
+
+@pytest.mark.parametrize("theta", [1e-3, 1.0, 1e5])
+def test_exact_thermal_density_is_continuous_at_its_series_branch(theta):
+    # (omega/2) coth(omega / 2 theta) switches to theta (1 + x^2/3) below |x| = |omega / 2 theta| = 1e-8
+    s = make(SC, theta=theta)
+    edge = 2.0 * theta * 1e-8
+    omega = np.array([-1.000001, -0.999999, 0.999999, 1.000001]) * edge
+    assert np.array_equal(np.abs(omega / (2.0 * theta)) < 1e-8, [False, True, True, False])
+    density = _thermal_density(s, omega, "exact")
+    np.testing.assert_allclose(density, theta * (1.0 + (omega / (2.0 * theta)) ** 2 / 3.0), rtol=1e-15, atol=0)
+    # and it tends to the classical density theta as omega -> 0
+    tiny = np.array([0.0, 1e-300, 1e-20 * theta, 1e-9 * theta, 1e-4 * theta])
+    np.testing.assert_allclose(_thermal_density(s, tiny, "exact"), theta, rtol=1e-9, atol=0)
+    assert _thermal_density(s, 0.0, "exact") == theta
 
 
 def test_brownian_classical_limit_high_temperature():
