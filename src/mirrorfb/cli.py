@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -33,6 +34,10 @@ class ConfigError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # a negative value may take an exponent (-1e-4), unlike in argparse's pattern
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+)([eE][+-]?\d+)?$")
+
     def error(self, message):  # argparse would exit(2); config errors are code 1
         raise ConfigError(message)
 

@@ -12,17 +12,16 @@ calibration-free: the signal is reported per unit calibration, the noise is
 rescaled to a position spectrum exactly as the stationary detected spectrum,
 and the SNR contains no free factor.
 
-Curves are evaluated as whole arrays.  A window may hold a 1-d array of
-measurement times, which broadcasts against the frequency grid (one row per
-window), so a sweep over T_m is one call.  :func:`arrival_signal` owns the
-arrival-time rule (a node count worked out from the pulse width and the
-window, blocks of nodes per broadcast), and every scheme with the same bare
-mirror, pulse, window and grid shares its rows in :func:`cyclic_avg_snr`.
-Every broadcast performs the same elementwise operations, in the same order,
-as the scalar call, so both give the same bits.
-SciPy's ``erfcx`` releases the GIL, so the caller fills the first half of the
-node blocks while one helper thread fills the second; each row still takes the
-same operations, and the helper is joined before the call returns or raises.
+Curves are evaluated as whole arrays.  A window may hold a 1-d array of measurement times, which
+broadcasts against the frequency grid (one row per window), so a sweep over T_m is one call.
+:func:`arrival_signal` owns the arrival-time rule (a node count worked out from the pulse width and
+the window, blocks of nodes per broadcast), and every scheme with the same bare mirror, pulse, window
+and grid shares its rows in :func:`cyclic_avg_snr`.  The pulse's two carrier terms (+-omega_f) lead
+one complex array, so one ``erfcx`` call evaluates both, and entries where it would overflow take the
+reflection as a masked fix-up.  Every broadcast performs the same elementwise operations, in the same
+order, as the scalar call, so both give the same bits.  SciPy's ``erfcx`` releases the GIL, so the
+caller fills the first half of the node blocks while one helper thread fills the second; each row
+still takes the same operations, and the helper is joined before the call returns or raises.
 """
 
 from __future__ import annotations
@@ -138,7 +137,8 @@ def _warn_impulsive(s: SchemeParams, force: ForcePulse, win: MeasurementWindow) 
 
 
 def _halfline(force: ForcePulse, t1, t_m, omega):
-    """The transform of ``force`` arriving at t1, broadcast over t1, t_m and omega."""
+    """The transform of ``force`` arriving at t1, broadcast over t1, t_m and omega: the carrier terms
+    +-omega_f lead one complex array, so one erfcx call evaluates both, and the reflection is a masked fix-up."""
     # local import: scipy.special adds ~0.3 s to start-up and only this transform needs it
     from scipy.special import erfcx
 
@@ -146,32 +146,26 @@ def _halfline(force: ForcePulse, t1, t_m, omega):
     s_lap = 1.0 / (2.0 * t_m) + 1j * omega
     sig = force.sigma
     gauss = np.exp(-_sq(t1) / (2.0 * sig**2))
-    total = 0.0
-    for sign in (+1.0, -1.0):
-        a = s_lap - 1j * sign * force.omega_f
-        z = (a * sig**2 - t1) / (sig * math.sqrt(2.0))
-        # erfcx(z) ~ 2 exp(z^2) for Re z << 0, where gauss * erfcx(z) would
-        # form 0 * inf; those entries take the stable reflection instead
-        refl = np.real(z) < -20.0
-        if not refl.any():
-            main = gauss * erfcx(z)
-        else:
-            g, ar, tr = (np.broadcast_to(x, z.shape) for x in (gauss, a, t1))
-            main = np.empty_like(z)
-            main[~refl] = g[~refl] * erfcx(z[~refl])
-            ar, tr = ar[refl], tr[refl]
-            main[refl] = 2.0 * np.exp(ar**2 * sig**2 / 2.0 - ar * tr) - g[refl] * erfcx(-z[refl])
-        total = total + main
-    return 0.5 * force.f0 * sig * math.sqrt(math.pi / 2.0) * total
+    carrier = np.array([1j * sign * force.omega_f for sign in (+1.0, -1.0)])
+    a = s_lap - carrier.reshape((2,) + (1,) * max(np.ndim(s_lap), np.ndim(t1)))
+    z = (a * sig**2 - t1) / (sig * math.sqrt(2.0))
+    # erfcx(z) ~ 2 exp(z^2) for Re z << 0, where gauss * erfcx(z) would form 0 * inf; those entries are
+    # negated and take the reflection 2 exp(a^2 sig^2 / 2 - a t1) - gauss * erfcx(-z).  The sum starts
+    # at 0.0, so a zero part of it is +0.0 even where both terms give -0.0
+    refl = np.real(z) < -20.0
+    np.negative(z, out=z, where=refl)
+    main = gauss * erfcx(z)
+    ar, tr = (np.broadcast_to(x, z.shape)[refl] for x in (a, t1))
+    main[refl] = 2.0 * np.exp(ar**2 * sig**2 / 2.0 - ar * tr) - main[refl]
+    return 0.5 * force.f0 * sig * math.sqrt(math.pi / 2.0) * (0.0 + main[0] + main[1])
 
 
 def force_halfline_transform(force: ForcePulse, win: MeasurementWindow, omega):
     """int_0^inf f(u) exp(-(i omega + 1/2 T_m) u) du, in closed form.
 
-    Written through erfcx so the Gaussian x oscillatory pieces never
-    overflow; falls back to the reflected expansion where erfcx itself
-    would blow up (force support far inside the window).  An array window
-    gives one row per measurement time.
+    Written through erfcx so the Gaussian x oscillatory pieces never overflow: one erfcx call evaluates
+    both carrier terms, and entries where erfcx itself would blow up (force support far inside the
+    window) take the reflected expansion as a masked fix-up.  An array window gives one row per T_m.
     """
     out = _halfline(force, force.t1, win.over(omega), omega)
     return out if out.ndim else complex(out)

@@ -140,6 +140,24 @@ def test_sweep_exit_codes(capsys, spec, code, message):
     assert out.count("\n") == (1 + 4 * 3 if code == 0 else 0)  # header and four rows per point
 
 
+_NEGATIVE_PULSE = ("snr-nonstationary", "--scheme", "cd", "--g", "10", "--theta", "10", "--Tm", "1e-3", "--opoints", "3")
+
+
+@pytest.mark.parametrize("flag, value", [("--t1", "-1e-4"), ("--t1", "-3E-4"), ("--omega-f", "-1e0"), ("--t1", "-0.0001")])
+def test_negative_flag_value_in_any_spelling_is_a_value(tmp_path, capsys, flag, value):
+    # a negative number after its flag, exponent notation included, writes the bytes of the "=" form
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    assert run_cli(capsys, *_NEGATIVE_PULSE, flag, value, "--out", str(spaced))[0] == 0
+    assert run_cli(capsys, *_NEGATIVE_PULSE, f"{flag}={value}", "--out", str(joined))[0] == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+
+
+def test_a_negative_span_is_not_a_flag_value(capsys):
+    code, _, err = run_cli(capsys, *_NEGATIVE_PULSE, "--fb-band", "-1:2")
+    assert code == 1
+    assert "argument --fb-band: expected one argument" in err
+
+
 @pytest.mark.parametrize("span", ["-1:2", "1:2", "1:1e200"])
 @pytest.mark.parametrize("name", NUMERIC_FIELDS)
 def test_sweep_of_each_numeric_field_exits_as_the_library_call(capsys, name, span):
@@ -784,7 +802,8 @@ def test_figures_call_the_library_at_call_time(tmp_path, capsys, monkeypatch, ta
 
 def test_figure_10_evaluates_erfcx_for_one_arrival_signal(tmp_path, capsys, monkeypatch):
     # both curves average the bare mirror's signal: 64 arrival nodes x 400
-    # frequencies x 2 pulse terms of erfcx, computed once rather than per curve
+    # frequencies x 2 pulse terms of erfcx, computed once rather than per curve,
+    # in one call per block of 8 nodes that holds both pulse terms
     import scipy.special
 
     original, points = scipy.special.erfcx, []
@@ -796,6 +815,7 @@ def test_figure_10_evaluates_erfcx_for_one_arrival_signal(tmp_path, capsys, monk
     monkeypatch.setattr(scipy.special, "erfcx", counting)
     assert run_cli(capsys, "figure", "10", "--out", str(tmp_path))[0] == 0
     assert sum(points) == 2 * 64 * 400
+    assert len(points) == 8
 
 
 def test_figure_10_curves_are_the_independent_library_calls():

@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.signal import fftconvolve
 
@@ -16,6 +18,7 @@ from mirrorfb.nonstat import (
     CYCLIC_ARRIVAL_NODES,
     ForcePulse,
     MeasurementWindow,
+    _halfline,
     arrival_signal,
     cyclic_avg_snr,
     force_halfline_transform,
@@ -70,6 +73,32 @@ def test_force_transform_reflection_branch():
     want = transform_oracle(force, win, 1.0, dt=1e-3)
     assert np.isfinite(got)
     assert got == pytest.approx(want, rel=1e-5)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(
+    sigma=st.floats(1e-3, 1.0),
+    omega_f=st.floats(-3.0, 3.0),
+    t1s=st.lists(st.floats(-5.0, 60.0), min_size=1, max_size=4),  # in sigma; the reflection starts near 28
+    t_ms=st.lists(st.floats(0.3, 200.0), min_size=1, max_size=3),  # in sigma
+    omega=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=5),
+)
+@example(sigma=1.0, omega_f=1.0, t1s=[0.5, 45.0], t_ms=[200.0, 2.0], omega=[0.0, 1.0, -1e3])
+def test_halfline_broadcast_is_the_scalar_call_bit_for_bit(sigma, omega_f, t1s, t_ms, omega):
+    # the carrier terms lead every axis of t1, t_m and omega: a (t1 block, omega) grid, as arrival_signal
+    # makes it, and a T_m sweep, as force_halfline_transform makes it, are the scalar calls entry by entry
+    # (array_equal lets a zero's sign differ: NumPy's scalar and array complex products can round an
+    # underflow to zeros of opposite sign)
+    force = ForcePulse(f0=1.3, sigma=sigma, t1=0.0, omega_f=omega_f)
+    t1 = [x * sigma for x in t1s]
+    t_m = [x * sigma for x in t_ms]
+    w = np.array(omega)
+    grid = _halfline(force, np.array(t1).reshape(-1, 1), t_m[0], w)
+    assert grid.shape == (len(t1), len(omega))
+    assert np.array_equal(grid, [[_halfline(force, a, t_m[0], b) for b in omega] for a in t1])
+    sweep = _halfline(force, t1[-1], np.array(t_m).reshape(-1, 1), w)
+    assert sweep.shape == (len(t_m), len(omega))
+    assert np.array_equal(sweep, [[_halfline(force, t1[-1], tm, b) for b in omega] for tm in t_m])
 
 
 def test_fourier_abs_peak_value():

@@ -12,7 +12,6 @@ from mirrorfb.core import Scheme, SchemeParams
 from mirrorfb.response import (
     chi_freq,
     chi_time,
-    damping_rate,
     drift,
     kernels,
     propagator,
@@ -28,7 +27,7 @@ def params(scheme, g, quality):
 
 def ode_oracle(s, t_eval):
     """High-order integration of chi'' + Gamma chi' + w0^2 chi = 0."""
-    gamma = damping_rate(s)
+    gamma = s.damping
     w0sq = renormalized_freq_sq(s)
 
     def rhs(_, y):
@@ -120,7 +119,7 @@ def test_chi_freq_static_limits():
 
 def fourier_oracle(s, w):
     """Half-line Fourier transform of chi_time on a dense Simpson grid."""
-    t_max = 36.0 / damping_rate(s)
+    t_max = 36.0 / s.damping
     n = int(t_max / 0.02) | 1  # ~300 nodes per oscillation period
     t = np.linspace(0.0, t_max, n + 1)
     return simpson(chi_time(s, t) * np.exp(-1j * w * t), x=t)
@@ -150,7 +149,7 @@ def test_ode_residual_finite_difference():
     t = np.linspace(0.1, 20.0, 50)
     d2 = (chi_time(s, t + h) - 2 * chi_time(s, t) + chi_time(s, t - h)) / h**2
     d1 = (chi_time(s, t + h) - chi_time(s, t - h)) / (2 * h)
-    resid = d2 + damping_rate(s) * d1 + renormalized_freq_sq(s) * chi_time(s, t)
+    resid = d2 + s.damping * d1 + renormalized_freq_sq(s) * chi_time(s, t)
     assert np.max(np.abs(resid)) < 1e-5
 
 
@@ -161,7 +160,7 @@ def test_printed_radicand_matches_renormalized_frequency():
         s = params(scheme, 37.0, 55.0)
         gm = s.gamma_m
         printed = 1.0 - gm**2 * ((1.0 + sign * s.g) / 2.0) ** 2
-        derived = renormalized_freq_sq(s) - (damping_rate(s) / 2.0) ** 2
+        derived = renormalized_freq_sq(s) - (s.damping / 2.0) ** 2
         assert printed == pytest.approx(derived, rel=1e-12)
 
 
